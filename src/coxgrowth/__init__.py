@@ -15,7 +15,7 @@ brute-force enumeration oracle.
 """
 
 from .ratfun import IntPoly, RatFun, expand, monomial_shift, poly_str
-from .rootsystem import (RootSystem, build, build_label, cartan_matrix,
+from .rootsystem import (RootSystem, build_label, cartan_matrix,
                          parse_label, InvalidTypeError)
 from .finite import (GroupTable, get_table, matrix_M, matrix_N, PolyMatrix,
                      identity_checks_finite)
@@ -23,13 +23,13 @@ from .affine import AffineWeyl, get_affine
 from .cones import (parallelepiped_points, f_q, f_q_closed_form,
                     sigma_closed, sigma_open, lattice_walk_counts,
                     all_parallelepipeds_trivial, indices_outside)
-from .series import AffinePipeline, get_pipeline, SeriesMatrix
+from .series import AffinePipeline, get_pipeline
 
 __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly", "RatFun", "expand", "monomial_shift", "poly_str",
-    "RootSystem", "build", "build_label", "cartan_matrix", "parse_label",
+    "RootSystem", "build_label", "cartan_matrix", "parse_label",
     "InvalidTypeError",
     "GroupTable", "get_table", "matrix_M", "matrix_N", "PolyMatrix",
     "identity_checks_finite",
@@ -37,6 +37,6 @@ __all__ = [
     "parallelepiped_points", "f_q", "f_q_closed_form", "sigma_closed",
     "sigma_open", "lattice_walk_counts", "all_parallelepipeds_trivial",
     "indices_outside",
-    "AffinePipeline", "get_pipeline", "SeriesMatrix",
+    "AffinePipeline", "get_pipeline",
     "__version__",
 ]

@@ -27,6 +27,7 @@ from .finite import get_table, matmul, matcol, _root_sign, _is_unit_col, \
     reflection_mats
 
 MAX_BFS_ELEMENTS = 10 ** 7
+MAX_PARABOLIC_ORDER = 200000
 
 
 def affine_root_positive(root_sign, level):
@@ -176,7 +177,7 @@ class AffineWeyl:
             frontier = nxt
         return order, seen
 
-    def parabolic_poincare(self, gen_ids, max_order=200000):
+    def parabolic_poincare(self, gen_ids):
         """Poincare polynomial of the (finite) subgroup generated by a
         proper subset of the n+1 generators, by closure."""
         gen_ids = sorted(set(gen_ids))
@@ -196,7 +197,7 @@ class AffineWeyl:
                     assert self.length(y) == depth
                     seen[y] = depth
                     nxt.append(y)
-                    if len(seen) > max_order:
+                    if len(seen) > MAX_PARABOLIC_ORDER:
                         raise ValueError("parabolic subgroup too large")
             frontier = nxt
         coeffs = [0] * (depth + 1)
@@ -245,24 +246,6 @@ class AffineWeyl:
             k &= k - 1
         return True, q
 
-    def conj_image(self, x, k_mask):
-        """Subset R with x . hat K = hat R at level 0, or None."""
-        w, m = x
-        cm = rootsystem.mat_vec(self.rs.cartan, m)
-        rmat = self.table.rmats[w]
-        out = 0
-        k = k_mask
-        while k:
-            i = (k & -k).bit_length() - 1
-            if cm[i] != 0:
-                return None
-            jj = _is_unit_col(matcol(rmat, i))
-            if jj < 0:
-                return None
-            out |= 1 << jj
-            k &= k - 1
-        return out
-
     def normalizes(self, x, j_mask):
         """Whether x W_J x^-1 = W_J: each alpha_j must go to (beta, 0)
         with beta (of either sign) supported on J."""
@@ -301,24 +284,6 @@ class AffineWeyl:
             total[l] += 1
         return bins, total
 
-    def h_oracle(self, j_mask, k_mask, max_length, elements=None):
-        """Bins by the image subset R with x . hat K = hat R."""
-        if elements is None:
-            elements, _ = self.bfs_enumerate(max_length)
-        bins = {}
-        for x in elements:
-            ok, _ = self.classify(x, j_mask, k_mask)
-            if not ok:
-                continue
-            r = self.conj_image(x, k_mask)
-            if r is None:
-                continue
-            l = self.length(x)
-            if l > max_length:
-                continue
-            bins.setdefault(r, [0] * (max_length + 1))[l] += 1
-        return bins
-
     def normalizer_counts(self, j_mask, max_length, elements=None):
         """Truncated growth count of the full normalizer of W_J."""
         if elements is None:
@@ -331,13 +296,5 @@ class AffineWeyl:
         return counts
 
 
-_affine_cache = {}
-
-
 def get_affine(rs):
-    key = id(rs)
-    a = _affine_cache.get(key)
-    if a is None:
-        a = AffineWeyl(rs)
-        _affine_cache[key] = a
-    return a
+    return rs.cached("affine", lambda: AffineWeyl(rs))

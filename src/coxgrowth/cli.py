@@ -78,6 +78,15 @@ def _is_flat(v):
     return False
 
 
+def _print_report(report, prefix=""):
+    """Print one PASS/FAIL line per (name, ok, detail) triple; True when
+    every check passed."""
+    for name, ok, detail in report:
+        print(f"{'PASS' if ok else 'FAIL'} {prefix}{name}"
+              + (f": {detail}" if detail else ""))
+    return all(ok for _, ok, _ in report)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -130,12 +139,7 @@ def cmd_finite(args):
         _emit(out, args.format)
         return 0
     # check
-    report = identity_checks_finite(rs, sp)
-    failed = [n for n, ok, _ in report if not ok]
-    for name, ok, detail in report:
-        print(f"{'PASS' if ok else 'FAIL'} {name}"
-              + (f": {detail}" if detail and not ok else ""))
-    return 1 if failed else 0
+    return 0 if _print_report(identity_checks_finite(rs, sp)) else 1
 
 
 def cmd_fq(args):
@@ -170,7 +174,7 @@ def cmd_series(args):
     out = {"type": rs.label, "J": rs.ids_of(j), "K": rs.ids_of(k),
            "series": r.to_json()}
     if args.Q is not None:
-        out["Q"] = rs.ids_of(rs.mask_of(_parse_ids(args.Q)))
+        out["Q"] = rs.ids_of(q)
     if args.expand is not None:
         out["expansion"] = expand(r, args.expand)
     if args.format == "json":
@@ -210,29 +214,16 @@ def cmd_oracle(args):
 
 def cmd_verify(args):
     rs = rootsystem.build_label(args.type)
-    pl = get_pipeline(rs)
-    report = pl.verify_against_oracle(args.max_length)
-    failed = False
-    for name, ok, detail in report:
-        print(f"{'PASS' if ok else 'FAIL'} {name}"
-              + (f": {detail}" if detail and not ok else ""))
-        failed = failed or not ok
-    return 1 if failed else 0
+    report = get_pipeline(rs).verify_against_oracle(args.max_length)
+    return 0 if _print_report(report) else 1
 
 
 def cmd_check(args):
     rs = rootsystem.build_label(args.type)
-    failed = False
-    for name, ok, detail in identity_checks_finite(rs):
-        print(f"{'PASS' if ok else 'FAIL'} finite {name}"
-              + (f": {detail}" if detail and not ok else ""))
-        failed = failed or not ok
-    pl = get_pipeline(rs)
-    for name, ok, detail in pl.affine_identity_checks(args.degree):
-        print(f"{'PASS' if ok else 'FAIL'} affine {name}"
-              + (f": {detail}" if detail and not ok else ""))
-        failed = failed or not ok
-    return 1 if failed else 0
+    ok = _print_report(identity_checks_finite(rs), "finite ")
+    report = get_pipeline(rs).affine_identity_checks(args.degree)
+    ok = _print_report(report, "affine ") and ok
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +300,21 @@ def check_fixture(name, fx):
 
 
 def run_selftest(verbose=True):
-    fixtures = _load_fixtures()
+    def show(report, prefix):
+        if verbose:
+            return _print_report(report, prefix)
+        return all(ok for _, ok, _ in report)
+
     all_ok = True
-    for name, fx in fixtures.items():
-        for item, ok in check_fixture(name, fx):
-            all_ok = all_ok and ok
-            if verbose:
-                print(f"{'PASS' if ok else 'FAIL'} {name}:{item}")
+    for name, fx in _load_fixtures().items():
+        report = [(item, ok, "") for item, ok in check_fixture(name, fx)]
+        all_ok = show(report, f"{name}:") and all_ok
     for label in ["A2", "C2", "G2"]:
         rs = rootsystem.build_label(label)
-        for item, ok, _ in identity_checks_finite(rs):
-            all_ok = all_ok and ok
-            if verbose:
-                print(f"{'PASS' if ok else 'FAIL'} {label}:finite-{item}")
+        all_ok = show(identity_checks_finite(rs), f"{label}:finite-") and all_ok
     rs = rootsystem.build_label("A2")
-    for item, ok, _ in get_pipeline(rs).affine_identity_checks(12):
-        all_ok = all_ok and ok
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} A2:affine-{item}")
-    return all_ok
+    report = get_pipeline(rs).affine_identity_checks(12)
+    return show(report, "A2:affine-") and all_ok
 
 
 def cmd_selftest(args):

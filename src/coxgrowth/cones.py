@@ -101,16 +101,11 @@ def f_q_closed_form(rs, q_mask):
     return RatFun(IntPoly.t_power(sum(weights)), den)
 
 
-def all_parallelepipeds_trivial(rs, q_mask=0):
-    """True when the parallelepiped of every cone above Q holds only the
-    origin, which makes the closed form of f_q exact."""
-    n = rs.rank
-    for r_mask in rs.subsets():
-        if q_mask & ~r_mask:
-            continue
-        if len(parallelepiped_points(rs, indices_outside(rs, r_mask))) != 1:
-            return False
-    return True
+def all_parallelepipeds_trivial(rs):
+    """True when the parallelepiped of every cone holds only the origin,
+    which makes the closed form of f_q exact."""
+    return all(len(parallelepiped_points(rs, indices_outside(rs, q))) == 1
+               for q in rs.subsets())
 
 
 def lattice_walk_counts(rs, q_mask, max_degree):

@@ -17,6 +17,9 @@ Series computed here:
         double coset with {k in K : x.alpha_k simple and in J} = Q;
     h_poly(R, J, K): same minimality, with x mapping the simple roots of
         K exactly onto those of R.
+
+Both stratify the same set, so one scan per (J, K) bins every Q and
+every R at once.
 """
 
 from __future__ import annotations
@@ -138,8 +141,7 @@ class GroupTable:
         self.order = len(self.rmats)
         self.inv_idx = [self.index[r] for r in self.rinvs]
         self._profiles()
-        self._pcache = {}
-        self._hcache = {}
+        self._cosets = {}
         self._chi = {}
 
         lw = rs.longest_length(mask)
@@ -186,13 +188,13 @@ class GroupTable:
                 cnt += 1
         return cnt
 
-    def descents(self, idx, side="right"):
-        asc = self.rasc[idx] if side == "right" else self.lasc[idx]
-        return self.mask & ~asc
+    def descents(self, idx):
+        """Right descent set within the table's generators."""
+        return self.mask & ~self.rasc[idx]
 
-    def ascents(self, idx, side="right"):
-        asc = self.rasc[idx] if side == "right" else self.lasc[idx]
-        return self.mask & asc
+    def ascents(self, idx):
+        """Right ascent set within the table's generators."""
+        return self.mask & self.rasc[idx]
 
     def act_root(self, idx, vec):
         rmat = self.rmats[idx]
@@ -215,24 +217,10 @@ class GroupTable:
             self._chi[idx] = t
         return t
 
-    def conj_subset(self, idx, k_mask):
-        """{j : x maps alpha_k to alpha_j, k in k_mask}, or None if some
-        image is not simple."""
-        img = self.simple_img[idx]
-        out = 0
-        k = k_mask
-        while k:
-            i = (k & -k).bit_length() - 1
-            j = img[i]
-            if j < 0:
-                return None
-            out |= 1 << j
-            k &= k - 1
-        return out
-
     def conj_subset_signed(self, idx, k_mask):
-        """Like conj_subset but images may be plus or minus a simple root
-        (conjugation by longest elements)."""
+        """{j : x maps alpha_k to plus or minus alpha_j, k in k_mask}
+        (conjugation by longest elements), or None if some image is not
+        a simple root up to sign."""
         out = 0
         k = k_mask
         while k:
@@ -273,7 +261,7 @@ class GroupTable:
                 h1 |= comp
         j1 = j_mask & h1
         idx = self.mul(self.longest_element(h1), self.longest_element(j1))
-        assert self.descents(idx, "right") & h_mask == h_mask & ~j_mask
+        assert self.descents(idx) & h_mask == h_mask & ~j_mask
         return idx
 
     # -- Poincare polynomials and coset series --------------------------
@@ -287,79 +275,58 @@ class GroupTable:
         return get_table(self.rs, mask).poincare()
 
     def p_poly(self, q_mask, j_mask, k_mask):
-        key = (q_mask, j_mask, k_mask)
-        hit = self._pcache.get(key)
-        if hit is not None:
-            return hit
-        if q_mask & ~k_mask:
-            poly = IntPoly.zero()
-        else:
-            coeffs = [0] * (max(self.lengths) + 1)
-            for idx in range(self.order):
-                if self.lasc[idx] & j_mask != j_mask:
-                    continue
-                if self.rasc[idx] & k_mask != k_mask:
-                    continue
-                img = self.simple_img[idx]
-                q = 0
-                k = k_mask
-                while k:
-                    i = (k & -k).bit_length() - 1
-                    j = img[i]
-                    if j >= 0 and (j_mask >> j) & 1:
-                        q |= 1 << i
-                    k &= k - 1
-                if q == q_mask:
-                    coeffs[self.lengths[idx]] += 1
-            poly = IntPoly(coeffs)
-        self._pcache[key] = poly
-        return poly
+        return self._coset_bins(j_mask, k_mask)[0].get(q_mask, _ZERO)
 
     def h_poly(self, r_mask, j_mask, k_mask):
-        key = (r_mask, j_mask, k_mask)
-        hit = self._hcache.get(key)
+        return self._coset_bins(j_mask, k_mask)[1].get(r_mask, _ZERO)
+
+    def _coset_bins(self, j_mask, k_mask):
+        """One scan of the minimal (W_J, W_K) double-coset representatives:
+        their length polynomials binned by Q (for p_poly) and by R (for
+        h_poly, only x mapping every simple root of K to a simple root)."""
+        key = (j_mask, k_mask)
+        hit = self._cosets.get(key)
         if hit is not None:
             return hit
-        if bin(r_mask).count("1") != bin(k_mask).count("1"):
-            poly = IntPoly.zero()
-        else:
-            coeffs = [0] * (max(self.lengths) + 1)
-            for idx in range(self.order):
-                if self.lasc[idx] & j_mask != j_mask:
-                    continue
-                if self.rasc[idx] & k_mask != k_mask:
-                    continue
-                img = self.simple_img[idx]
-                r = 0
-                k = k_mask
-                ok = True
-                while k:
-                    i = (k & -k).bit_length() - 1
-                    j = img[i]
-                    if j < 0:
-                        ok = False
-                        break
-                    r |= 1 << j
-                    k &= k - 1
-                if ok and r == r_mask:
-                    coeffs[self.lengths[idx]] += 1
-            poly = IntPoly(coeffs)
-        self._hcache[key] = poly
-        return poly
+        size = max(self.lengths) + 1
+        p_bins = {}
+        h_bins = {}
+        for idx in range(self.order):
+            if self.lasc[idx] & j_mask != j_mask:
+                continue
+            if self.rasc[idx] & k_mask != k_mask:
+                continue
+            img = self.simple_img[idx]
+            q = r = 0
+            k = k_mask
+            while k:
+                i = (k & -k).bit_length() - 1
+                j = img[i]
+                if j < 0:
+                    r = None
+                else:
+                    if (j_mask >> j) & 1:
+                        q |= 1 << i
+                    if r is not None:
+                        r |= 1 << j
+                k &= k - 1
+            length = self.lengths[idx]
+            p_bins.setdefault(q, [0] * size)[length] += 1
+            if r is not None:
+                h_bins.setdefault(r, [0] * size)[length] += 1
+        hit = ({q: IntPoly(c) for q, c in p_bins.items()},
+               {r: IntPoly(c) for r, c in h_bins.items()})
+        self._cosets[key] = hit
+        return hit
 
 
-_table_cache = {}
+_ZERO = IntPoly.zero()
 
 
 def get_table(rs, mask=None):
     if mask is None:
         mask = rs.full_mask
-    key = (id(rs), mask)
-    t = _table_cache.get(key)
-    if t is None:
-        t = GroupTable(rs, mask)
-        _table_cache[key] = t
-    return t
+    return rs.cached(("table", mask), lambda: GroupTable(rs, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +364,16 @@ class PolyMatrix:
                         for a, b in zip(ra, rb)))
 
 
+def _check_inside(rs, name, mask, sp_mask):
+    if mask & ~sp_mask:
+        raise ValueError(f"{name}={rs.ids_of(mask)} is not inside the "
+                         f"parabolic {rs.ids_of(sp_mask)}")
+
+
 def matrix_M(rs, k_mask, sp_mask):
     """M_{K,S'}: rows Q within K, columns J within S', entries the
     p-series of the parabolic W_{S'}."""
+    _check_inside(rs, "K", k_mask, sp_mask)
     table = get_table(rs, sp_mask)
     rows = rs.subsets(k_mask)
     cols = rs.subsets(sp_mask)
@@ -409,6 +383,7 @@ def matrix_M(rs, k_mask, sp_mask):
 
 def matrix_N(rs, j_mask, sp_mask):
     """N_{J,S'}: rows R within J, columns K within S', entries h-series."""
+    _check_inside(rs, "J", j_mask, sp_mask)
     table = get_table(rs, sp_mask)
     rows = rs.subsets(j_mask)
     cols = rs.subsets(sp_mask)
@@ -420,154 +395,118 @@ def matrix_N(rs, j_mask, sp_mask):
 # identity suite
 
 
+def run_checks(checks):
+    """Run (name, cases) pairs, where `cases` yields one (detail, ok) pair
+    per case and a check stops at its first failing case.  Returns
+    (name, ok, detail) triples; detail describes the failing case and is
+    empty for a passing check."""
+    report = []
+    for name, cases in checks:
+        failed = next((detail for detail, ok in cases if not ok), None)
+        report.append((name, failed is None, failed or ""))
+    return report
+
+
+def signed(term, mask):
+    """(-1)^|mask| * term."""
+    return -term if bin(mask).count("1") % 2 else term
+
+
 def identity_checks_finite(rs, sp_mask=None):
     """Exact consistency checks on the parabolic W_{S'}.  Returns a list
     of (name, ok, detail) triples."""
     if sp_mask is None:
         sp_mask = rs.full_mask
     table = get_table(rs, sp_mask)
-    report = []
     subsets = rs.subsets(sp_mask)
     w_poly = {m: RatFun(table.poincare(m)) for m in subsets}
     wt = w_poly[sp_mask]
 
-    # alternating sum of W(t)/W_J(t) over J
-    acc = RatFun.zero()
-    for j in subsets:
-        term = wt / w_poly[j]
-        acc = acc + (term if bin(j).count("1") % 2 == 0 else -term)
-    lw = rs.longest_length(sp_mask)
-    ok = acc == RatFun(IntPoly.t_power(lw))
-    report.append(("alternating-sum", ok,
-                   f"sum = {acc}, expected t^{lw}"))
+    def alternating_sum():
+        # alternating sum of W(t)/W_J(t) over J
+        acc = RatFun.zero()
+        for j in subsets:
+            acc = acc + signed(wt / w_poly[j], j)
+        lw = rs.longest_length(sp_mask)
+        yield (f"sum = {acc}, expected t^{lw}",
+               acc == RatFun(IntPoly.t_power(lw)))
 
-    # quotient W(t)/W_J(t) is the polynomial of minimal representatives
-    ok = True
-    detail = ""
-    for j in subsets:
-        quot = wt / w_poly[j]
-        if not quot.is_polynomial():
-            ok = False
-            detail = f"W/W_J not polynomial for J={rs.ids_of(j)}"
-            break
-        if quot.as_poly() != table.p_poly(0, j, 0):
-            ok = False
-            detail = f"W/W_J != left-rep series for J={rs.ids_of(j)}"
-            break
-    report.append(("parabolic-quotient", ok, detail))
+    def parabolic_quotient():
+        # quotient W(t)/W_J(t) is the polynomial of minimal representatives
+        for j in subsets:
+            quot = wt / w_poly[j]
+            yield (f"W/W_J not polynomial for J={rs.ids_of(j)}",
+                   quot.is_polynomial())
+            yield (f"W/W_J != left-rep series for J={rs.ids_of(j)}",
+                   quot.as_poly() == table.p_poly(0, j, 0))
 
-    # partition of p_{K,J,K} by conjugation targets
-    ok = True
-    detail = ""
-    for j in subsets:
-        for k in subsets:
-            total = IntPoly.zero()
-            for r in rs.subsets(j):
-                total = total + table.h_poly(r, j, k)
-            if total != table.p_poly(k, j, k):
-                ok = False
-                detail = f"J={rs.ids_of(j)}, K={rs.ids_of(k)}"
-                break
-        if not ok:
-            break
-    report.append(("pKJK-partition", ok, detail))
-
-    # alternating reduction for p: sum over Q<H<K, Q<R<H of
-    # (-1)^{|H|-|Q|} p_{R,J,H} = t^{l(w(K,Q'))} p_{Q',J,K}
-    ok = True
-    detail = ""
-    for k in subsets:
-        for q in rs.subsets(k):
-            v = table.w_hj(k, q)
-            qp = table.conj_subset_signed(v, q)
-            assert qp is not None and qp & ~k == 0
-            shift = table.lengths[v]
-            for j in subsets:
-                lhs = IntPoly.zero()
-                for h in rs.subsets(k):
-                    if q & ~h:
-                        continue
-                    sign = 1 if (bin(h).count("1")
-                                 - bin(q).count("1")) % 2 == 0 else -1
-                    for r in rs.subsets(h):
-                        if q & ~r:
-                            continue
-                        term = table.p_poly(r, j, h)
-                        lhs = lhs + (term if sign > 0 else -term)
-                rhs = table.p_poly(qp, j, k).shift(shift)
-                if lhs != rhs:
-                    ok = False
-                    detail = (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
-                              f"K={rs.ids_of(k)}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.append(("p-alternating-reduction", ok, detail))
-
-    # alternating reduction for h: sum over R<H<J of (-1)^{|H|-|R|}
-    # h_{R,H,K} = t^{l(w(J,R'))} h_{R',J,K}
-    ok = True
-    detail = ""
-    for j in subsets:
-        for r in rs.subsets(j):
-            v = table.w_hj(j, r)
-            rp = table.conj_subset_signed(v, r)
-            assert rp is not None and rp & ~j == 0
-            shift = table.lengths[v]
+    def pkjk_partition():
+        # partition of p_{K,J,K} by conjugation targets
+        for j in subsets:
             for k in subsets:
-                lhs = IntPoly.zero()
-                for h in rs.subsets(j):
-                    if r & ~h:
-                        continue
-                    sign = 1 if (bin(h).count("1")
-                                 - bin(r).count("1")) % 2 == 0 else -1
-                    term = table.h_poly(r, h, k)
-                    lhs = lhs + (term if sign > 0 else -term)
-                rhs = table.h_poly(rp, j, k).shift(shift)
-                if lhs != rhs:
-                    ok = False
-                    detail = (f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
-                              f"K={rs.ids_of(k)}")
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.append(("h-alternating-reduction", ok, detail))
+                total = IntPoly.zero()
+                for r in rs.subsets(j):
+                    total = total + table.h_poly(r, j, k)
+                yield (f"J={rs.ids_of(j)}, K={rs.ids_of(k)}",
+                       total == table.p_poly(k, j, k))
 
-    # factorization of the series matrices along chains K < K' < S'
-    ok = True
-    detail = ""
-    for k in subsets:
-        for kp in subsets:
-            if k & ~kp:
-                continue
-            lhs = matrix_M(rs, k, sp_mask)
-            rhs = matrix_M(rs, k, kp) @ matrix_M(rs, kp, sp_mask)
-            if lhs != rhs:
-                ok = False
-                detail = f"M chain K={rs.ids_of(k)} K'={rs.ids_of(kp)}"
-                break
-        if not ok:
-            break
-    report.append(("M-factorization", ok, detail))
+    def p_alternating_reduction():
+        # sum over Q<H<K, Q<R<H of (-1)^{|H|-|Q|} p_{R,J,H}
+        # = t^{l(w(K,Q'))} p_{Q',J,K}
+        for k in subsets:
+            for q in rs.subsets(k):
+                v = table.w_hj(k, q)
+                qp = table.conj_subset_signed(v, q)
+                assert qp is not None and qp & ~k == 0
+                shift = table.lengths[v]
+                for j in subsets:
+                    lhs = IntPoly.zero()
+                    for h in rs.subsets(k):
+                        if q & ~h:
+                            continue
+                        for r in rs.subsets(h):
+                            if q & ~r:
+                                continue
+                            lhs = lhs + signed(table.p_poly(r, j, h), h & ~q)
+                    rhs = table.p_poly(qp, j, k).shift(shift)
+                    yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
+                           f"K={rs.ids_of(k)}", lhs == rhs)
 
-    ok = True
-    detail = ""
-    for j in subsets:
-        for jp in subsets:
-            if j & ~jp:
-                continue
-            lhs = matrix_N(rs, j, sp_mask)
-            rhs = matrix_N(rs, j, jp) @ matrix_N(rs, jp, sp_mask)
-            if lhs != rhs:
-                ok = False
-                detail = f"N chain J={rs.ids_of(j)} J'={rs.ids_of(jp)}"
-                break
-        if not ok:
-            break
-    report.append(("N-factorization", ok, detail))
+    def h_alternating_reduction():
+        # sum over R<H<J of (-1)^{|H|-|R|} h_{R,H,K}
+        # = t^{l(w(J,R'))} h_{R',J,K}
+        for j in subsets:
+            for r in rs.subsets(j):
+                v = table.w_hj(j, r)
+                rp = table.conj_subset_signed(v, r)
+                assert rp is not None and rp & ~j == 0
+                shift = table.lengths[v]
+                for k in subsets:
+                    lhs = IntPoly.zero()
+                    for h in rs.subsets(j):
+                        if r & ~h:
+                            continue
+                        lhs = lhs + signed(table.h_poly(r, h, k), h & ~r)
+                    rhs = table.h_poly(rp, j, k).shift(shift)
+                    yield (f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
+                           f"K={rs.ids_of(k)}", lhs == rhs)
 
-    return report
+    def factorization(matrix, detail):
+        # factorization of the series matrices along chains K < K' < S'
+        for k in subsets:
+            for kp in subsets:
+                if k & ~kp:
+                    continue
+                lhs = matrix(rs, k, sp_mask)
+                rhs = matrix(rs, k, kp) @ matrix(rs, kp, sp_mask)
+                yield detail.format(rs.ids_of(k), rs.ids_of(kp)), lhs == rhs
+
+    return run_checks([
+        ("alternating-sum", alternating_sum()),
+        ("parabolic-quotient", parabolic_quotient()),
+        ("pKJK-partition", pkjk_partition()),
+        ("p-alternating-reduction", p_alternating_reduction()),
+        ("h-alternating-reduction", h_alternating_reduction()),
+        ("M-factorization", factorization(matrix_M, "M chain K={} K'={}")),
+        ("N-factorization", factorization(matrix_N, "N chain J={} J'={}")),
+    ])

@@ -264,10 +264,6 @@ class RatFun:
     def one(cls):
         return cls(IntPoly.one())
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     # -- queries ------------------------------------------------------
 
     def is_zero(self):

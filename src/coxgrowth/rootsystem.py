@@ -56,7 +56,6 @@ def cartan_matrix(family, rank):
         c[n - 1][n - 3] = -1
     elif family == "E":
         # Bourbaki numbering: node 2 hangs off node 4 of the chain 1-3-4-5-...
-        c = _chain(n)
         for i in range(n):
             for j in range(n):
                 c[i][j] = 2 if i == j else 0
@@ -180,6 +179,7 @@ class RootSystem:
         self.two_rho = tuple(r)
         assert mat_vec(self.cartan_t, self.two_rho) == (2,) * n
         self._build_cone_gens()
+        self._derived = {}
 
     # -- construction --------------------------------------------------
 
@@ -244,6 +244,15 @@ class RootSystem:
 
     # -- queries --------------------------------------------------------
 
+    def cached(self, key, make):
+        """The object derived from this root system under `key` (a group
+        table, the affine group, the pipeline), made by make() on first
+        use and kept for the life of the root system."""
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = make()
+        return hit
+
     @property
     def label(self):
         return f"{self.family}{self.rank}"
@@ -255,11 +264,6 @@ class RootSystem:
     def two_rho_weight(self, m):
         """<2 rho, v> for v = sum m_i alpha_i^vee; equals 2 * sum(m)."""
         return 2 * sum(m)
-
-    def root_pairing(self, root, m):
-        """<alpha, v> for a root in root coordinates and v in coroot ones."""
-        cm = mat_vec(self.cartan, m)
-        return sum(a * x for a, x in zip(root, cm))
 
     def positive_roots_of(self, mask):
         """Positive roots supported on the generator subset `mask`."""
@@ -320,10 +324,15 @@ class RootSystem:
         return comps
 
 
-def build(family, rank):
-    """Build a root system from a type label pair."""
-    return RootSystem(family, rank)
+_INTERNED = {}
 
 
 def build_label(label):
-    return RootSystem(*parse_label(label))
+    """The shared root system of a type label: every spelling of one type
+    ('B3', 'b_3') gives the same object, and with it the same cached
+    tables, affine group and pipeline."""
+    key = parse_label(label)
+    rs = _INTERNED.get(key)
+    if rs is None:
+        rs = _INTERNED[key] = RootSystem(*key)
+    return rs

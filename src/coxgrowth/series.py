@@ -18,18 +18,8 @@ from __future__ import annotations
 
 from .ratfun import IntPoly, RatFun, expand, monomial_shift
 from . import cones
-from .finite import get_table, matrix_M, PolyMatrix
+from .finite import get_table, PolyMatrix, run_checks, signed
 from .affine import get_affine
-
-
-class SeriesMatrix(PolyMatrix):
-    """PolyMatrix whose entries are rational functions."""
-
-    @classmethod
-    def lift(cls, pm):
-        entries = [[e if isinstance(e, RatFun) else RatFun(e) for e in row]
-                   for row in pm.entries]
-        return cls(pm.rows, pm.cols, entries)
 
 
 class AffinePipeline:
@@ -96,7 +86,7 @@ class AffinePipeline:
     def matrix_M_affine(self):
         subs = self.rs.subsets()
         entries = [[self.p_affine_S(q, j) for j in subs] for q in subs]
-        return SeriesMatrix(subs, subs, entries)
+        return PolyMatrix(subs, subs, entries)
 
     def p_full(self, q_mask, j_mask, k_mask):
         """p_{Q,J,K}, computed along both reduction paths and asserted
@@ -155,104 +145,80 @@ class AffinePipeline:
         """Exact identity checks (the truncation degree only applies to
         the reported expansions).  Returns (name, ok, detail) triples."""
         rs = self.rs
-        report = []
         wt = self.group_series()
 
-        # alternating sum over all generator subsets, including those
-        # containing the affine generator, vanishes for an infinite group
-        n1 = rs.rank + 1
-        acc = RatFun.zero()
-        for bits in range(1 << n1):
-            if bits == (1 << n1) - 1:
-                term = RatFun.one()
-            else:
-                ids = [g for g in range(n1) if (bits >> g) & 1]
-                term = wt / RatFun(self.aff.parabolic_poincare(ids))
-            acc = acc + (term if bin(bits).count("1") % 2 == 0 else -term)
-        ok = acc.is_zero()
-        report.append(("alternating-sum-zero", ok, f"sum = {acc}"))
+        def alternating_sum_zero():
+            # alternating sum over all generator subsets, including those
+            # containing the affine generator, vanishes for an infinite
+            # group
+            n1 = rs.rank + 1
+            acc = RatFun.zero()
+            for bits in range(1 << n1):
+                if bits == (1 << n1) - 1:
+                    term = RatFun.one()
+                else:
+                    ids = [g for g in range(n1) if (bits >> g) & 1]
+                    term = wt / RatFun(self.aff.parabolic_poincare(ids))
+                acc = acc + signed(term, bits)
+            yield f"sum = {acc}", acc.is_zero()
 
-        # full-group series recovered from any double-coset partition
-        ok = True
-        detail = ""
-        for j in rs.subsets():
+        def coset_partition_sum():
+            # full-group series recovered from any double-coset partition
+            for j in rs.subsets():
+                for k in rs.subsets():
+                    acc = RatFun.zero()
+                    wj = RatFun(self.finite_poincare(j))
+                    wk = RatFun(self.finite_poincare(k))
+                    for q in rs.subsets(k):
+                        acc = acc + (wj * wk
+                                     / RatFun(self.finite_poincare(q))
+                                     * self.p_full(q, j, k))
+                    yield f"J={rs.ids_of(j)}, K={rs.ids_of(k)}", acc == wt
+
+        def alternating_reduction():
+            # alternating reduction in the affine group
             for k in rs.subsets():
-                acc = RatFun.zero()
-                wj = RatFun(self.finite_poincare(j))
-                wk = RatFun(self.finite_poincare(k))
                 for q in rs.subsets(k):
-                    acc = acc + (wj * wk / RatFun(self.finite_poincare(q))
-                                 * self.p_full(q, j, k))
-                if acc != wt:
-                    ok = False
-                    detail = f"J={rs.ids_of(j)}, K={rs.ids_of(k)}"
-                    break
-            if not ok:
-                break
-        report.append(("coset-partition-sum", ok, detail))
-
-        # alternating reduction in the affine group
-        ok = True
-        detail = ""
-        for k in rs.subsets():
-            for q in rs.subsets(k):
-                v = self.table.w_hj(k, q)
-                qp = self.table.conj_subset_signed(v, q)
-                shift = self.table.lengths[v]
-                for j in rs.subsets():
-                    lhs = RatFun.zero()
-                    for h in rs.subsets(k):
-                        if q & ~h:
-                            continue
-                        sign = (bin(h).count("1")
-                                - bin(q).count("1")) % 2 == 0
-                        for r in rs.subsets(h):
-                            if q & ~r:
+                    v = self.table.w_hj(k, q)
+                    qp = self.table.conj_subset_signed(v, q)
+                    shift = self.table.lengths[v]
+                    for j in rs.subsets():
+                        lhs = RatFun.zero()
+                        for h in rs.subsets(k):
+                            if q & ~h:
                                 continue
-                            term = self.p_full(r, j, h)
-                            lhs = lhs + (term if sign else -term)
-                    rhs = monomial_shift(self.p_full(qp, j, k), shift)
-                    if lhs != rhs:
-                        ok = False
-                        detail = (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
-                                  f"K={rs.ids_of(k)}")
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        report.append(("alternating-reduction", ok, detail))
+                            for r in rs.subsets(h):
+                                if q & ~r:
+                                    continue
+                                lhs = lhs + signed(self.p_full(r, j, h),
+                                                   h & ~q)
+                        rhs = monomial_shift(self.p_full(qp, j, k), shift)
+                        yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
+                               f"K={rs.ids_of(k)}", lhs == rhs)
 
-        # every reported series is a power series with nonnegative
-        # integer coefficients
-        ok = True
-        detail = ""
-        for j in rs.subsets():
-            for k in rs.subsets():
-                coeffs = expand(self.double_coset_series(j, k), degree)
-                if any(not isinstance(c, int) or c < 0 for c in coeffs):
-                    ok = False
-                    detail = f"J={rs.ids_of(j)}, K={rs.ids_of(k)}"
-                    break
-            if not ok:
-                break
-        report.append(("nonnegative-expansion", ok, detail))
+        def pairs(test):
+            for j in rs.subsets():
+                for k in rs.subsets():
+                    yield f"J={rs.ids_of(j)}, K={rs.ids_of(k)}", test(j, k)
 
-        # inversion symmetry of the double-coset series
-        ok = True
-        detail = ""
-        for j in rs.subsets():
-            for k in rs.subsets():
-                if self.double_coset_series(j, k) != \
-                        self.double_coset_series(k, j):
-                    ok = False
-                    detail = f"J={rs.ids_of(j)}, K={rs.ids_of(k)}"
-                    break
-            if not ok:
-                break
-        report.append(("inversion-symmetry", ok, detail))
+        def nonnegative(j, k):
+            # every reported series is a power series with nonnegative
+            # integer coefficients
+            coeffs = expand(self.double_coset_series(j, k), degree)
+            return all(isinstance(c, int) and c >= 0 for c in coeffs)
 
-        return report
+        def symmetric(j, k):
+            # inversion symmetry of the double-coset series
+            return (self.double_coset_series(j, k)
+                    == self.double_coset_series(k, j))
+
+        return run_checks([
+            ("alternating-sum-zero", alternating_sum_zero()),
+            ("coset-partition-sum", coset_partition_sum()),
+            ("alternating-reduction", alternating_reduction()),
+            ("nonnegative-expansion", pairs(nonnegative)),
+            ("inversion-symmetry", pairs(symmetric)),
+        ])
 
     # -- oracle comparison ----------------------------------------------
 
@@ -261,59 +227,35 @@ class AffinePipeline:
         enumeration.  Returns (name, ok, detail) triples."""
         rs = self.rs
         elements, _ = self.aff.bfs_enumerate(max_length)
-        report = []
 
-        ok = True
-        detail = ""
-        for j in rs.subsets():
-            for k in rs.subsets():
-                bins, total = self.aff.oracle_series(j, k, max_length,
-                                                     elements)
-                for q in rs.subsets(k):
-                    want = bins.get(q, [0] * (max_length + 1))
-                    got = expand(self.p_full(q, j, k), max_length)
-                    if got != want:
-                        ok = False
-                        detail = (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
-                                  f"K={rs.ids_of(k)}: {got} vs {want}")
-                        break
-                if not ok:
-                    break
-                extra = [m for m in bins if m not in rs.subsets(k)]
-                if extra:
-                    ok = False
-                    detail = f"unexpected bins {extra}"
-                    break
-                got = expand(self.double_coset_series(j, k), max_length)
-                if got != total:
-                    ok = False
-                    detail = f"total J={rs.ids_of(j)}, K={rs.ids_of(k)}"
-                    break
-            if not ok:
-                break
-        report.append(("coset-series-vs-enumeration", ok, detail))
+        def coset_series():
+            for j in rs.subsets():
+                for k in rs.subsets():
+                    bins, total = self.aff.oracle_series(j, k, max_length,
+                                                         elements)
+                    for q in rs.subsets(k):
+                        want = bins.get(q, [0] * (max_length + 1))
+                        got = expand(self.p_full(q, j, k), max_length)
+                        yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
+                               f"K={rs.ids_of(k)}: {got} vs {want}",
+                               got == want)
+                    extra = [m for m in bins if m not in rs.subsets(k)]
+                    yield f"unexpected bins {extra}", not extra
+                    got = expand(self.double_coset_series(j, k), max_length)
+                    yield (f"total J={rs.ids_of(j)}, K={rs.ids_of(k)}",
+                           got == total)
 
-        ok = True
-        detail = ""
-        for j in rs.subsets():
-            want = self.aff.normalizer_counts(j, max_length, elements)
-            got = expand(self.normalizer_series(j), max_length)
-            if got != want:
-                ok = False
-                detail = f"J={rs.ids_of(j)}: {got} vs {want}"
-                break
-        report.append(("normalizer-vs-enumeration", ok, detail))
+        def normalizers():
+            for j in rs.subsets():
+                want = self.aff.normalizer_counts(j, max_length, elements)
+                got = expand(self.normalizer_series(j), max_length)
+                yield f"J={rs.ids_of(j)}: {got} vs {want}", got == want
 
-        return report
-
-
-_pipeline_cache = {}
+        return run_checks([
+            ("coset-series-vs-enumeration", coset_series()),
+            ("normalizer-vs-enumeration", normalizers()),
+        ])
 
 
 def get_pipeline(rs):
-    key = id(rs)
-    p = _pipeline_cache.get(key)
-    if p is None:
-        p = AffinePipeline(rs)
-        _pipeline_cache[key] = p
-    return p
+    return rs.cached("pipeline", lambda: AffinePipeline(rs))

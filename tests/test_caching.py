@@ -1,0 +1,103 @@
+"""One shared root system per type, with its tables, affine group and
+pipeline cached on it; one coset scan per (table, J, K)."""
+
+import contextlib
+import io
+
+import pytest
+
+from coxgrowth import rootsystem
+from coxgrowth.affine import get_affine
+from coxgrowth.cli import main, run_selftest
+from coxgrowth.finite import GroupTable, get_table
+from coxgrowth.ratfun import IntPoly
+from coxgrowth.rootsystem import RootSystem, build_label
+from coxgrowth.series import AffinePipeline, get_pipeline
+
+
+def count_inits(monkeypatch, cls, counts):
+    orig = cls.__init__
+
+    def init(self, *args, **kwargs):
+        counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", init)
+
+
+class TestInterning:
+    def test_same_object_for_every_spelling(self):
+        assert build_label("B3") is build_label("b_3")
+        assert build_label("b_3") is build_label(" B3 ")
+
+    def test_derived_objects_shared(self):
+        a, b = build_label("B3"), build_label("b_3")
+        assert get_table(a) is get_table(b)
+        assert get_table(a, 0b011) is get_table(b, 0b011)
+        assert get_table(a) is get_table(a, a.full_mask)
+        assert get_affine(a) is get_affine(b)
+        assert get_pipeline(a) is get_pipeline(b)
+
+    def test_direct_construction_is_separate(self):
+        rs = RootSystem("B", 3)
+        assert rs is not build_label("B3")
+        assert get_table(rs) is not get_table(build_label("B3"))
+
+    def test_invalid_label_not_interned(self):
+        for bad in ["B1", "Z9"]:
+            with pytest.raises(rootsystem.InvalidTypeError):
+                build_label(bad)
+        assert rootsystem._INTERNED == {}
+
+
+def test_selftest_constructions(monkeypatch):
+    counts = {}
+    for cls in (RootSystem, GroupTable, AffinePipeline):
+        count_inits(monkeypatch, cls, counts)
+    assert run_selftest(verbose=False)
+    assert counts == {"RootSystem": 8, "GroupTable": 12,
+                      "AffinePipeline": 1}
+
+
+def test_one_scan_per_table_j_k(monkeypatch):
+    scans = []
+    orig = GroupTable._coset_bins
+
+    def bins(self, j_mask, k_mask):
+        if (j_mask, k_mask) not in self._cosets:
+            scans.append((id(self), j_mask, k_mask))
+        return orig(self, j_mask, k_mask)
+
+    monkeypatch.setattr(GroupTable, "_coset_bins", bins)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for label in ["D4", "F4"]:
+            assert main(["finite", "--type", label, "--what", "check"]) == 0
+    assert len(scans) == len(set(scans))
+    assert len(scans) <= 1250
+
+
+def test_scan_matches_direct_count():
+    """Every p and h polynomial equals a direct count over the table."""
+    t = get_table(build_label("B3"))
+    rs = t.rs
+    size = max(t.lengths) + 1
+    for j in rs.subsets():
+        for k in rs.subsets():
+            # minimal in W_J x W_K: no right descent in K, no left one in J
+            reps = [x for x in range(t.order)
+                    if not t.descents(x) & k
+                    and not t.descents(t.inv_idx[x]) & j]
+            p = {}
+            h = {}
+            for x in reps:
+                img = {i: t.simple_img[x][i] for i in range(rs.rank)
+                       if (k >> i) & 1}
+                q = sum(1 << i for i, s in img.items()
+                        if s >= 0 and (j >> s) & 1)
+                p.setdefault(q, [0] * size)[t.lengths[x]] += 1
+                if all(s >= 0 for s in img.values()):
+                    r = sum(1 << s for s in img.values())
+                    h.setdefault(r, [0] * size)[t.lengths[x]] += 1
+            for m in rs.subsets():
+                assert t.p_poly(m, j, k) == IntPoly(p.get(m, []))
+                assert t.h_poly(m, j, k) == IntPoly(h.get(m, []))

@@ -28,6 +28,16 @@ class TestExitCodes:
                            "--J", "5", "--K", "")
         assert code == 2
 
+    def test_usage_error_pmatrix_K_outside_subset(self, capsys):
+        code, out, err = run(capsys, "finite", "--type", "A2", "--subset",
+                             "1", "--what", "pmatrix", "--K", "2")
+        assert code == 2 and out == "" and "not inside" in err
+
+    def test_usage_error_hmatrix_J_outside_subset(self, capsys):
+        code, out, err = run(capsys, "finite", "--type", "A2", "--subset",
+                             "1", "--what", "hmatrix", "--J", "2")
+        assert code == 2 and out == "" and "not inside" in err
+
     def test_usage_error_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["bogus"])

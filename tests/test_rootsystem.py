@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from coxgrowth import rootsystem
-from coxgrowth.rootsystem import (build, build_label, cartan_matrix,
+from coxgrowth.rootsystem import (build_label, cartan_matrix,
                                   parse_label, mat_vec, InvalidTypeError)
 
 

@@ -1,0 +1,43 @@
+"""Byte-identical CLI output: the sha256 of each command's stdout, as
+recorded at commit d54ad6d, before the root-system caches, the shared
+coset scan and the check helper were introduced.  A change that alters
+any of these bytes must say so and re-record the digest."""
+
+import hashlib
+
+import pytest
+
+from coxgrowth.cli import main
+
+DIGESTS = [
+    ("matrix --type A2 --format json",
+     "702b88943ae66244b8489ed399b6d8acf85493ff2fb27e614fa6440c5ddbba02"),
+    ("fq --type A2 --format json",
+     "2fe337be0ee07d570aa0e6d7910ef868cfc01ba560fb54942d9483aec25cff8d"),
+    ("series --type A2 --J 1 --K 2 --expand 10 --format json",
+     "5691cc6451da2f08830a3de63b8f9c415dc0b6d7c4661316fae674b9b8b6e822"),
+    ("matrix --type B3 --format json",
+     "0dcb38df1d29ea78c6017b379d3837e494dffb707764920852c2f9ab762f5870"),
+    ("fq --type B3 --format json",
+     "2d62a7580515cc0e9b4e09d57f40fffb8c881b47df31ef404a650532e1a3876c"),
+    ("series --type B3 --J 1 --K 2 --expand 10 --format json",
+     "8f66ac0fdb82cae361ec9d62b3c5dc87d0ee45532d1abe75307432ca09984729"),
+    ("matrix --type G2 --format json",
+     "056656f6bd8ab0791a006131215514214d60303a0bb162949a8d50d51c5f1c47"),
+    ("fq --type G2 --format json",
+     "1a8cb33249ce4cf890028cc7d651a8198cd50716fa0a81ec9b16810f3c7be9ec"),
+    ("series --type G2 --J 1 --K 2 --expand 10 --format json",
+     "7217216e7f5c70fbe73331d6e8f58bebda093312a5596d964959bc49d4a3b8b6"),
+    ("finite --type B3 --what check",
+     "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
+    ("check --type A2",
+     "d95b2ec952c7e98586b16c1c97d038a1935643668356b5915f9df25c69951f72"),
+]
+
+
+@pytest.mark.parametrize("command, digest", DIGESTS,
+                         ids=[c for c, _ in DIGESTS])
+def test_stdout_digest(capsys, command, digest):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
