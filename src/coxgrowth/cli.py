@@ -324,6 +324,18 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text):
+    """argparse type: an int >= 0, so that a negative length or degree is
+    a usage error (exit 2) before anything is computed."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="growth",
@@ -361,7 +373,7 @@ def build_parser():
     sp.add_argument("--J", required=True)
     sp.add_argument("--K", required=True)
     sp.add_argument("--Q")
-    sp.add_argument("--expand", type=int)
+    sp.add_argument("--expand", type=_non_negative_int)
     add_fmt(sp)
     sp.set_defaults(func=cmd_series)
 
@@ -374,19 +386,19 @@ def build_parser():
     sp.add_argument("--type", required=True)
     sp.add_argument("--J", required=True)
     sp.add_argument("--K", required=True)
-    sp.add_argument("--max-length", type=int, required=True)
+    sp.add_argument("--max-length", type=_non_negative_int, required=True)
     add_fmt(sp)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("verify",
                         help="compare assembled series with enumeration")
     sp.add_argument("--type", required=True)
-    sp.add_argument("--max-length", type=int, required=True)
+    sp.add_argument("--max-length", type=_non_negative_int, required=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("check", help="run the identity suites")
     sp.add_argument("--type", required=True)
-    sp.add_argument("--degree", type=int, default=20)
+    sp.add_argument("--degree", type=_non_negative_int, default=20)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("selftest", help="recompute the bundled fixtures")

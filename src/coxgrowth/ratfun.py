@@ -1,10 +1,12 @@
 """Exact polynomial and rational-function arithmetic over Z in one variable t.
 
-Everything here is pure integer (or Fraction) arithmetic; there is no
-floating point anywhere in the package.  IntPoly is a dense integer
-polynomial, RatFun a fully normalized quotient of two IntPoly values.
-RatFun normalization is canonical, so structural equality coincides with
-equality of rational functions.
+Normalization (gcd, exact division) and the expansion of every pipeline
+series use int arithmetic alone; Fraction appears only in the Q[t]
+division `poly_divmod` and in expansions whose denominator has a
+constant term other than +-1.  There is no floating point anywhere in the
+package.  IntPoly is a dense integer polynomial, RatFun a fully normalized
+quotient of two IntPoly values.  RatFun normalization is canonical, so
+structural equality coincides with equality of rational functions.
 """
 
 from __future__ import annotations
@@ -115,9 +117,6 @@ class IntPoly:
                     out[i + j] += ca * cb
         return IntPoly(out)
 
-    def scale(self, c):
-        return IntPoly(tuple(c * x for x in self.coeffs))
-
     def shift(self, k):
         """Multiply by t^k (k >= 0)."""
         if self.is_zero():
@@ -189,43 +188,73 @@ def poly_divmod(a, b):
 
 
 def poly_exact_div(a, b):
-    """a / b asserting an exact integer quotient."""
-    q, r = poly_divmod(a, b)
-    if any(r):
+    """a / b for integer polynomials whose quotient lies in Z[t].
+
+    Divides top-down in integers and raises ValueError as soon as a
+    leading coefficient is not divisible by lc(b), or when a nonzero
+    remainder is left.
+    """
+    bc = b.coeffs
+    if not bc:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a.coeffs)
+    n = len(bc) - 1
+    lc = bc[-1]
+    q = [0] * max(0, len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + n]
+        if top:
+            f, m = divmod(top, lc)
+            if m:
+                raise ValueError("non-integer quotient")
+            q[k] = f
+            for i in range(n):
+                r[k + i] -= f * bc[i]
+    if any(r[:n]):
         raise ValueError("inexact polynomial division")
-    if any(c.denominator != 1 for c in q):
-        raise ValueError("non-integer quotient")
-    return IntPoly(tuple(int(c) for c in q))
+    return IntPoly(q)
 
 
-def _primitive(p):
-    c = p.content()
-    if c in (0, 1):
-        return p
-    return IntPoly(tuple(x // c for x in p.coeffs))
+def _primitive(c):
+    """Coefficient list divided by its content (sign kept)."""
+    g = gcd(*c)
+    return c if g <= 1 else [x // g for x in c]
 
 
 def poly_gcd(a, b):
     """Gcd in Q[t], returned as a primitive integer polynomial with
-    positive leading coefficient.  Primitive-part Euclid keeps the
-    intermediate coefficients in Z."""
-    a, b = _primitive(a), _primitive(b)
-    while not b.is_zero():
-        # pseudo-remainder: lc(b)^k * a mod b stays integral
-        d = a.degree - b.degree
-        if d < 0:
-            a, b = b, a
-            continue
-        lc = b.coeffs[-1]
-        r = a.scale(lc ** (d + 1))
-        q, rem = poly_divmod(r, b)
-        rem_int = IntPoly(tuple(int(c) for c in rem))
-        a, b = b, _primitive(rem_int)
-    if a.is_zero():
-        return a
-    if a.coeffs[-1] < 0:
-        a = -a
-    return a
+    positive leading coefficient (zero when both operands are zero).
+
+    Primitive pseudo-remainder sequence in Z[t] (Knuth, TAOCP vol. 2,
+    4.6.1; Collins 1967): each reduction step is
+    r <- (lc/g) r - (top/g) t^k b with g = gcd(lc, top), and every
+    remainder is replaced by its primitive part, so only ints occur.
+    """
+    if a.degree == 0 or b.degree == 0:
+        return IntPoly.one()
+    x, y = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        if len(y) == 1:
+            return IntPoly.one()
+        n = len(y) - 1
+        lc = y[-1]
+        while len(x) > n:
+            top = x.pop()
+            k = len(x) - n
+            g = gcd(lc, top)
+            u, v = lc // g, top // g
+            if u != 1:
+                x = [u * c for c in x]
+            for i in range(n):
+                x[k + i] -= v * y[i]
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, _primitive(x)
+    if x and x[-1] < 0:
+        x = [-c for c in x]
+    return IntPoly(x)
 
 
 class RatFun:
@@ -386,21 +415,25 @@ def _normalize(num, den):
 def expand(r, n):
     """Coefficients c_0..c_n of the power-series expansion of r at t=0.
 
-    Requires den(0) != 0.  Entries are ints whenever exact, Fractions
-    otherwise.
+    Requires den(0) != 0.  When den(0) is +-1, which holds for every
+    pipeline series, the recurrence runs in ints alone (1/d0 == d0).
+    Otherwise entries are ints whenever exact, Fractions elsewhere.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    d0 = r.den.constant_term()
+    den = r.den.coeffs
+    d0 = den[0]
     if d0 == 0:
         raise ValueError("not a power series at 0 (denominator vanishes)")
+    unit = d0 in (1, -1)
     out = []
     for k in range(n + 1):
-        acc = Fraction(r.num[k])
-        for i in range(1, min(k, r.den.degree) + 1):
-            acc -= r.den[i] * out[k - i]
-        c = acc / d0
-        out.append(c)
+        acc = r.num[k]
+        for i in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[i] * out[k - i]
+        out.append(acc * d0 if unit else Fraction(acc, d0))
+    if unit:
+        return out
     return [int(c) if c.denominator == 1 else c for c in out]
 
 

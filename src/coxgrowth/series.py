@@ -119,10 +119,11 @@ class AffinePipeline:
                 if not fin2.is_zero():
                     acc2 = acc2 + (RatFun(fin1) * RatFun(fin2)
                                    * self.p_ss(qpp))
-        assert acc1 == acc2, (
-            f"reduction paths disagree for Q={self.rs.ids_of(q_mask)}, "
-            f"J={self.rs.ids_of(j_mask)}, K={self.rs.ids_of(k_mask)}: "
-            f"{acc1} vs {acc2}")
+        if acc1 != acc2:  # an explicit raise, so that it survives -O
+            raise AssertionError(
+                f"reduction paths disagree for Q={self.rs.ids_of(q_mask)}, "
+                f"J={self.rs.ids_of(j_mask)}, K={self.rs.ids_of(k_mask)}: "
+                f"{acc1} vs {acc2}")
         self._pfull[key] = acc1
         return acc1
 

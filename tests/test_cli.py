@@ -43,6 +43,22 @@ class TestExitCodes:
             main(["bogus"])
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--type", "A2", "--J", "1", "--K", "2",
+         "--max-length", "-3"],
+        ["check", "--type", "A1", "--degree", "-1"],
+        ["verify", "--type", "A1", "--max-length", "-1"],
+        ["series", "--type", "A2", "--J", "1", "--K", "2", "--expand", "-2"],
+    ], ids=["oracle-max-length", "check-degree", "verify-max-length",
+            "series-expand"])
+    def test_usage_error_negative_length(self, capsys, argv):
+        # argparse rejects the value, so nothing is computed or printed
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert ei.value.code == 2
+        assert out == "" and "must be >= 0" in err
+
     def test_verify_success(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "A1",
                            "--max-length", "10")

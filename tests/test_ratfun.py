@@ -1,10 +1,12 @@
 """Exact polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxgrowth import ratfun
 from coxgrowth.ratfun import (IntPoly, RatFun, expand, monomial_shift,
                               poly_gcd, poly_exact_div, poly_divmod,
                               factored_den, poly_str)
@@ -13,6 +15,59 @@ from coxgrowth.ratfun import (IntPoly, RatFun, expand, monomial_shift,
 coeffs = st.lists(st.integers(-9, 9), max_size=8)
 polys = coeffs.map(lambda c: IntPoly(tuple(c)))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+def _product(ks, factors):
+    p = IntPoly.one()
+    for k in ks:
+        p = p * IntPoly.one_minus_t(k)
+    for f in factors:
+        p = p * f
+    return p
+
+
+# The shapes the pipeline normalizes: products of (1 - t^k) with k <= 12,
+# times small random factors (leading coefficients other than +-1
+# included), up to degree about 40.
+small_factors = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
+    IntPoly).filter(lambda p: not p.is_zero())
+pipeline_polys = st.builds(_product,
+                           st.lists(st.integers(1, 12), max_size=3),
+                           st.lists(small_factors, max_size=2))
+nonzero_pipeline_polys = st.one_of(
+    pipeline_polys, pipeline_polys.map(lambda p: -p),
+    polys).filter(lambda p: not p.is_zero())
+
+
+def _sympy_gcd(a, b):
+    """sympy's gcd over Z, made primitive with a positive leading
+    coefficient."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    pa, pb = (sympy.Poly(list(reversed(p.coeffs)) or [0], t, domain="ZZ")
+              for p in (a, b))
+    g = sympy.gcd(pa, pb)
+    if g.is_zero:
+        return IntPoly.zero()
+    g = g.primitive()[1]
+    if g.LC() < 0:
+        g = -g
+    return IntPoly(tuple(int(c) for c in reversed(g.all_coeffs())))
+
+
+def _euclid_gcd(a, b):
+    """Euclid in Q[t] on the remainders of poly_divmod, each scaled to a
+    primitive integer polynomial."""
+    while not b.is_zero():
+        _, r = poly_divmod(a, b)
+        m = lcm(*(c.denominator for c in r))
+        r = IntPoly(tuple(int(c * m) for c in r))
+        a, b = b, (r if r.is_zero() else
+                   IntPoly(tuple(x // r.content() for x in r.coeffs)))
+    if a.is_zero():
+        return a
+    c = a.content() if a.coeffs[-1] > 0 else -a.content()
+    return IntPoly(tuple(x // c for x in a.coeffs))
 
 
 class TestIntPoly:
@@ -71,6 +126,45 @@ class TestIntPoly:
     def test_exact_div_raises(self):
         with pytest.raises(ValueError):
             poly_exact_div(IntPoly((1, 1)), IntPoly((0, 1)))
+
+    @given(pipeline_polys, pipeline_polys, pipeline_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_matches_references(self, a, b, c):
+        # c makes a common factor likely, as in RatFun normalization
+        for x, y in [(a * c, b * c), (a, b), (a * c, c)]:
+            g = poly_gcd(x, y)
+            assert g == _sympy_gcd(x, y)
+            assert g == _euclid_gcd(x, y)
+
+    @given(pipeline_polys, nonzero_pipeline_polys, polys,
+           st.sampled_from([1, -1, 2, 3, -6]))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_div_matches_divmod(self, q, b, e, s):
+        # a / (s b) with a = b q + e: an exact integer quotient when
+        # e == 0 and s divides q, a non-integer one when e == 0 and it
+        # does not, and a nonzero remainder for most other e
+        a, d = b * q + e, IntPoly.const(s) * b
+        for x in (a, b * q):
+            fq, fr = poly_divmod(x, d)
+            if any(fr) or any(c.denominator != 1 for c in fq):
+                with pytest.raises(ValueError):
+                    poly_exact_div(x, d)
+            else:
+                assert poly_exact_div(x, d) == IntPoly(
+                    tuple(int(c) for c in fq))
+        assert poly_exact_div(b * q, b) == q
+
+    def test_kernel_creates_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("Fraction created")
+        monkeypatch.setattr(ratfun, "Fraction", no_fraction)
+        den = IntPoly.one_minus_t(2) * IntPoly.one_minus_t(6)
+        num = IntPoly((3, -1, 4)) * IntPoly.one_minus_t(2)
+        r = RatFun(num, den)
+        assert r.den == IntPoly.one_minus_t(6)
+        assert poly_gcd(num, den) == -IntPoly.one_minus_t(2)
+        assert poly_exact_div(den, IntPoly.one_minus_t(2)) == r.den
+        assert expand(r, 7) == [3, -1, 4, 0, 0, 0, 3, -1]
 
 
 class TestRatFun:

@@ -1,7 +1,9 @@
 """Byte-identical CLI output: the sha256 of each command's stdout, as
 recorded at commit d54ad6d, before the root-system caches, the shared
-coset scan and the check helper were introduced.  A change that alters
-any of these bytes must say so and re-record the digest."""
+coset scan and the check helper were introduced.  The D4 matrix digest
+was recorded at commit d0a3339, before the integer gcd kernel; rank 4 is
+where the pseudo-remainder coefficients grow the most.  A change that
+alters any of these bytes must say so and re-record the digest."""
 
 import hashlib
 
@@ -32,6 +34,8 @@ DIGESTS = [
      "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
     ("check --type A2",
      "d95b2ec952c7e98586b16c1c97d038a1935643668356b5915f9df25c69951f72"),
+    ("matrix --type D4 --format json",
+     "5bbb87bd4b7a3fe8518d25f8fdf1d1fd4659f7d7d6bb8d685f57c657f70f8311"),
 ]
 
 

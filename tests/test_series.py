@@ -1,5 +1,11 @@
 """Assembled affine double-coset series."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from coxgrowth import build_label, get_pipeline
@@ -103,3 +109,40 @@ class TestOracleAgreement:
         for pl, maxlen in [(pa1, 14), (pa2, 10)]:
             for name, ok, detail in pl.verify_against_oracle(maxlen):
                 assert ok, f"{name}: {detail}"
+
+
+# Puts a wrong value into one A2 p_{Q',J,S} entry that path 1 of p_full
+# reads, then requires the dual-path comparison to raise.  Exit codes:
+# 0 raised, 1 did not raise, 3 asserts were not stripped.
+_FAULT_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label, get_pipeline
+    from coxgrowth.ratfun import RatFun
+    if __debug__:
+        sys.exit(3)
+    pl = get_pipeline(build_label("A2"))
+    rs = pl.rs
+    q, j, k = 0, rs.mask_of([1]), rs.full_mask
+    qp = next(m for m in rs.subsets()
+              if not pl.table.p_poly(q, m, k).is_zero())
+    pl._maff[(qp, j)] = pl.p_affine_S(qp, j) + RatFun.one()
+    try:
+        pl.p_full(q, j, k)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestDualPathCheck:
+    def test_disagreement_raises_under_optimize(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in [str(root / "src"), env.get("PYTHONPATH")] if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", _FAULT_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "reduction paths disagree" in proc.stdout
