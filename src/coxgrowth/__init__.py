@@ -21,8 +21,8 @@ from .finite import (GroupTable, get_table, matrix_M, matrix_N, PolyMatrix,
                      identity_checks_finite)
 from .affine import AffineWeyl, get_affine
 from .cones import (parallelepiped_points, f_q, f_q_closed_form,
-                    sigma_closed, sigma_open, lattice_walk_counts,
-                    all_parallelepipeds_trivial, indices_outside)
+                    lattice_walk_counts, all_parallelepipeds_trivial,
+                    indices_outside)
 from .series import AffinePipeline, get_pipeline
 
 __version__ = "0.1.0"
@@ -34,9 +34,8 @@ __all__ = [
     "GroupTable", "get_table", "matrix_M", "matrix_N", "PolyMatrix",
     "identity_checks_finite",
     "AffineWeyl", "get_affine",
-    "parallelepiped_points", "f_q", "f_q_closed_form", "sigma_closed",
-    "sigma_open", "lattice_walk_counts", "all_parallelepipeds_trivial",
-    "indices_outside",
+    "parallelepiped_points", "f_q", "f_q_closed_form",
+    "lattice_walk_counts", "all_parallelepipeds_trivial", "indices_outside",
     "AffinePipeline", "get_pipeline",
     "__version__",
 ]

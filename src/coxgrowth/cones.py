@@ -1,21 +1,23 @@
 """Lattice points in fundamental parallelepipeds of the dominant cones,
 and the growth series f_Q they produce.
 
-The cone attached to a generator subset Q uses the gcd-reduced columns
-w_i of a positive multiple of the inverse Cartan matrix, for the indices
-i not in Q.  Since C w_i = d_i e_i with d_i > 0, a lattice point m lies
-in the half-open parallelepiped of {w_i : i in I} exactly when
+The cone of a generator subset Q is spanned by the gcd-reduced columns
+w_i, i in I = I(Q) (the indices not in Q), of a positive multiple of the
+inverse Cartan matrix.  Since C w_i = d_i e_i with d_i > 0, the residue
+map m -> C m is a bijection from the lattice points of the half-open
+parallelepiped Pi = {sum c_i w_i : 0 <= c_i < 1} onto the vectors y,
+supported on I with 0 <= y_i < d_i, for which m = sum (y_i / d_i) w_i is
+integral.  With wt(m) = <2 rho, v> = 2 * sum(m) for the translation v
+that m encodes, and W = sum_{i in I} w_i, Stanley reciprocity (the open
+parallelepiped is W - Pi) gives
 
-    (C m)_j = 0       for j not in I, and
-    0 <= (C m)_i < d_i for i in I,
-
-which keeps the membership test in integer arithmetic.  The exponent of
-a point m is <2 rho, v> = 2 * sum(m) for the translation v it encodes.
+    f_Q = sum_{m in Pi} t^(wt(W) - wt(m)) / prod_{i in I} (1 - t^wt(w_i)).
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 
 from .ratfun import IntPoly, RatFun
 from . import rootsystem
@@ -29,76 +31,48 @@ def indices_outside(rs, q_mask):
 def parallelepiped_points(rs, indices):
     """Integer points of the fundamental parallelepiped of the cone on
     {w_i : i in indices}, in lexicographic order."""
-    n = rs.rank
     idx = sorted(set(indices))
-    if not idx:
-        return [(0,) * n]
-    gens = [rs.cone_gens[i] for i in idx]
-    depths = {i: rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i]
-              for i in idx}
-    assert all(d > 0 for d in depths.values())
-    # componentwise bound: m_j < sum of the generators' j-th entries
-    bounds = [sum(g[j] for g in gens) for j in range(n)]
+    depths = [rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i] for i in idx]
+    # m = sum (y_i / d_i) w_i, scaled by L = lcm(d_i) to stay in integers
+    big = lcm(*depths)
+    gens = [tuple(big // d * x for x in rs.cone_gens[i])
+            for i, d in zip(idx, depths)]
     points = []
-    for m in product(*(range(b) for b in bounds)):
-        cm = rootsystem.mat_vec(rs.cartan, m)
-        ok = True
-        for j in range(n):
-            if j in depths:
-                if not 0 <= cm[j] < depths[j]:
-                    ok = False
-                    break
-            elif cm[j] != 0:
-                ok = False
-                break
-        if ok:
-            points.append(m)
+    for y in product(*(range(d) for d in depths)):
+        m = [sum(yi * g[j] for yi, g in zip(y, gens))
+             for j in range(rs.rank)]
+        if all(x % big == 0 for x in m):
+            points.append(tuple(x // big for x in m))
     points.sort()
-    assert (0,) * n in points
     return points
 
 
-def sigma_closed(rs, indices):
-    """Growth series of the closed cone on {w_i : i in indices}, graded
-    by 2 * sum of coordinates."""
-    idx = sorted(set(indices))
-    num = IntPoly.zero()
-    for m in parallelepiped_points(rs, idx):
-        num = num + IntPoly.t_power(rs.two_rho_weight(m))
-    den = IntPoly.one()
-    for i in idx:
-        den = den * IntPoly.one_minus_t(rs.two_rho_weight(rs.cone_gens[i]))
-    return RatFun(num, den)
-
-
-def sigma_open(rs, indices):
-    """Growth series of the open cone, by inclusion-exclusion over the
-    faces spanned by subsets of the generators."""
-    idx = sorted(set(indices))
-    d = len(idx)
-    acc = RatFun.zero()
-    for bits in range(1 << d):
-        sub = [idx[i] for i in range(d) if (bits >> i) & 1]
-        term = sigma_closed(rs, sub)
-        acc = acc + (term if (d - len(sub)) % 2 == 0 else -term)
-    return acc
-
-
-def f_q(rs, q_mask):
-    """Series of strictly dominant translations with vanishing pattern Q."""
-    return sigma_open(rs, indices_outside(rs, q_mask))
-
-
-def f_q_closed_form(rs, q_mask):
-    """Shortcut valid when every parallelepiped above Q holds only the
-    origin: t^(sum of generator weights) over the product of
-    (1 - t^weight)."""
-    idx = indices_outside(rs, q_mask)
+def _open_cone(rs, idx, points):
+    """sum_{m in points} t^(wt(W) - wt(m)) over prod_{i in idx}
+    (1 - t^wt(w_i)), where W is the sum of the generators."""
     weights = [rs.two_rho_weight(rs.cone_gens[i]) for i in idx]
+    top = sum(weights)
+    coeffs = [0] * (top + 1)
+    for m in points:
+        coeffs[top - rs.two_rho_weight(m)] += 1
     den = IntPoly.one()
     for w in weights:
         den = den * IntPoly.one_minus_t(w)
-    return RatFun(IntPoly.t_power(sum(weights)), den)
+    return RatFun(IntPoly(coeffs), den)
+
+
+def f_q(rs, q_mask):
+    """Series of strictly dominant translations with vanishing pattern Q:
+    the open cone on {w_i : i not in Q}, by reciprocity over the
+    half-open parallelepiped."""
+    idx = indices_outside(rs, q_mask)
+    return _open_cone(rs, idx, parallelepiped_points(rs, idx))
+
+
+def f_q_closed_form(rs, q_mask):
+    """t^(sum of generator weights) over prod (1 - t^weight): equal to
+    f_q when every parallelepiped above Q holds only the origin."""
+    return _open_cone(rs, indices_outside(rs, q_mask), [(0,) * rs.rank])
 
 
 def all_parallelepipeds_trivial(rs):

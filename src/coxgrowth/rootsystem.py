@@ -234,8 +234,8 @@ class RootSystem:
             w = tuple(x // vec_gcd(v) for x in v)
             if any(x < 0 for x in w):
                 raise AssertionError(
-                    f"cone generator {w} has a negative entry; "
-                    "box enumeration would be invalid")
+                    f"cone generator {w} has a negative entry; the box "
+                    "scan in cones.lattice_walk_counts would be invalid")
             cw = mat_vec(self.cartan, w)
             if any(cw[j] != 0 for j in range(n) if j != i) or cw[i] <= 0:
                 raise AssertionError("C w_i is not a positive multiple of e_i")

@@ -47,21 +47,28 @@ class AffinePipeline:
             shift = (self.rs.longest_length(q_mask)
                      - self.rs.longest_length(self.rs.full_mask))
             hit = monomial_shift(cones.f_q(self.rs, q_mask), shift)
-            assert hit.den.constant_term() != 0, "shift left a genuine pole"
+            if hit.den.constant_term() == 0:
+                raise AssertionError(f"shift left a genuine pole: {hit}")
             self._pss[q_mask] = hit
         return hit
 
     def _conj_by_w0(self, mask):
         out = self.table.conj_subset_signed(self._w0, mask)
-        assert out is not None
+        if out is None:
+            raise AssertionError(
+                f"w_0 does not permute {self.rs.ids_of(mask)} up to sign")
         return out
 
     def _conj_for(self, q_mask, qp_mask):
         """w_0 w_Q' Q w_Q' w_0 for Q within Q'."""
-        assert q_mask & ~qp_mask == 0
+        if q_mask & ~qp_mask:
+            raise AssertionError(f"Q={self.rs.ids_of(q_mask)} is not inside "
+                                 f"Q'={self.rs.ids_of(qp_mask)}")
         u = self.table.mul(self._w0, self.table.longest_element(qp_mask))
         out = self.table.conj_subset_signed(u, q_mask)
-        assert out is not None and out & ~self._conj_by_w0(qp_mask) == 0
+        if out is None or out & ~self._conj_by_w0(qp_mask):
+            raise AssertionError(f"Q={self.rs.ids_of(q_mask)} conjugates "
+                                 f"outside Q'={self.rs.ids_of(qp_mask)}")
         return out
 
     # -- assembled series ----------------------------------------------

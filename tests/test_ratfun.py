@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 import pytest
@@ -186,11 +187,19 @@ class TestRatFun:
     def test_field_ops(self, an, ad, bn, bd):
         a = RatFun(an, ad)
         b = RatFun(bn, bd)
-        x = Fraction(3, 7)
+
+        def at(p, x):
+            return sum(c * x ** i for i, c in enumerate(p.coeffs))
+
+        # the first of 3/7, 4/7, ... that is no pole of a, b or 1/b, and so
+        # none of the results either; a fixed point is a root of some
+        # generated denominator, such as 7t - 3
+        x = next(x for x in (Fraction(k, 7) for k in count(3))
+                 if all(at(p, x) != 0 for p in (a.den, b.den, b.num)
+                        if not p.is_zero()))
+
         def val(r):
-            num = sum(c * x ** i for i, c in enumerate(r.num.coeffs))
-            den = sum(c * x ** i for i, c in enumerate(r.den.coeffs))
-            return Fraction(num, den)
+            return Fraction(at(r.num, x), at(r.den, x))
         assert val(a + b) == val(a) + val(b)
         assert val(a * b) == val(a) * val(b)
         assert val(a - b) == val(a) - val(b)

@@ -2,8 +2,11 @@
 recorded at commit d54ad6d, before the root-system caches, the shared
 coset scan and the check helper were introduced.  The D4 matrix digest
 was recorded at commit d0a3339, before the integer gcd kernel; rank 4 is
-where the pseudo-remainder coefficients grow the most.  A change that
-alters any of these bytes must say so and re-record the digest."""
+where the pseudo-remainder coefficients grow the most.  The A4, D4 and A5
+fq digests were recorded at commit 71de8a0, before the residue
+enumeration of parallelepipeds and the reciprocity form of f_Q replaced
+the box scan and the inclusion-exclusion.  A change that alters any of
+these bytes must say so and re-record the digest."""
 
 import hashlib
 
@@ -36,6 +39,12 @@ DIGESTS = [
      "d95b2ec952c7e98586b16c1c97d038a1935643668356b5915f9df25c69951f72"),
     ("matrix --type D4 --format json",
      "5bbb87bd4b7a3fe8518d25f8fdf1d1fd4659f7d7d6bb8d685f57c657f70f8311"),
+    ("fq --type A4 --format json",
+     "cbb0b65e9b92bd6084040965a22b8855c09e575fd598f68d7793e8d0da433c86"),
+    ("fq --type D4 --format json",
+     "66b875d2894c1ce4126781e6d44927f279e09c53291a50e996940240461d2f1d"),
+    ("fq --type A5 --format json",
+     "bba78ed6ca54dee4940cd0b6a6593b20181058b9297e766dbf8567f316aba3b2"),
 ]
 
 

@@ -135,14 +135,62 @@ _FAULT_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Breaks each subset-conjugation and pole check of the A2 pipeline in
+# turn and requires it to raise.  Exit codes: 0 all raised, 1 some did
+# not raise, 3 asserts were not stripped.
+_CHECKS_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label, cones, get_pipeline
+    from coxgrowth.ratfun import IntPoly, RatFun
+    if __debug__:
+        sys.exit(3)
+    pl = get_pipeline(build_label("A2"))
+    rs = pl.rs
+    raised = 0
+
+    def expect(name, call):
+        global raised
+        try:
+            call()
+        except AssertionError as exc:
+            raised += 1
+            print(f"{name}: {exc}")
+        else:
+            print(f"{name}: no error")
+
+    expect("subset", lambda: pl._conj_for(rs.full_mask, 0))
+    pl._conj_by_w0 = lambda mask: 0
+    expect("image", lambda: pl._conj_for(rs.mask_of([1]), rs.mask_of([1])))
+    del pl._conj_by_w0
+    pl.table.conj_subset_signed = lambda idx, mask: None
+    expect("w0", lambda: pl._conj_by_w0(rs.mask_of([1])))
+    cones.f_q = lambda rs, q: RatFun(IntPoly.one(), IntPoly.t_power(1))
+    expect("pole", lambda: pl.p_ss(0))
+    sys.exit(0 if raised == 4 else 1)
+""")
+
+
+def _run_optimized(script):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [str(root / "src"), env.get("PYTHONPATH")] if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
 class TestDualPathCheck:
     def test_disagreement_raises_under_optimize(self):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [str(root / "src"), env.get("PYTHONPATH")] if p)
-        proc = subprocess.run([sys.executable, "-O", "-c", _FAULT_SCRIPT],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "reduction paths disagree" in proc.stdout
+        assert "reduction paths disagree" in _run_optimized(_FAULT_SCRIPT)
+
+
+class TestPipelineChecks:
+    def test_checks_raise_under_optimize(self):
+        out = _run_optimized(_CHECKS_SCRIPT)
+        assert "subset: Q=[1, 2] is not inside Q'=[]" in out
+        assert "image: Q=[1] conjugates outside Q'=[1]" in out
+        assert "w0: w_0 does not permute" in out
+        assert "pole: shift left a genuine pole" in out
