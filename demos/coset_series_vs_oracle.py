@@ -19,17 +19,19 @@ maxlen = int(sys.argv[2]) if len(sys.argv) > 2 else 12
 rs = build_label(label)
 pl = get_pipeline(rs)
 aff = get_affine(rs)
-elements, _ = aff.bfs_enumerate(maxlen)
-print(f"type {label}: {len(elements)} elements up to length {maxlen}\n")
+subs = rs.subsets()
+# one pass over the enumeration bins every (J, K) pair at once
+cosets, _ = aff.oracle_scan(maxlen, [(j, k) for j in subs for k in subs], [])
+# J = K = {} makes every element a minimal representative
+print(f"type {label}: {sum(cosets[0, 0][1])} elements up to length "
+      f"{maxlen}\n")
 
-for j in rs.subsets():
-    for k in rs.subsets():
-        bins, total = aff.oracle_series(j, k, maxlen, elements)
-        series = pl.double_coset_series(j, k)
-        ok = expand(series, maxlen) == total
-        print(f"J={rs.ids_of(j)!s:8} K={rs.ids_of(k)!s:8} "
-              f"^JW~^K(t) = {series}   [{'ok' if ok else 'MISMATCH'}]")
-        for q in sorted(bins):
-            got = expand(pl.p_full(q, j, k), maxlen)
-            assert got == bins[q], (j, k, q)
+for (j, k), (bins, total) in cosets.items():
+    series = pl.double_coset_series(j, k)
+    ok = expand(series, maxlen) == total
+    print(f"J={rs.ids_of(j)!s:8} K={rs.ids_of(k)!s:8} "
+          f"^JW~^K(t) = {series}   [{'ok' if ok else 'MISMATCH'}]")
+    for q in sorted(bins):
+        got = expand(pl.p_full(q, j, k), maxlen)
+        assert got == bins[q], (j, k, q)
 print("\nall per-Q series match the enumeration")

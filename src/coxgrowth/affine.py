@@ -17,14 +17,21 @@ affine root; this duality is asserted in the tests against BFS depths.
 Generators are numbered 1..n for the finite simple reflections and 0 for
 the extra affine reflection, whose (w, v) pair is (reflection in the
 highest root, minus the highest coroot).
+
+The enumeration oracle reads each element once: `classify` gives the
+masks of right and left ascents (x . (alpha_i, 0) > 0 and
+x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
+w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
+Minimality in a (W_J, W_K) double coset, Q and normalizing W_J are mask
+tests on that profile, so one scan, with lengths from the BFS depths,
+fills the bins of every (J, K) and every normalizer count.
 """
 
 from __future__ import annotations
 
 from .ratfun import IntPoly
 from . import rootsystem
-from .finite import get_table, matmul, matcol, _root_sign, _is_unit_col, \
-    reflection_mats
+from .finite import get_table, _root_sign, reflection_mats
 
 MAX_BFS_ELEMENTS = 10 ** 7
 MAX_PARABOLIC_ORDER = 200000
@@ -46,7 +53,8 @@ class AffineWeyl:
         at_rmat, at_cmat = reflection_mats(
             rs, rs.highest_root, rs.highest_root_coroot)
         self.at_idx = self.table.index[at_rmat]
-        assert self.table.cmats[self.at_idx] == at_cmat
+        if self.table.cmats[self.at_idx] != at_cmat:
+            raise AssertionError("highest-root reflection: cmat != rmat")
         # gens[g] = (finite index, translation coords); g = 0 is affine
         self.gens = {0: (self.at_idx,
                          tuple(-c for c in rs.highest_root_coroot))}
@@ -120,7 +128,8 @@ class AffineWeyl:
     def is_positive(self, a):
         root, level = a
         s = _root_sign(root)
-        assert s != 0
+        if s == 0:
+            raise AssertionError(f"{root} is not a root")
         return affine_root_positive(s, level)
 
     def inversion_set(self, x):
@@ -145,14 +154,15 @@ class AffineWeyl:
                 img = self.act_affine_root(x, (neg, k))
                 if not self.is_positive(img):
                     out.append((neg, k))
-        assert len(out) == self.length(x)
+        if len(out) != self.length(x):
+            raise AssertionError(f"{len(out)} inversions != length of {x}")
         return out
 
     # -- enumeration ----------------------------------------------------
 
     def bfs_enumerate(self, max_length):
-        """All elements with length <= max_length, with BFS depth asserted
-        equal to the closed-form length."""
+        """(elements in BFS order, {element: length}) up to max_length;
+        each BFS depth is checked against the closed-form length."""
         start = self.identity()
         seen = {start: 0}
         order = [start]
@@ -166,9 +176,7 @@ class AffineWeyl:
                     y = self.mul_gen(x, g)
                     if y in seen:
                         continue
-                    ly = self.length(y)
-                    assert ly == depth, (
-                        f"BFS depth {depth} != closed-form length {ly}")
+                    _check_depth(y, depth, self.length(y))
                     seen[y] = depth
                     order.append(y)
                     nxt.append(y)
@@ -181,7 +189,8 @@ class AffineWeyl:
         """Poincare polynomial of the (finite) subgroup generated by a
         proper subset of the n+1 generators, by closure."""
         gen_ids = sorted(set(gen_ids))
-        assert len(gen_ids) <= self.n, "proper subsets only"
+        if len(gen_ids) > self.n:
+            raise ValueError("proper subsets only")
         start = self.identity()
         seen = {start: 0}
         frontier = [start]
@@ -194,7 +203,7 @@ class AffineWeyl:
                     y = self.mul_gen(x, g)
                     if y in seen:
                         continue
-                    assert self.length(y) == depth
+                    _check_depth(y, depth, self.length(y))
                     seen[y] = depth
                     nxt.append(y)
                     if len(seen) > MAX_PARABOLIC_ORDER:
@@ -207,93 +216,104 @@ class AffineWeyl:
 
     # -- classification -------------------------------------------------
 
-    def classify(self, x, j_mask, k_mask):
-        """(is_min_rep, Q) for the double coset indexed by finite-generator
-        subsets: minimal iff every listed generator lengthens x on the
-        matching side; Q collects k in K with x . (alpha_k, 0) = (alpha_j, 0)
-        for some j in J."""
+    def classify(self, x):
+        """The profile (rasc, lasc, dest, supp) of x = (w, v); bit i of a
+        mask and entry i of a tuple stand for the finite generator i + 1.
+        rasc has bit i when x . (alpha_i, 0) > 0, lasc when
+        x^-1 . (alpha_i, 0) > 0.  Where <alpha_i, v> = 0, dest[i] is j if
+        w alpha_i = alpha_j (else -1) and supp[i] is the support of
+        w alpha_i; elsewhere dest[i] = -1 and supp[i] = -1 (every bit)."""
         w, m = x
-        n = self.n
+        table = self.table
         cm = rootsystem.mat_vec(self.rs.cartan, m)
-        wm = self.table.act_coroot(w, m)
-        cwm = rootsystem.mat_vec(self.rs.cartan, wm)
-        rmat = self.table.rmats[w]
-        rinv = self.table.rinvs[w]
-
-        k = k_mask
-        while k:
-            i = (k & -k).bit_length() - 1
+        cwm = rootsystem.mat_vec(self.rs.cartan, table.act_coroot(w, m))
+        right, left, rmat = table.rasc[w], table.lasc[w], table.rmats[w]
+        rasc = lasc = 0
+        for i in range(self.n):
+            bit = 1 << i
             # x . (alpha_i, 0) = (w alpha_i, -<alpha_i, v>)
-            if not affine_root_positive(_root_sign(matcol(rmat, i)), -cm[i]):
-                return False, None
-            k &= k - 1
-        j = j_mask
-        while j:
-            i = (j & -j).bit_length() - 1
+            if affine_root_positive(1 if right & bit else -1, -cm[i]):
+                rasc |= bit
             # x^-1 . (alpha_i, 0) = (w^-1 alpha_i, <alpha_i, w v>)
-            if not affine_root_positive(_root_sign(matcol(rinv, i)), cwm[i]):
-                return False, None
-            j &= j - 1
-
-        q = 0
-        k = k_mask
-        while k:
-            i = (k & -k).bit_length() - 1
-            if cm[i] == 0:
-                jj = _is_unit_col(matcol(rmat, i))
-                if jj >= 0 and (j_mask >> jj) & 1:
-                    q |= 1 << i
-            k &= k - 1
-        return True, q
-
-    def normalizes(self, x, j_mask):
-        """Whether x W_J x^-1 = W_J: each alpha_j must go to (beta, 0)
-        with beta (of either sign) supported on J."""
-        w, m = x
-        cm = rootsystem.mat_vec(self.rs.cartan, m)
-        rmat = self.table.rmats[w]
-        j = j_mask
-        while j:
-            i = (j & -j).bit_length() - 1
-            if cm[i] != 0:
-                return False
-            col = matcol(rmat, i)
-            if any(x_ and not (j_mask >> pos) & 1
-                   for pos, x_ in enumerate(col)):
-                return False
-            j &= j - 1
-        return True
+            if affine_root_positive(1 if left & bit else -1, cwm[i]):
+                lasc |= bit
+        dest = tuple(-1 if c else d for c, d in zip(cm, table.simple_img[w]))
+        supp = tuple(-1 if c else sum(1 << p for p, row in enumerate(rmat)
+                                      if row[i])
+                     for i, c in enumerate(cm))
+        return rasc, lasc, dest, supp
 
     # -- truncated ground-truth series ----------------------------------
+
+    def oracle_scan(self, max_length, pairs, j_masks, elements=None):
+        """One pass over the elements of length <= max_length (the BFS
+        enumeration by default), classifying each once.  Returns
+        ({(J, K): (bins, total)}, {J: counts}): for each (J, K) in pairs,
+        the coefficient lists t^l(x) of the minimal double-coset
+        representatives binned by Q and in total; for each J in j_masks,
+        those of the elements normalizing W_J."""
+        if elements is None:
+            elements, depths = self.bfs_enumerate(max_length)
+            length = depths.__getitem__
+        else:
+            length = self.length
+        size = max_length + 1
+        cosets = {pair: ({}, [0] * size) for pair in pairs}
+        counts = {j: [0] * size for j in j_masks}
+        for x in elements:
+            l = length(x)
+            if l > max_length:
+                continue
+            profile = self.classify(x)
+            for (j, k), (bins, total) in cosets.items():
+                q = coset_pattern(profile, j, k)
+                if q is not None:
+                    bins.setdefault(q, [0] * size)[l] += 1
+                    total[l] += 1
+            for j, c in counts.items():
+                if normalizes(profile, j):
+                    c[l] += 1
+        return cosets, counts
 
     def oracle_series(self, j_mask, k_mask, max_length, elements=None):
         """Bins t^l(x) of minimal double-coset representatives by Q.
         Returns (dict Q -> coefficient list, total list)."""
-        if elements is None:
-            elements, _ = self.bfs_enumerate(max_length)
-        bins = {}
-        total = [0] * (max_length + 1)
-        for x in elements:
-            ok, q = self.classify(x, j_mask, k_mask)
-            if not ok:
-                continue
-            l = self.length(x)
-            if l > max_length:
-                continue
-            bins.setdefault(q, [0] * (max_length + 1))[l] += 1
-            total[l] += 1
-        return bins, total
+        pair = (j_mask, k_mask)
+        return self.oracle_scan(max_length, [pair], [], elements)[0][pair]
 
     def normalizer_counts(self, j_mask, max_length, elements=None):
         """Truncated growth count of the full normalizer of W_J."""
-        if elements is None:
-            elements, _ = self.bfs_enumerate(max_length)
-        counts = [0] * (max_length + 1)
-        for x in elements:
-            l = self.length(x)
-            if l <= max_length and self.normalizes(x, j_mask):
-                counts[l] += 1
-        return counts
+        return self.oracle_scan(max_length, [], [j_mask],
+                                elements)[1][j_mask]
+
+
+def _check_depth(x, depth, length):
+    # an explicit raise, so that the check survives -O
+    if depth != length:
+        raise AssertionError(
+            f"BFS depth {depth} != closed-form length {length} of {x}")
+
+
+def coset_pattern(profile, j_mask, k_mask):
+    """Q for x with this profile when x is minimal in its (W_J, W_K)
+    double coset: the k in K with x . (alpha_k, 0) = (alpha_j, 0) for
+    some j in J.  None when x is not minimal."""
+    rasc, lasc, dest, _ = profile
+    if rasc & k_mask != k_mask or lasc & j_mask != j_mask:
+        return None
+    q = 0
+    for i, d in enumerate(dest):
+        if (k_mask >> i) & 1 and d >= 0 and (j_mask >> d) & 1:
+            q |= 1 << i
+    return q
+
+
+def normalizes(profile, j_mask):
+    """Whether x with this profile satisfies x W_J x^-1 = W_J: each
+    alpha_j goes to (beta, 0) with beta (of either sign) supported on J."""
+    supp = profile[3]
+    return all(supp[i] & ~j_mask == 0
+               for i in range(len(supp)) if (j_mask >> i) & 1)
 
 
 def get_affine(rs):

@@ -155,7 +155,7 @@ def cmd_fq(args):
         out["f"][_subset_key(rs, q)] = {
             "Q": rs.ids_of(q),
             "parallelepiped": [list(p) for p in pts],
-            "series": _fmt(cones.f_q(rs, q), args.format),
+            "series": _fmt(cones.f_q(rs, q, pts), args.format),
         }
     _emit(out, args.format)
     return 0

@@ -61,12 +61,14 @@ def _open_cone(rs, idx, points):
     return RatFun(IntPoly(coeffs), den)
 
 
-def f_q(rs, q_mask):
+def f_q(rs, q_mask, points=None):
     """Series of strictly dominant translations with vanishing pattern Q:
     the open cone on {w_i : i not in Q}, by reciprocity over the
-    half-open parallelepiped."""
+    half-open parallelepiped, whose points are enumerated unless given."""
     idx = indices_outside(rs, q_mask)
-    return _open_cone(rs, idx, parallelepiped_points(rs, idx))
+    if points is None:
+        points = parallelepiped_points(rs, idx)
+    return _open_cone(rs, idx, points)
 
 
 def f_q_closed_form(rs, q_mask):

@@ -234,28 +234,26 @@ class AffinePipeline:
         """Compare every assembled series against the brute-force group
         enumeration.  Returns (name, ok, detail) triples."""
         rs = self.rs
-        elements, _ = self.aff.bfs_enumerate(max_length)
+        subs = rs.subsets()
+        cosets, counts = self.aff.oracle_scan(
+            max_length, [(j, k) for j in subs for k in subs], subs)
 
         def coset_series():
-            for j in rs.subsets():
-                for k in rs.subsets():
-                    bins, total = self.aff.oracle_series(j, k, max_length,
-                                                         elements)
-                    for q in rs.subsets(k):
-                        want = bins.get(q, [0] * (max_length + 1))
-                        got = expand(self.p_full(q, j, k), max_length)
-                        yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
-                               f"K={rs.ids_of(k)}: {got} vs {want}",
-                               got == want)
-                    extra = [m for m in bins if m not in rs.subsets(k)]
-                    yield f"unexpected bins {extra}", not extra
-                    got = expand(self.double_coset_series(j, k), max_length)
-                    yield (f"total J={rs.ids_of(j)}, K={rs.ids_of(k)}",
-                           got == total)
+            for (j, k), (bins, total) in cosets.items():
+                for q in rs.subsets(k):
+                    want = bins.get(q, [0] * (max_length + 1))
+                    got = expand(self.p_full(q, j, k), max_length)
+                    yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
+                           f"K={rs.ids_of(k)}: {got} vs {want}",
+                           got == want)
+                extra = [m for m in bins if m not in rs.subsets(k)]
+                yield f"unexpected bins {extra}", not extra
+                got = expand(self.double_coset_series(j, k), max_length)
+                yield (f"total J={rs.ids_of(j)}, K={rs.ids_of(k)}",
+                       got == total)
 
         def normalizers():
-            for j in rs.subsets():
-                want = self.aff.normalizer_counts(j, max_length, elements)
+            for j, want in counts.items():
                 got = expand(self.normalizer_series(j), max_length)
                 yield f"J={rs.ids_of(j)}: {got} vs {want}", got == want
 

@@ -1,12 +1,15 @@
 """Affine Weyl group arithmetic, lengths and classification."""
 
 import random
+import textwrap
 
 import pytest
 
-from coxgrowth import build_label
-from coxgrowth.affine import get_affine
-from coxgrowth.finite import get_table
+from coxgrowth import build_label, rootsystem
+from coxgrowth.affine import (affine_root_positive, coset_pattern,
+                              get_affine, normalizes)
+from coxgrowth.finite import _is_unit_col, _root_sign, get_table, matcol
+from test_series import _run_optimized
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +110,9 @@ class TestClassification:
                     right_min = all(
                         a2.length(a2.mul_gen(x, i + 1)) > lx
                         for i in range(rs.rank) if (k >> i) & 1)
-                    ok, q = a2.classify(x, j, k)
-                    assert ok == (left_min and right_min)
-                    if ok:
+                    q = coset_pattern(a2.classify(x), j, k)
+                    assert (q is not None) == (left_min and right_min)
+                    if q is not None:
                         assert q & ~k == 0
 
     def test_q_pattern_by_conjugation(self, a2):
@@ -120,8 +123,8 @@ class TestClassification:
         j = rs.mask_of([1])
         k = rs.mask_of([2])
         for x in elements:
-            ok, q = a2.classify(x, j, k)
-            if not ok:
+            q = coset_pattern(a2.classify(x), j, k)
+            if q is None:
                 continue
             s2 = a2.mul_gen(a2.identity(), 2)
             conj = a2.mul(a2.mul(x, s2), a2.inv(x))
@@ -141,7 +144,68 @@ class TestClassification:
             for x in elements:
                 want = all(b2.mul(b2.mul(x, s), b2.inv(x)) in members
                            for s in gens)
-                assert b2.normalizes(x, j) == want
+                assert normalizes(b2.classify(x), j) == want
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+    def test_matches_references(self, label):
+        # one profile per element answers every (J, K) and every J as the
+        # per-pair classifier did
+        aff = get_affine(build_label(label))
+        subs = aff.rs.subsets()
+        elements, _ = aff.bfs_enumerate(8)
+        for x in elements:
+            profile = aff.classify(x)
+            for j in subs:
+                assert (normalizes(profile, j)
+                        == reference_normalizes(aff, x, j))
+                for k in subs:
+                    ok, q = reference_classify(aff, x, j, k)
+                    assert coset_pattern(profile, j, k) == (q if ok else None)
+
+
+def reference_classify(aff, x, j_mask, k_mask):
+    """(is_min_rep, Q) for one (J, K), read off x directly: minimal iff
+    every listed generator lengthens x on the matching side; Q collects k
+    in K with x . (alpha_k, 0) = (alpha_j, 0) for some j in J."""
+    w, m = x
+    cm = rootsystem.mat_vec(aff.rs.cartan, m)
+    wm = aff.table.act_coroot(w, m)
+    cwm = rootsystem.mat_vec(aff.rs.cartan, wm)
+    rmat = aff.table.rmats[w]
+    rinv = aff.table.rinvs[w]
+    for i in range(aff.n):
+        # x . (alpha_i, 0) = (w alpha_i, -<alpha_i, v>)
+        if (k_mask >> i) & 1 and not affine_root_positive(
+                _root_sign(matcol(rmat, i)), -cm[i]):
+            return False, None
+        # x^-1 . (alpha_i, 0) = (w^-1 alpha_i, <alpha_i, w v>)
+        if (j_mask >> i) & 1 and not affine_root_positive(
+                _root_sign(matcol(rinv, i)), cwm[i]):
+            return False, None
+    q = 0
+    for i in range(aff.n):
+        if (k_mask >> i) & 1 and cm[i] == 0:
+            jj = _is_unit_col(matcol(rmat, i))
+            if jj >= 0 and (j_mask >> jj) & 1:
+                q |= 1 << i
+    return True, q
+
+
+def reference_normalizes(aff, x, j_mask):
+    """Whether x W_J x^-1 = W_J: each alpha_j must go to (beta, 0) with
+    beta (of either sign) supported on J."""
+    w, m = x
+    cm = rootsystem.mat_vec(aff.rs.cartan, m)
+    rmat = aff.table.rmats[w]
+    for i in range(aff.n):
+        if not (j_mask >> i) & 1:
+            continue
+        if cm[i] != 0:
+            return False
+        if any(c and not (j_mask >> pos) & 1
+               for pos, c in enumerate(matcol(rmat, i))):
+            return False
+    return True
 
 
 def _parabolic_indices(table, mask):
@@ -183,3 +247,48 @@ class TestOracle:
         s = rs.full_mask
         bins, _ = a2.oracle_series(s, s, 8)
         assert bins[s][0] == 1
+
+    def test_oracle_series_is_a_view_of_the_scan(self, b2):
+        rs = b2.rs
+        subs = rs.subsets()
+        pairs = [(j, k) for j in subs for k in subs]
+        cosets, counts = b2.oracle_scan(9, pairs, subs)
+        elements, _ = b2.bfs_enumerate(12)
+        for j, k in pairs:
+            assert b2.oracle_series(j, k, 9) == cosets[(j, k)]
+            # a longer enumeration is cut at max_length
+            assert b2.oracle_series(j, k, 9, elements) == cosets[(j, k)]
+        for j in subs:
+            assert b2.normalizer_counts(j, 9, elements) == counts[j]
+
+
+# Makes the closed-form length of one A2 element one too long, then
+# requires the BFS depth check to raise.  Exit codes: 0 raised, 1 did not
+# raise, 3 asserts were not stripped.
+_DEPTH_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label
+    from coxgrowth.affine import AffineWeyl, get_affine
+    if __debug__:
+        sys.exit(3)
+    aff = get_affine(build_label("A2"))
+    bad = aff.mul_gen(aff.mul_gen(aff.identity(), 1), 2)
+    length = AffineWeyl.length
+    AffineWeyl.length = lambda self, x: length(self, x) + (x == bad)
+    try:
+        aff.bfs_enumerate(4)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestExplicitChecks:
+    def test_depth_check_raises(self):
+        out = _run_optimized(_DEPTH_SCRIPT)
+        assert "BFS depth 2 != closed-form length 3" in out
+
+    def test_proper_subsets_only(self, a2):
+        with pytest.raises(ValueError, match="proper subsets only"):
+            a2.parabolic_poincare([0, 1, 2])

@@ -5,8 +5,10 @@ was recorded at commit d0a3339, before the integer gcd kernel; rank 4 is
 where the pseudo-remainder coefficients grow the most.  The A4, D4 and A5
 fq digests were recorded at commit 71de8a0, before the residue
 enumeration of parallelepipeds and the reciprocity form of f_Q replaced
-the box scan and the inclusion-exclusion.  A change that alters any of
-these bytes must say so and re-record the digest."""
+the box scan and the inclusion-exclusion.  The G2 verify and B2 oracle
+digests were recorded at commit 5def361, before one scan over the
+enumeration replaced the per-(J, K) classification.  A change that alters
+any of these bytes must say so and re-record the digest."""
 
 import hashlib
 
@@ -45,6 +47,10 @@ DIGESTS = [
      "66b875d2894c1ce4126781e6d44927f279e09c53291a50e996940240461d2f1d"),
     ("fq --type A5 --format json",
      "bba78ed6ca54dee4940cd0b6a6593b20181058b9297e766dbf8567f316aba3b2"),
+    ("verify --type G2 --max-length 40",
+     "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
+    ("oracle --type B2 --J 1 --K 1,2 --max-length 30 --format json",
+     "39b6ab5a3b52d9a55ccb8e1e95b9ca95ab75bb42ed6cdfa610f36de6980a4e01"),
 ]
 
 

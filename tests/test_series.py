@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label, get_pipeline
 from coxgrowth.ratfun import IntPoly, RatFun, expand, monomial_shift
@@ -109,6 +110,21 @@ class TestOracleAgreement:
         for pl, maxlen in [(pa1, 14), (pa2, 10)]:
             for name, ok, detail in pl.verify_against_oracle(maxlen):
                 assert ok, f"{name}: {detail}"
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_pair_matches_oracle(self, data):
+        # every Q-stratum of a random (J, K) of a type of rank <= 3
+        label = data.draw(st.sampled_from(
+            ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]))
+        pl = get_pipeline(build_label(label))
+        rs = pl.rs
+        j = data.draw(st.integers(0, rs.full_mask))
+        k = data.draw(st.integers(0, rs.full_mask))
+        bins, _ = pl.aff.oracle_series(j, k, 8)
+        for q in rs.subsets():
+            assert (expand(pl.p_full(q, j, k), 8)
+                    == bins.get(q, [0] * 9)), (label, q, j, k)
 
 
 # Puts a wrong value into one A2 p_{Q',J,S} entry that path 1 of p_full
