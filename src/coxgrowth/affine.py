@@ -13,6 +13,9 @@ by its simple-coroot coordinate vector m.  Conventions:
 The action convention is the one under which a generator s_a lengthens x
 on the right exactly when x sends the simple affine root a to a positive
 affine root; this duality is asserted in the tests against BFS depths.
+The package itself multiplies only by generators (`mul_gen`); the
+general product, the inverse, the root action and the inversion sets
+are reference implementations in the tests.
 
 Generators are numbered 1..n for the finite simple reflections and 0 for
 the extra affine reflection, whose (w, v) pair is (reflection in the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from .ratfun import IntPoly
 from . import rootsystem
-from .finite import get_table, _root_sign, reflection_mats
+from .finite import get_table, reflection_mats
 
 MAX_BFS_ELEMENTS = 10 ** 7
 MAX_PARABOLIC_ORDER = 200000
@@ -72,17 +75,6 @@ class AffineWeyl:
     def identity(self):
         return (0, (0,) * self.n)
 
-    def mul(self, x, y):
-        (w1, m1), (w2, m2) = x, y
-        w2i = self.table.inv_idx[w2]
-        m1r = self.table.act_coroot(w2i, m1)
-        return (self.table.mul(w1, w2), tuple(a + b for a, b in zip(m2, m1r)))
-
-    def inv(self, x):
-        w, m = x
-        return (self.table.inv_idx[w],
-                tuple(-c for c in self.table.act_coroot(w, m)))
-
     def mul_gen(self, x, g):
         """x * s_g for a generator id (0 = affine)."""
         w, m = x
@@ -94,9 +86,6 @@ class AffineWeyl:
         mr = self.table.act_coroot(gw, m)
         return (w2, tuple(a + b for a, b in zip(mr, gv)))
 
-    def translation(self, m):
-        return (0, tuple(m))
-
     def length(self, x):
         w, m = x
         cm = rootsystem.mat_vec(self.rs.cartan, m)
@@ -106,57 +95,6 @@ class AffineWeyl:
             pairing = sum(a * b for a, b in zip(root, cm))
             total += abs(pairing + chi[r])
         return total
-
-    # -- affine roots ---------------------------------------------------
-
-    def simple_affine_roots(self):
-        """Generator id -> (root coords, level); id 0 is (-highest, 1)."""
-        n = self.n
-        out = {0: (tuple(-a for a in self.rs.highest_root), 1)}
-        for i in range(n):
-            out[i + 1] = (tuple(int(j == i) for j in range(n)), 0)
-        return out
-
-    def act_affine_root(self, x, a):
-        """x . (alpha, k) = (w alpha, k - <alpha, v>)."""
-        w, m = x
-        root, level = a
-        cm = rootsystem.mat_vec(self.rs.cartan, m)
-        pairing = sum(p * q for p, q in zip(root, cm))
-        return (self.table.act_root(w, root), level - pairing)
-
-    def is_positive(self, a):
-        root, level = a
-        s = _root_sign(root)
-        if s == 0:
-            raise AssertionError(f"{root} is not a root")
-        return affine_root_positive(s, level)
-
-    def inversion_set(self, x):
-        """Positive affine roots sent to negative ones by x."""
-        w, m = x
-        cm = rootsystem.mat_vec(self.rs.cartan, m)
-        out = []
-        for r, root in enumerate(self._pos_roots):
-            pairing = sum(a * b for a, b in zip(root, cm))
-            chi_pos = self.table.chi_table(w)[r]
-            # (root, k) for k >= 0: image level k - pairing, image sign
-            # given by chi of w.root; negative iff level < chi threshold
-            bound = abs(pairing + chi_pos) + 1
-            for k in range(bound + 1):
-                img = self.act_affine_root(x, (root, k))
-                if not self.is_positive(img):
-                    out.append((root, k))
-            neg = tuple(-a for a in root)
-            chi_neg = 1 - chi_pos
-            bound = abs(-pairing + chi_neg) + 1
-            for k in range(1, bound + 2):
-                img = self.act_affine_root(x, (neg, k))
-                if not self.is_positive(img):
-                    out.append((neg, k))
-        if len(out) != self.length(x):
-            raise AssertionError(f"{len(out)} inversions != length of {x}")
-        return out
 
     # -- enumeration ----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success (and all checks passed), 1 computational mismatch
-in verify/check/selftest, 2 usage error.
+in verify/check/selftest, 2 usage error or an oversized request.
 """
 
 from __future__ import annotations
@@ -282,7 +282,9 @@ def check_fixture(name, fx):
                                     _mask_from_key(rs, jk))
                 if got != want:
                     ok = False
-        assert [_mask_from_key(rs, k) for k in fx["M_S"]["rows"]] == subs
+        if [_mask_from_key(rs, k) for k in fx["M_S"]["rows"]] != subs:
+            raise AssertionError(f"{name}: M_S rows are not the subsets "
+                                 "in ascending order")
         results.append(("full-series-matrix", ok))
     for key, data in fx.get("M_K", {}).items():
         k = _mask_from_key(rs, key)

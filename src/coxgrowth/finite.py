@@ -7,9 +7,11 @@ A group element is stored through three matrices:
     rinv: rmat of the inverse element;
     cmat: action on coroot coordinates.
 
-Lengths come from BFS depth and are cross-checked against inversion
-counts.  Ascent sets, images of simple roots and sign tables are cached
-per element, which makes the subset-series sums below linear scans.
+Lengths come from BFS depth.  The order of W_J, the product of
+(ht(alpha) + 1) / ht(alpha) over the positive roots of J, is known
+beforehand: a table over the bound is refused before the BFS, and the
+BFS order is checked against it.  Ascent sets, simple-root images and
+sign tables are cached per element, so the coset sums are linear scans.
 
 Series computed here:
 
@@ -100,6 +102,11 @@ class GroupTable:
             mask = rs.full_mask
         self.rs = rs
         self.mask = mask
+        order = rs.group_order(mask)
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"{rs.label} parabolic {rs.ids_of(mask)} has "
+                             f"group order {order}, over the table bound "
+                             f"{MAX_GROUP_ORDER}")
         n = rs.rank
         gens = [i for i in range(n) if (mask >> i) & 1]
         self.gen_rmat = {}
@@ -123,9 +130,6 @@ class GroupTable:
                     pos = self.index.get(new)
                     if pos is None:
                         pos = len(self.rmats)
-                        if pos >= MAX_GROUP_ORDER:
-                            raise ValueError(
-                                f"group order exceeds {MAX_GROUP_ORDER}")
                         self.rmats.append(new)
                         self.rinvs.append(
                             matmul(self.gen_rmat[i], self.rinvs[idx]))
@@ -139,14 +143,17 @@ class GroupTable:
             frontier = nxt
 
         self.order = len(self.rmats)
+        if self.order != order:
+            raise AssertionError(f"BFS found {self.order} elements, the "
+                                 f"closed form {order}")
         self.inv_idx = [self.index[r] for r in self.rinvs]
         self._profiles()
         self._cosets = {}
         self._chi = {}
 
         lw = rs.longest_length(mask)
-        assert max(self.lengths) == lw
-        assert self.lengths.count(lw) == 1
+        if max(self.lengths) != lw or self.lengths.count(lw) != 1:
+            raise AssertionError(f"no unique element of length {lw}")
         self.longest_idx = self.lengths.index(lw)
 
     def _profiles(self):
@@ -174,27 +181,9 @@ class GroupTable:
         """Index of the product (as maps: first apply b, then a)."""
         return self.index[matmul(self.rmats[a], self.rmats[b])]
 
-    def length(self, idx):
-        return self.lengths[idx]
-
-    def inversion_count(self, idx):
-        rmat = self.rmats[idx]
-        n = self.rs.rank
-        cnt = 0
-        for root, _ in self.rs.positive_roots:
-            img = tuple(sum(rmat[k][j] * root[j] for j in range(n))
-                        for k in range(n))
-            if _root_sign(img) < 0:
-                cnt += 1
-        return cnt
-
     def descents(self, idx):
         """Right descent set within the table's generators."""
         return self.mask & ~self.rasc[idx]
-
-    def ascents(self, idx):
-        """Right ascent set within the table's generators."""
-        return self.mask & self.rasc[idx]
 
     def act_root(self, idx, vec):
         rmat = self.rmats[idx]
@@ -239,7 +228,9 @@ class GroupTable:
 
     def longest_element(self, mask):
         """Index of the longest element of W_mask (mask within the table)."""
-        assert mask & ~self.mask == 0
+        if mask & ~self.mask:
+            raise AssertionError(f"{self.rs.ids_of(mask)} is not inside "
+                                 f"the table's {self.rs.ids_of(self.mask)}")
         idx = 0
         while True:
             asc = self.rasc[idx] & mask
@@ -247,21 +238,28 @@ class GroupTable:
                 break
             i = (asc & -asc).bit_length() - 1
             idx = self.rmult[idx][i]
-        assert self.lengths[idx] == self.rs.longest_length(mask)
+        if self.lengths[idx] != self.rs.longest_length(mask):
+            raise AssertionError(f"longest element of {self.rs.ids_of(mask)}"
+                                 f" has length {self.lengths[idx]}")
         return idx
 
     def w_hj(self, h_mask, j_mask):
         """The longest minimal-coset representative in W_H of W_H / W_J:
         product of the longest elements of H1 and J1, where H1 collects
         the components of H meeting H minus J."""
-        assert j_mask & ~h_mask == 0
+        if j_mask & ~h_mask:
+            raise AssertionError(f"J={self.rs.ids_of(j_mask)} is not inside "
+                                 f"H={self.rs.ids_of(h_mask)}")
         h1 = 0
         for comp in self.rs.components(h_mask):
             if comp & ~j_mask:
                 h1 |= comp
         j1 = j_mask & h1
         idx = self.mul(self.longest_element(h1), self.longest_element(j1))
-        assert self.descents(idx) & h_mask == h_mask & ~j_mask
+        if self.descents(idx) & h_mask != h_mask & ~j_mask:
+            raise AssertionError(f"w(H, J) for H={self.rs.ids_of(h_mask)}, "
+                                 f"J={self.rs.ids_of(j_mask)} has the wrong "
+                                 "descents")
         return idx
 
     # -- Poincare polynomials and coset series --------------------------
@@ -341,11 +339,9 @@ class PolyMatrix:
         self.cols = list(cols)
         self.entries = entries        # entries[i][j], supporting + and *
 
-    def entry(self, q_mask, j_mask):
-        return self.entries[self.rows.index(q_mask)][self.cols.index(j_mask)]
-
     def __matmul__(self, other):
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise AssertionError("matrix product: columns and rows differ")
         out = []
         for i in range(len(self.rows)):
             row = []
@@ -457,7 +453,9 @@ def identity_checks_finite(rs, sp_mask=None):
             for q in rs.subsets(k):
                 v = table.w_hj(k, q)
                 qp = table.conj_subset_signed(v, q)
-                assert qp is not None and qp & ~k == 0
+                if qp is None or qp & ~k:
+                    raise AssertionError(f"Q={rs.ids_of(q)} conjugates "
+                                         f"outside K={rs.ids_of(k)}")
                 shift = table.lengths[v]
                 for j in subsets:
                     lhs = IntPoly.zero()
@@ -479,7 +477,9 @@ def identity_checks_finite(rs, sp_mask=None):
             for r in rs.subsets(j):
                 v = table.w_hj(j, r)
                 rp = table.conj_subset_signed(v, r)
-                assert rp is not None and rp & ~j == 0
+                if rp is None or rp & ~j:
+                    raise AssertionError(f"R={rs.ids_of(r)} conjugates "
+                                         f"outside J={rs.ids_of(j)}")
                 shift = table.lengths[v]
                 for k in subsets:
                     lhs = IntPoly.zero()

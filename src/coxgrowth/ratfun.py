@@ -1,10 +1,9 @@
 """Exact polynomial and rational-function arithmetic over Z in one variable t.
 
 Normalization (gcd, exact division) and the expansion of every pipeline
-series use int arithmetic alone; Fraction appears only in the Q[t]
-division `poly_divmod` and in expansions whose denominator has a
-constant term other than +-1.  There is no floating point anywhere in the
-package.  IntPoly is a dense integer polynomial, RatFun a fully normalized
+series use int arithmetic alone; only `expand`, for a denominator whose
+constant term is not +-1, makes Fractions.  Nothing uses floating point.
+IntPoly is a dense integer polynomial, RatFun a fully normalized
 quotient of two IntPoly values.  RatFun normalization is canonical, so
 structural equality coincides with equality of rational functions.
 """
@@ -51,9 +50,9 @@ class IntPoly:
         return cls((c,))
 
     @classmethod
-    def t_power(cls, k, c=1):
-        """c * t^k"""
-        return cls((0,) * k + (c,))
+    def t_power(cls, k):
+        """t^k"""
+        return cls((0,) * k + (1,))
 
     @classmethod
     def one_minus_t(cls, k):
@@ -163,28 +162,6 @@ def poly_str(p, var="t"):
     for s in terms[1:]:
         out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
     return out
-
-
-def poly_divmod(a, b):
-    """Division in Q[t]; returns (q, r) with rational coefficients."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * max(0, len(r) - len(b.coeffs) + 1)
-    bl = Fraction(b.coeffs[-1])
-    db = b.degree
-    while len(r) >= len(b.coeffs) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b.coeffs):
-            break
-        k = len(r) - 1 - db
-        f = r[-1] / bl
-        q[k] = f
-        for i, c in enumerate(b.coeffs):
-            r[k + i] -= f * c
-        r.pop()
-    return q, r
 
 
 def poly_exact_div(a, b):

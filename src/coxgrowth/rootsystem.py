@@ -177,7 +177,9 @@ class RootSystem:
             for i, x in enumerate(root):
                 r[i] += x
         self.two_rho = tuple(r)
-        assert mat_vec(self.cartan_t, self.two_rho) == (2,) * n
+        if mat_vec(self.cartan_t, self.two_rho) != (2,) * n:
+            raise AssertionError(f"{self.label}: 2 rho = {self.two_rho} "
+                                 "does not pair to 2 with every coroot")
         self._build_cone_gens()
         self._derived = {}
 
@@ -276,6 +278,15 @@ class RootSystem:
     def longest_length(self, mask):
         """l(w_J) = number of positive roots of the parabolic J."""
         return len(self.positive_roots_of(mask))
+
+    def group_order(self, mask):
+        """|W_J|: the Poincare polynomial prod (1 - t^(ht+1)) / (1 - t^ht)
+        over the positive roots of J, evaluated at t = 1."""
+        num = den = 1
+        for root, _ in self.positive_roots_of(mask):
+            num *= sum(root) + 1
+            den *= sum(root)
+        return num // den
 
     def subsets(self, mask=None):
         """All subsets of `mask` (default: all generators), ascending."""

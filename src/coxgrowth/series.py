@@ -36,9 +36,6 @@ class AffinePipeline:
 
     # -- building blocks -----------------------------------------------
 
-    def finite_poincare(self, mask):
-        return self.table.poincare(mask)
-
     def p_ss(self, q_mask):
         """Series of full-group double-coset representatives with
         intersection pattern Q."""
@@ -144,7 +141,7 @@ class AffinePipeline:
         return self.double_coset_series(0, 0)
 
     def normalizer_series(self, j_mask):
-        return RatFun(self.finite_poincare(j_mask)) * self.p_full(
+        return RatFun(self.table.poincare(j_mask)) * self.p_full(
             j_mask, j_mask, j_mask)
 
     # -- identity suite -------------------------------------------------
@@ -175,11 +172,11 @@ class AffinePipeline:
             for j in rs.subsets():
                 for k in rs.subsets():
                     acc = RatFun.zero()
-                    wj = RatFun(self.finite_poincare(j))
-                    wk = RatFun(self.finite_poincare(k))
+                    wj = RatFun(self.table.poincare(j))
+                    wk = RatFun(self.table.poincare(k))
                     for q in rs.subsets(k):
                         acc = acc + (wj * wk
-                                     / RatFun(self.finite_poincare(q))
+                                     / RatFun(self.table.poincare(q))
                                      * self.p_full(q, j, k))
                     yield f"J={rs.ids_of(j)}, K={rs.ids_of(k)}", acc == wt
 

@@ -13,6 +13,8 @@ from coxgrowth import build_label, get_pipeline
 from coxgrowth.affine import get_affine
 from coxgrowth.cli import _load_fixtures, check_fixture
 from coxgrowth.finite import identity_checks_finite
+from test_affine import (act_affine_root, inversion_set, is_positive,
+                         simple_affine_roots)
 
 
 _cap = None
@@ -133,15 +135,15 @@ def test_criterion_9_length_coherence():
         aff = get_affine(build_label(label))
         # bfs_enumerate asserts BFS depth == closed-form length internally
         elements, depths = aff.bfs_enumerate(8)
-        simple = aff.simple_affine_roots()
+        simple = simple_affine_roots(aff)
         for x in elements:
-            if len(aff.inversion_set(x)) != depths[x]:
+            if len(inversion_set(aff, x)) != depths[x]:
                 bad.append(f"{label}: inversion count off at {x}")
                 break
             lx = depths[x]
             for g, a in simple.items():
                 longer = aff.length(aff.mul_gen(x, g)) > lx
-                if longer != aff.is_positive(aff.act_affine_root(x, a)):
+                if longer != is_positive(act_affine_root(aff, x, a)):
                     bad.append(f"{label}: duality off at {x} gen {g}")
                     break
     report(9, not bad, time.monotonic() - t0, 60.0, "; ".join(bad))

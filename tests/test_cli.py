@@ -1,11 +1,14 @@
 """Command-line interface: output schema, determinism, exit codes."""
 
 import json
+import textwrap
 
 import pytest
 
 from coxgrowth.cli import main, run_selftest
+from coxgrowth.finite import MAX_GROUP_ORDER
 from coxgrowth.ratfun import RatFun, expand
+from test_series import _run_optimized, _run_python
 
 
 def run(capsys, *argv):
@@ -58,6 +61,18 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert ei.value.code == 2
         assert out == "" and "must be >= 0" in err
+
+    @pytest.mark.parametrize("argv, order", [
+        (["finite", "--type", "E7"], 2903040),
+        (["matrix", "--type", "E8"], 696729600),
+    ], ids=["finite-E7", "matrix-E8"])
+    def test_oversized_table_refused_at_once(self, argv, order):
+        # the order is known in closed form, so the refusal comes before
+        # the group table's BFS, well inside the timeout
+        proc = _run_python(["-m", "coxgrowth.cli", *argv], timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"group order {order}" in proc.stderr
+        assert f"bound {MAX_GROUP_ORDER}" in proc.stderr
 
     def test_verify_success(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "A1",
@@ -139,3 +154,30 @@ class TestSubcommands:
 
     def test_selftest(self, capsys):
         assert run_selftest(verbose=False)
+
+
+# Feeds check_fixture the A2 fixture with its M_S rows (and entries)
+# reversed, then requires the row-order check to raise.  Exit codes: 0
+# raised, 1 did not raise, 3 asserts were not stripped.
+_FIXTURE_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.cli import _load_fixtures, check_fixture
+    if __debug__:
+        sys.exit(3)
+    fx = _load_fixtures()["a2"]
+    m = fx["M_S"]
+    m["rows"].reverse()
+    m["entries"].reverse()
+    try:
+        check_fixture("a2", fx)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestFixtureChecks:
+    def test_row_order_check_raises_under_optimize(self):
+        out = _run_optimized(_FIXTURE_SCRIPT)
+        assert "a2: M_S rows are not the subsets in ascending order" in out

@@ -1,11 +1,10 @@
 """The worked examples in demos/ run to completion."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from test_series import _run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,11 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in [str(ROOT / "src"), env.get("PYTHONPATH")] if p)
-    proc = subprocess.run([sys.executable, str(demo)], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_python([str(demo)], timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,13 +1,15 @@
 """Finite Weyl group tables and coset-series polynomials."""
 
 import random
+import textwrap
 
 import pytest
 
 from coxgrowth import build_label
-from coxgrowth.finite import (get_table, matrix_M, matrix_N,
+from coxgrowth.finite import (_root_sign, get_table, matrix_M, matrix_N,
                               identity_checks_finite)
 from coxgrowth.ratfun import IntPoly, RatFun
+from test_series import _run_optimized
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
@@ -36,6 +38,19 @@ def parabolic_elements(t, mask):
     return seen
 
 
+def inversion_count(t, idx):
+    """The number of positive roots the element sends to negative roots."""
+    rmat = t.rmats[idx]
+    n = t.rs.rank
+    cnt = 0
+    for root, _ in t.rs.positive_roots:
+        img = tuple(sum(rmat[k][j] * root[j] for j in range(n))
+                    for k in range(n))
+        if _root_sign(img) < 0:
+            cnt += 1
+    return cnt
+
+
 class TestGroupTable:
     def test_orders(self, tables):
         for label, want in ORDERS.items():
@@ -45,7 +60,7 @@ class TestGroupTable:
         for label in ["A3", "B3", "G2"]:
             t = tables[label]
             for idx in range(t.order):
-                assert t.lengths[idx] == t.inversion_count(idx)
+                assert t.lengths[idx] == inversion_count(t, idx)
 
     def test_group_axioms_sampled(self, tables):
         t = tables["B3"]
@@ -71,7 +86,7 @@ class TestGroupTable:
         for idx in range(t.order):
             for i in range(t.rs.rank):
                 longer = t.lengths[t.rmult[idx][i]] > t.lengths[idx]
-                assert longer == bool((t.ascents(idx) >> i) & 1)
+                assert longer == bool(((t.mask & t.rasc[idx]) >> i) & 1)
 
     def test_poincare_palindromic(self, tables):
         for label, t in tables.items():
@@ -160,3 +175,71 @@ class TestIdentitySuite:
         rs = build_label(label)
         for name, ok, detail in identity_checks_finite(rs):
             assert ok, f"{label} {name}: {detail}"
+
+
+# Breaks each check of the finite tables in turn, on fresh A2 tables, and
+# requires it to raise.  Exit codes: 0 all raised, 1 some did not raise,
+# 3 asserts were not stripped.
+_CHECKS_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import finite
+    from coxgrowth.finite import (GroupTable, PolyMatrix, get_table,
+                                  identity_checks_finite)
+    from coxgrowth.rootsystem import RootSystem
+    if __debug__:
+        sys.exit(3)
+    raised = 0
+
+    def expect(name, call):
+        global raised
+        try:
+            call()
+        except AssertionError as exc:
+            raised += 1
+            print(f"{name}: {exc}")
+        else:
+            print(f"{name}: no error")
+
+    rs = RootSystem("A", 2)
+    rs.group_order = lambda mask: 5
+    expect("order", lambda: GroupTable(rs))
+    rs = RootSystem("A", 2)
+    rs.longest_length = lambda mask: 2
+    expect("unique", lambda: GroupTable(rs))
+
+    rs = RootSystem("A", 2)
+    one, full = rs.mask_of([1]), rs.full_mask
+    expect("outside", lambda: get_table(rs, one).longest_element(full))
+    expect("inside", lambda: get_table(rs, full).w_hj(one, full))
+    m = PolyMatrix([0], [0, one], [[1, 1]])
+    expect("matmul", lambda: m @ m)
+    t = get_table(rs)
+    t.lengths[t.longest_idx] += 1
+    expect("longest", lambda: t.longest_element(full))
+    t.lengths[t.longest_idx] -= 1
+    t.descents = lambda idx: 0
+    expect("descents", lambda: t.w_hj(full, 0))
+    del t.descents
+
+    t.conj_subset_signed = lambda idx, mask: None
+    expect("p-conj", lambda: identity_checks_finite(rs))
+    run_checks = finite.run_checks
+    finite.run_checks = lambda checks: run_checks(
+        [c for c in checks if c[0] != "p-alternating-reduction"])
+    expect("h-conj", lambda: identity_checks_finite(rs))
+    sys.exit(0 if raised == 9 else 1)
+""")
+
+
+class TestExplicitChecks:
+    def test_checks_raise_under_optimize(self):
+        out = _run_optimized(_CHECKS_SCRIPT)
+        assert "order: BFS found 6 elements, the closed form 5" in out
+        assert "unique: no unique element of length 2" in out
+        assert "outside: [1, 2] is not inside the table's [1]" in out
+        assert "inside: J=[1, 2] is not inside H=[1]" in out
+        assert "matmul: matrix product: columns and rows differ" in out
+        assert "longest: longest element of [1, 2] has length 4" in out
+        assert "descents: w(H, J) for H=[1, 2], J=[] has the wrong" in out
+        assert "p-conj: Q=[] conjugates outside K=[]" in out
+        assert "h-conj: R=[] conjugates outside J=[]" in out

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coxgrowth import ratfun
 from coxgrowth.ratfun import (IntPoly, RatFun, expand, monomial_shift,
-                              poly_gcd, poly_exact_div, poly_divmod,
+                              poly_gcd, poly_exact_div,
                               factored_den, poly_str)
 
 
@@ -54,6 +54,28 @@ def _sympy_gcd(a, b):
     if g.LC() < 0:
         g = -g
     return IntPoly(tuple(int(c) for c in reversed(g.all_coeffs())))
+
+
+def poly_divmod(a, b):
+    """Division in Q[t]; returns (q, r) with rational coefficients."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * max(0, len(r) - len(b.coeffs) + 1)
+    bl = Fraction(b.coeffs[-1])
+    db = b.degree
+    while len(r) >= len(b.coeffs) and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b.coeffs):
+            break
+        k = len(r) - 1 - db
+        f = r[-1] / bl
+        q[k] = f
+        for i, c in enumerate(b.coeffs):
+            r[k + i] -= f * c
+        r.pop()
+    return q, r
 
 
 def _euclid_gcd(a, b):

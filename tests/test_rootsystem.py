@@ -1,5 +1,6 @@
 """Cartan data, positive roots and cone generators."""
 
+import textwrap
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from coxgrowth import rootsystem
 from coxgrowth.rootsystem import (build_label, cartan_matrix,
                                   parse_label, mat_vec, InvalidTypeError)
+from test_series import _run_optimized
 
 
 ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -136,3 +138,35 @@ class TestSubsets:
         rs = build_label("A2")
         assert rs.two_rho == (2, 2)
         assert rs.two_rho_weight((1, 1)) == 4
+
+
+# Drops the simple root alpha_2 of A2 from the closure, with the count
+# check stubbed out, then requires the 2 rho check to raise.  Exit codes:
+# 0 raised, 1 did not raise, 3 asserts were not stripped.
+_TWO_RHO_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.rootsystem import RootSystem
+    if __debug__:
+        sys.exit(3)
+    close = RootSystem._close_roots
+
+    def drop_alpha_2(self):
+        close(self)
+        self.positive_roots = [rc for rc in self.positive_roots
+                               if rc[0] != (0, 1)]
+
+    RootSystem._close_roots = drop_alpha_2
+    RootSystem._check_counts = lambda self: None
+    try:
+        RootSystem("A", 2)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestExplicitChecks:
+    def test_two_rho_check_raises_under_optimize(self):
+        out = _run_optimized(_TWO_RHO_SCRIPT)
+        assert "A2: 2 rho = (2, 1) does not pair to 2" in out

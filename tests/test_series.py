@@ -186,14 +186,18 @@ _CHECKS_SCRIPT = textwrap.dedent("""
 """)
 
 
-def _run_optimized(script):
+def _run_python(args, timeout=120):
+    """Run the interpreter on args in a subprocess, with src on the path."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [str(root / "src"), env.get("PYTHONPATH")] if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _run_optimized(script):
+    proc = _run_python(["-O", "-c", script])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
 
