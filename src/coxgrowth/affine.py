@@ -7,7 +7,8 @@ by its simple-coroot coordinate vector m.  Conventions:
     product:   (w1, v1)(w2, v2) = (w1 w2, v2 + w2^-1 v1)
     inverse:   (w, v)^-1 = (w^-1, -w v)
     length:    sum over positive roots beta of |<beta, v> + chi(w beta)|
-               where chi is the indicator of negative roots
+               where chi is the indicator of negative roots, read off
+               the finite element's root permutation
     action on an affine root (alpha, k):  (w alpha, k - <alpha, v>)
 
 The action convention is the one under which a generator s_a lengthens x
@@ -19,7 +20,8 @@ are reference implementations in the tests.
 
 Generators are numbered 1..n for the finite simple reflections and 0 for
 the extra affine reflection, whose (w, v) pair is (reflection in the
-highest root, minus the highest coroot).
+highest root, minus the highest coroot); the reflection is built as a
+root permutation, checked to act alike on roots and coroots.
 
 The enumeration oracle reads each element once: `classify` gives the
 masks of right and left ascents (x . (alpha_i, 0) > 0 and
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from .ratfun import IntPoly
 from . import rootsystem
-from .finite import get_table, reflection_mats
+from .finite import get_table
 
 MAX_BFS_ELEMENTS = 10 ** 7
 MAX_PARABOLIC_ORDER = 200000
@@ -53,22 +55,20 @@ class AffineWeyl:
         self.table = get_table(rs)
         n = rs.rank
         self.n = n
-        at_rmat, at_cmat = reflection_mats(
-            rs, rs.highest_root, rs.highest_root_coroot)
-        self.at_idx = self.table.index[at_rmat]
-        if self.table.cmats[self.at_idx] != at_cmat:
-            raise AssertionError("highest-root reflection: cmat != rmat")
+        at_idx = self.table.index[rs.reflection(rs.highest_root,
+                                                rs.highest_root_coroot)]
         # gens[g] = (finite index, translation coords); g = 0 is affine
-        self.gens = {0: (self.at_idx,
-                         tuple(-c for c in rs.highest_root_coroot))}
+        self.gens = {0: (at_idx, tuple(-c for c in rs.highest_root_coroot))}
         for i in range(n):
-            self.gens[i + 1] = (self.table.index[self.table.gen_rmat[i]],
-                                (0,) * n)
+            self.gens[i + 1] = (self.table.rmult[0][i], (0,) * n)
         # right multiplication of a finite index by the highest-root
         # reflection, precomputed once
-        self._rmul_at = [self.table.mul(idx, self.at_idx)
+        self._rmul_at = [self.table.mul(idx, at_idx)
                          for idx in range(self.table.order)]
         self._pos_roots = [root for root, _ in rs.positive_roots]
+        # support mask of each root, by root index
+        self._supp = [sum(1 << p for p, c in enumerate(root) if c)
+                      for root in rs.roots]
 
     # -- core group operations -----------------------------------------
 
@@ -89,11 +89,12 @@ class AffineWeyl:
     def length(self, x):
         w, m = x
         cm = rootsystem.mat_vec(self.rs.cartan, m)
-        chi = self.table.chi_table(w)
+        perm = self.table.perms[w]
+        n_pos = len(self._pos_roots)
         total = 0
         for r, root in enumerate(self._pos_roots):
             pairing = sum(a * b for a, b in zip(root, cm))
-            total += abs(pairing + chi[r])
+            total += abs(pairing + (perm[r] >= n_pos))
         return total
 
     # -- enumeration ----------------------------------------------------
@@ -165,7 +166,7 @@ class AffineWeyl:
         table = self.table
         cm = rootsystem.mat_vec(self.rs.cartan, m)
         cwm = rootsystem.mat_vec(self.rs.cartan, table.act_coroot(w, m))
-        right, left, rmat = table.rasc[w], table.lasc[w], table.rmats[w]
+        right, left, perm = table.rasc[w], table.lasc[w], table.perms[w]
         rasc = lasc = 0
         for i in range(self.n):
             bit = 1 << i
@@ -176,9 +177,8 @@ class AffineWeyl:
             if affine_root_positive(1 if left & bit else -1, cwm[i]):
                 lasc |= bit
         dest = tuple(-1 if c else d for c, d in zip(cm, table.simple_img[w]))
-        supp = tuple(-1 if c else sum(1 << p for p, row in enumerate(rmat)
-                                      if row[i])
-                     for i, c in enumerate(cm))
+        supp = tuple(-1 if c else self._supp[perm[s]]
+                     for s, c in zip(self.rs.simple_idx, cm))
         return rasc, lasc, dest, supp
 
     # -- truncated ground-truth series ----------------------------------

@@ -1,17 +1,17 @@
-"""Finite Weyl groups as integer matrices, and their coset-series polynomials.
+"""Finite Weyl groups as permutations of the roots, and their coset-series
+polynomials.
 
-A group element is stored through three matrices:
-
-    rmat: action on root coordinates (column j = image of the j-th simple
-          root), composed so that x*s_i has rmat = x.rmat @ S_i;
-    rinv: rmat of the inverse element;
-    cmat: action on coroot coordinates.
+An element x is stored as the tuple perm of root indices over the 2N
+roots of the root system, positives first: perm[b] is the index of
+x(beta_b), so x sends beta_b to a negative root when perm[b] >= N.  The
+product x*s_i is perm composed with the permutation of s_i, and since
+w(alpha)^vee = w(alpha^vee) the same permutation acts on the coroots.
 
 Lengths come from BFS depth.  The order of W_J, the product of
 (ht(alpha) + 1) / ht(alpha) over the positive roots of J, is known
 beforehand: a table over the bound is refused before the BFS, and the
-BFS order is checked against it.  Ascent sets, simple-root images and
-sign tables are cached per element, so the coset sums are linear scans.
+BFS order is checked against it.  Ascent sets and simple-root images are
+index lookups cached per element, so the coset sums are linear scans.
 
 Series computed here:
 
@@ -26,69 +26,9 @@ every R at once.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .ratfun import IntPoly, RatFun
-from . import rootsystem
-
-
-def matmul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def matcol(m, j):
-    return tuple(row[j] for row in m)
-
-
-def identity_mat(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _is_unit_col(col):
-    """Index j if col == e_j, else -1."""
-    hit = -1
-    for j, x in enumerate(col):
-        if x == 1:
-            if hit >= 0:
-                return -1
-            hit = j
-        elif x != 0:
-            return -1
-    return hit
-
-
-def _root_sign(col):
-    """+1/-1 for a vector with entries all of one sign."""
-    for x in col:
-        if x > 0:
-            return 1
-        if x < 0:
-            return -1
-    return 0
-
-
-def simple_reflection_mats(rs, i):
-    """(rmat, cmat) of the i-th simple reflection (0-based)."""
-    n = rs.rank
-    rmat = [[int(k == j) for j in range(n)] for k in range(n)]
-    cmat = [[int(k == j) for j in range(n)] for k in range(n)]
-    for j in range(n):
-        rmat[i][j] -= rs.cartan[j][i]
-        cmat[i][j] -= rs.cartan[i][j]
-    return tuple(map(tuple, rmat)), tuple(map(tuple, cmat))
-
-
-def reflection_mats(rs, root, coroot):
-    """(rmat, cmat) of the reflection in a root given by both coordinate
-    vectors."""
-    n = rs.rank
-    pair_r = rootsystem.mat_vec(rs.cartan, coroot)       # <alpha_j, root^vee>
-    pair_c = rootsystem.mat_vec(rs.cartan_t, root)       # <root, alpha_j^vee>
-    rmat = tuple(tuple(int(k == j) - pair_r[j] * root[k] for j in range(n))
-                 for k in range(n))
-    cmat = tuple(tuple(int(k == j) - pair_c[j] * coroot[k] for j in range(n))
-                 for k in range(n))
-    return rmat, cmat
 
 
 MAX_GROUP_ORDER = 10 ** 6
@@ -107,17 +47,12 @@ class GroupTable:
             raise ValueError(f"{rs.label} parabolic {rs.ids_of(mask)} has "
                              f"group order {order}, over the table bound "
                              f"{MAX_GROUP_ORDER}")
-        n = rs.rank
-        gens = [i for i in range(n) if (mask >> i) & 1]
-        self.gen_rmat = {}
-        self.gen_cmat = {}
-        for i in gens:
-            self.gen_rmat[i], self.gen_cmat[i] = simple_reflection_mats(rs, i)
-
-        ident = identity_mat(n)
-        self.rmats = [ident]
-        self.rinvs = [ident]
-        self.cmats = [ident]
+        # x*s_i sends beta_b to x(s_i beta_b), so its permutation is
+        # x's composed with that of s_i
+        gens = {i: itemgetter(*rs.reflection(rs.roots[s], rs.coroots[s]))
+                for i, s in enumerate(rs.simple_idx) if (mask >> i) & 1}
+        ident = tuple(range(len(rs.roots)))
+        self.perms = [ident]
         self.lengths = [0]
         self.index = {ident: 0}
         self.rmult = [dict()]
@@ -125,16 +60,13 @@ class GroupTable:
         while frontier:
             nxt = []
             for idx in frontier:
-                for i in gens:
-                    new = matmul(self.rmats[idx], self.gen_rmat[i])
+                perm = self.perms[idx]
+                for i, compose in gens.items():
+                    new = compose(perm)
                     pos = self.index.get(new)
                     if pos is None:
-                        pos = len(self.rmats)
-                        self.rmats.append(new)
-                        self.rinvs.append(
-                            matmul(self.gen_rmat[i], self.rinvs[idx]))
-                        self.cmats.append(
-                            matmul(self.cmats[idx], self.gen_cmat[i]))
+                        pos = len(self.perms)
+                        self.perms.append(new)
                         self.lengths.append(self.lengths[idx] + 1)
                         self.index[new] = pos
                         self.rmult.append(dict())
@@ -142,14 +74,13 @@ class GroupTable:
                     self.rmult[idx][i] = pos
             frontier = nxt
 
-        self.order = len(self.rmats)
+        self.order = len(self.perms)
         if self.order != order:
             raise AssertionError(f"BFS found {self.order} elements, the "
                                  f"closed form {order}")
-        self.inv_idx = [self.index[r] for r in self.rinvs]
+        self._simple_pos = {s: i for i, s in enumerate(rs.simple_idx)}
         self._profiles()
         self._cosets = {}
-        self._chi = {}
 
         lw = rs.longest_length(mask)
         if max(self.lengths) != lw or self.lengths.count(lw) != 1:
@@ -157,68 +88,52 @@ class GroupTable:
         self.longest_idx = self.lengths.index(lw)
 
     def _profiles(self):
-        n = self.rs.rank
+        """Right and left ascent masks and simple-root images, read off
+        the permutations: x alpha_i > 0 when x sends alpha_i to an index
+        below N, x^-1 alpha_i > 0 when the inverse permutation does."""
+        n_pos = len(self.rs.positive_roots)
+        simple = self.rs.simple_idx
         self.rasc = []
         self.lasc = []
         self.simple_img = []
-        for rmat, rinv in zip(self.rmats, self.rinvs):
-            ra = la = 0
-            img = []
-            for i in range(n):
-                col = matcol(rmat, i)
-                if _root_sign(col) > 0:
-                    ra |= 1 << i
-                img.append(_is_unit_col(col))
-                if _root_sign(matcol(rinv, i)) > 0:
-                    la |= 1 << i
-            self.rasc.append(ra)
-            self.lasc.append(la)
-            self.simple_img.append(tuple(img))
+        for perm in self.perms:
+            img = [perm[s] for s in simple]
+            self.rasc.append(sum(1 << i for i, b in enumerate(img)
+                                 if b < n_pos))
+            self.lasc.append(sum(1 << i for i, s in enumerate(simple)
+                                 if perm.index(s) < n_pos))
+            self.simple_img.append(tuple(self._simple_pos.get(b, -1)
+                                         for b in img))
 
     # -- element queries ------------------------------------------------
 
     def mul(self, a, b):
         """Index of the product (as maps: first apply b, then a)."""
-        return self.index[matmul(self.rmats[a], self.rmats[b])]
+        return self.index[itemgetter(*self.perms[b])(self.perms[a])]
 
     def descents(self, idx):
         """Right descent set within the table's generators."""
         return self.mask & ~self.rasc[idx]
 
-    def act_root(self, idx, vec):
-        rmat = self.rmats[idx]
-        n = self.rs.rank
-        return tuple(sum(rmat[k][j] * vec[j] for j in range(n))
-                     for k in range(n))
-
     def act_coroot(self, idx, vec):
-        cmat = self.cmats[idx]
-        n = self.rs.rank
-        return tuple(sum(cmat[k][j] * vec[j] for j in range(n))
-                     for k in range(n))
-
-    def chi_table(self, idx):
-        """Per positive root: 1 if the element sends it to a negative root."""
-        t = self._chi.get(idx)
-        if t is None:
-            t = tuple(int(_root_sign(self.act_root(idx, root)) < 0)
-                      for root, _ in self.rs.positive_roots)
-            self._chi[idx] = t
-        return t
+        """w(sum_j vec_j alpha_j^vee) = sum_j vec_j (w alpha_j)^vee."""
+        perm, coroots = self.perms[idx], self.rs.coroots
+        cols = [coroots[perm[s]] for s in self.rs.simple_idx]
+        return tuple(sum(m * col[k] for m, col in zip(vec, cols))
+                     for k in range(len(vec)))
 
     def conj_subset_signed(self, idx, k_mask):
         """{j : x maps alpha_k to plus or minus alpha_j, k in k_mask}
         (conjugation by longest elements), or None if some image is not
         a simple root up to sign."""
+        n_pos = len(self.rs.positive_roots)
+        perm = self.perms[idx]
         out = 0
         k = k_mask
         while k:
             i = (k & -k).bit_length() - 1
-            col = self.act_root(idx, tuple(int(j == i)
-                                           for j in range(self.rs.rank)))
-            s = _root_sign(col)
-            j = _is_unit_col(col if s > 0 else tuple(-x for x in col))
-            if j < 0:
+            j = self._simple_pos.get(perm[self.rs.simple_idx[i]] % n_pos)
+            if j is None:
                 return None
             out |= 1 << j
             k &= k - 1

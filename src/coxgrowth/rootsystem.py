@@ -153,6 +153,12 @@ class RootSystem:
     positive_roots[i] is a pair (root coords, coroot coords); both are
     maintained in parallel during the reflection closure so that general
     coroot pairings stay in integer arithmetic.
+
+    roots and coroots list all 2N roots and their coroots, the positive
+    ones first (in the order of positive_roots) and then their negatives,
+    so that index b + N is -beta_b.  root_index inverts roots, and
+    simple_idx[i] is the index of alpha_i.  Weyl group elements act on
+    these indices as permutations (see `reflection`).
     """
 
     def __init__(self, family, rank):
@@ -181,6 +187,14 @@ class RootSystem:
             raise AssertionError(f"{self.label}: 2 rho = {self.two_rho} "
                                  "does not pair to 2 with every coroot")
         self._build_cone_gens()
+        neg = [tuple(tuple(-x for x in v) for v in rc)
+               for rc in self.positive_roots]
+        self.roots, self.coroots = map(tuple,
+                                       zip(*self.positive_roots + neg))
+        self.root_index = {root: b for b, root in enumerate(self.roots)}
+        self.simple_idx = tuple(self.root_index[tuple(int(j == i)
+                                                      for j in range(n))]
+                                for i in range(n))
         self._derived = {}
 
     # -- construction --------------------------------------------------
@@ -245,6 +259,28 @@ class RootSystem:
         self.cone_gens = tuple(gens)
 
     # -- queries --------------------------------------------------------
+
+    def reflection(self, root, coroot):
+        """The reflection s in `root` as a permutation of the root indices:
+        entry b is the index of s(beta_b) = beta_b - <beta_b, root^vee>
+        root.  Raises unless s also maps each coroot to the coroot of the
+        image, s(beta)^vee = s(beta^vee), so that one permutation acts on
+        both sides."""
+        pair_r = mat_vec(self.cartan, coroot)      # <beta, root^vee>
+        pair_c = mat_vec(self.cartan_t, root)      # <root, beta^vee>
+        perm = []
+        for beta, beta_c in zip(self.roots, self.coroots):
+            k = sum(a * b for a, b in zip(beta, pair_r))
+            kc = sum(a * b for a, b in zip(beta_c, pair_c))
+            img = self.root_index.get(
+                tuple(x - k * a for x, a in zip(beta, root)))
+            if img is None or self.coroots[img] != tuple(
+                    x - kc * c for x, c in zip(beta_c, coroot)):
+                raise AssertionError(
+                    f"{self.label}: the reflection in {root} with coroot "
+                    f"{coroot} does not map the pair of {beta} to a pair")
+            perm.append(img)
+        return tuple(perm)
 
     def cached(self, key, make):
         """The object derived from this root system under `key` (a group

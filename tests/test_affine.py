@@ -8,7 +8,7 @@ import pytest
 from coxgrowth import build_label, rootsystem
 from coxgrowth.affine import (affine_root_positive, coset_pattern,
                               get_affine, normalizes)
-from coxgrowth.finite import _is_unit_col, _root_sign, get_table, matcol
+from test_finite import _is_unit_col, _root_sign, matcol, reference_table
 from test_series import _run_optimized
 
 
@@ -25,16 +25,23 @@ def b2():
 # -- reference group operations, affine roots and inversion sets ---------
 
 
+def reference(aff):
+    """The matrix reference of aff's finite table, numbered alike."""
+    ref = reference_table(aff.rs)
+    assert ref.rmult == aff.table.rmult
+    return ref
+
+
 def mul(aff, x, y):
     (w1, m1), (w2, m2) = x, y
-    w2i = aff.table.inv_idx[w2]
+    w2i = reference(aff).inv_idx[w2]
     m1r = aff.table.act_coroot(w2i, m1)
     return (aff.table.mul(w1, w2), tuple(a + b for a, b in zip(m2, m1r)))
 
 
 def inv(aff, x):
     w, m = x
-    return (aff.table.inv_idx[w],
+    return (reference(aff).inv_idx[w],
             tuple(-c for c in aff.table.act_coroot(w, m)))
 
 
@@ -57,7 +64,7 @@ def act_affine_root(aff, x, a):
     root, level = a
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     pairing = sum(p * q for p, q in zip(root, cm))
-    return (aff.table.act_root(w, root), level - pairing)
+    return (reference(aff).act_root(w, root), level - pairing)
 
 
 def is_positive(a):
@@ -76,7 +83,7 @@ def inversion_set(aff, x):
     out = []
     for r, (root, _) in enumerate(aff.rs.positive_roots):
         pairing = sum(a * b for a, b in zip(root, cm))
-        chi_pos = aff.table.chi_table(w)[r]
+        chi_pos = int(_root_sign(reference(aff).act_root(w, root)) < 0)
         # (root, k) for k >= 0: image level k - pairing, image sign
         # given by chi of w.root; negative iff level < chi threshold
         bound = abs(pairing + chi_pos) + 1
@@ -246,8 +253,8 @@ def reference_classify(aff, x, j_mask, k_mask):
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     wm = aff.table.act_coroot(w, m)
     cwm = rootsystem.mat_vec(aff.rs.cartan, wm)
-    rmat = aff.table.rmats[w]
-    rinv = aff.table.rinvs[w]
+    ref = reference(aff)
+    rmat, rinv = ref.rmats[w], ref.rinvs[w]
     for i in range(aff.n):
         # x . (alpha_i, 0) = (w alpha_i, -<alpha_i, v>)
         if (k_mask >> i) & 1 and not affine_root_positive(
@@ -271,7 +278,7 @@ def reference_normalizes(aff, x, j_mask):
     beta (of either sign) supported on J."""
     w, m = x
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
-    rmat = aff.table.rmats[w]
+    rmat = reference(aff).rmats[w]
     for i in range(aff.n):
         if not (j_mask >> i) & 1:
             continue

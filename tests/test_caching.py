@@ -13,6 +13,7 @@ from coxgrowth.finite import GroupTable, get_table
 from coxgrowth.ratfun import IntPoly
 from coxgrowth.rootsystem import RootSystem, build_label
 from coxgrowth.series import AffinePipeline, get_pipeline
+from test_finite import reference_table
 
 
 def count_inits(monkeypatch, cls, counts):
@@ -80,13 +81,14 @@ def test_scan_matches_direct_count():
     """Every p and h polynomial equals a direct count over the table."""
     t = get_table(build_label("B3"))
     rs = t.rs
+    inv_idx = reference_table(rs).inv_idx
     size = max(t.lengths) + 1
     for j in rs.subsets():
         for k in rs.subsets():
             # minimal in W_J x W_K: no right descent in K, no left one in J
             reps = [x for x in range(t.order)
                     if not t.descents(x) & k
-                    and not t.descents(t.inv_idx[x]) & j]
+                    and not t.descents(inv_idx[x]) & j]
             p = {}
             h = {}
             for x in reps:

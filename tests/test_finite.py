@@ -1,15 +1,17 @@
 """Finite Weyl group tables and coset-series polynomials."""
 
+import functools
+import json
 import random
 import textwrap
 
 import pytest
 
 from coxgrowth import build_label
-from coxgrowth.finite import (_root_sign, get_table, matrix_M, matrix_N,
+from coxgrowth.finite import (get_table, matrix_M, matrix_N,
                               identity_checks_finite)
 from coxgrowth.ratfun import IntPoly, RatFun
-from test_series import _run_optimized
+from test_series import _run_optimized, _run_python
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
@@ -38,17 +40,159 @@ def parabolic_elements(t, mask):
     return seen
 
 
-def inversion_count(t, idx):
+# -- matrix reference table --------------------------------------------
+# Each element of the full group as three integer matrices: rmat acts on
+# root coordinates (column j is the image of alpha_j), rinv is the rmat
+# of the inverse and cmat acts on coroot coordinates.  The BFS composes
+# rmats, x*s_i = x.rmat @ S_i, and visits the generators in the same
+# order as GroupTable, so both number the elements alike.
+
+
+def matmul(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def matcol(m, j):
+    return tuple(row[j] for row in m)
+
+
+def _is_unit_col(col):
+    """Index j if col == e_j, else -1."""
+    hit = -1
+    for j, x in enumerate(col):
+        if x == 1:
+            if hit >= 0:
+                return -1
+            hit = j
+        elif x != 0:
+            return -1
+    return hit
+
+
+def _root_sign(col):
+    """+1/-1 for a vector with entries all of one sign."""
+    for x in col:
+        if x > 0:
+            return 1
+        if x < 0:
+            return -1
+    return 0
+
+
+def simple_reflection_mats(rs, i):
+    """(rmat, cmat) of the i-th simple reflection (0-based)."""
+    n = rs.rank
+    rmat = [[int(k == j) for j in range(n)] for k in range(n)]
+    cmat = [[int(k == j) for j in range(n)] for k in range(n)]
+    for j in range(n):
+        rmat[i][j] -= rs.cartan[j][i]
+        cmat[i][j] -= rs.cartan[i][j]
+    return tuple(map(tuple, rmat)), tuple(map(tuple, cmat))
+
+
+class MatrixTable:
+    def __init__(self, rs):
+        self.rs = rs
+        n = rs.rank
+        gens = [simple_reflection_mats(rs, i) for i in range(n)]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self.rmats = [ident]
+        self.rinvs = [ident]
+        self.cmats = [ident]
+        self.lengths = [0]
+        self.index = {ident: 0}
+        self.rmult = [dict()]
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for idx in frontier:
+                for i, (gen_rmat, gen_cmat) in enumerate(gens):
+                    new = matmul(self.rmats[idx], gen_rmat)
+                    pos = self.index.get(new)
+                    if pos is None:
+                        pos = len(self.rmats)
+                        self.rmats.append(new)
+                        self.rinvs.append(matmul(gen_rmat, self.rinvs[idx]))
+                        self.cmats.append(matmul(self.cmats[idx], gen_cmat))
+                        self.lengths.append(self.lengths[idx] + 1)
+                        self.index[new] = pos
+                        self.rmult.append(dict())
+                        nxt.append(pos)
+                    self.rmult[idx][i] = pos
+            frontier = nxt
+        self.inv_idx = [self.index[r] for r in self.rinvs]
+
+    def mul(self, a, b):
+        return self.index[matmul(self.rmats[a], self.rmats[b])]
+
+    def act_root(self, idx, vec):
+        rmat = self.rmats[idx]
+        n = self.rs.rank
+        return tuple(sum(rmat[k][j] * vec[j] for j in range(n))
+                     for k in range(n))
+
+    def rasc(self, idx):
+        return sum(1 << i for i in range(self.rs.rank)
+                   if _root_sign(matcol(self.rmats[idx], i)) > 0)
+
+    def lasc(self, idx):
+        return sum(1 << i for i in range(self.rs.rank)
+                   if _root_sign(matcol(self.rinvs[idx], i)) > 0)
+
+    def simple_img(self, idx):
+        return tuple(_is_unit_col(matcol(self.rmats[idx], i))
+                     for i in range(self.rs.rank))
+
+    def conj_subset_signed(self, idx, k_mask):
+        out = 0
+        for i in range(self.rs.rank):
+            if (k_mask >> i) & 1:
+                col = matcol(self.rmats[idx], i)
+                s = _root_sign(col)
+                j = _is_unit_col(col if s > 0 else tuple(-x for x in col))
+                if j < 0:
+                    return None
+                out |= 1 << j
+        return out
+
+
+@functools.cache
+def reference_table(rs):
+    """The matrix reference of the full group of rs."""
+    return MatrixTable(rs)
+
+
+def inversion_count(ref, idx):
     """The number of positive roots the element sends to negative roots."""
-    rmat = t.rmats[idx]
-    n = t.rs.rank
-    cnt = 0
-    for root, _ in t.rs.positive_roots:
-        img = tuple(sum(rmat[k][j] * root[j] for j in range(n))
-                    for k in range(n))
-        if _root_sign(img) < 0:
-            cnt += 1
-    return cnt
+    return sum(1 for root, _ in ref.rs.positive_roots
+               if _root_sign(ref.act_root(idx, root)) < 0)
+
+
+class TestAgainstMatrixReference:
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4", "G2"])
+    def test_every_element(self, label):
+        rs = build_label(label)
+        t, ref = get_table(rs), reference_table(rs)
+        n = rs.rank
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        assert t.order == len(ref.rmats)
+        assert t.rmult == ref.rmult
+        for idx in range(t.order):
+            assert t.lengths[idx] == inversion_count(ref, idx)
+            assert t.rasc[idx] == ref.rasc(idx)
+            assert t.lasc[idx] == ref.lasc(idx)
+            assert t.simple_img[idx] == ref.simple_img(idx)
+            assert ([t.act_coroot(idx, e) for e in units]
+                    == [matcol(ref.cmats[idx], i) for i in range(n)])
+            for mask in rs.subsets():
+                assert (t.conj_subset_signed(idx, mask)
+                        == ref.conj_subset_signed(idx, mask))
+        rng = random.Random(11)
+        for _ in range(200):
+            a, b = rng.randrange(t.order), rng.randrange(t.order)
+            assert t.mul(a, b) == ref.mul(a, b)
 
 
 class TestGroupTable:
@@ -59,17 +203,19 @@ class TestGroupTable:
     def test_length_is_inversion_count(self, tables):
         for label in ["A3", "B3", "G2"]:
             t = tables[label]
+            ref = reference_table(t.rs)
             for idx in range(t.order):
-                assert t.lengths[idx] == inversion_count(t, idx)
+                assert t.lengths[idx] == inversion_count(ref, idx)
 
     def test_group_axioms_sampled(self, tables):
         t = tables["B3"]
+        inv_idx = reference_table(t.rs).inv_idx
         rng = random.Random(7)
         for _ in range(200):
             a, b, c = (rng.randrange(t.order) for _ in range(3))
             assert t.mul(t.mul(a, b), c) == t.mul(a, t.mul(b, c))
-            assert t.mul(a, t.inv_idx[a]) == 0
-            assert t.mul(t.inv_idx[a], a) == 0
+            assert t.mul(a, inv_idx[a]) == 0
+            assert t.mul(inv_idx[a], a) == 0
 
     def test_longest_element(self, tables):
         for label in ["A3", "B3", "G2"]:
@@ -93,6 +239,26 @@ class TestGroupTable:
             cs = t.poincare().coeffs
             assert list(cs) == list(reversed(cs))
             assert sum(cs) == t.order
+
+
+class TestE6:
+    # the degrees of the basic invariants of E6 (Humphreys, Reflection
+    # Groups and Coxeter Groups, Table 3.1); W(t) = prod (1 - t^d) / (1 - t)
+    DEGREES = (2, 5, 6, 8, 9, 12)
+
+    def test_poincare_against_degrees(self):
+        proc = _run_python(["-m", "coxgrowth.cli", "finite", "--type", "E6",
+                            "--format", "json"], timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        want = [1]
+        for d in self.DEGREES:
+            # multiply by 1 + t + ... + t^(d-1)
+            want = [sum(want[max(0, k - d + 1):k + 1])
+                    for k in range(len(want) + d - 1)]
+        assert out["order"] == 51840 == sum(want)
+        assert out["poincare"] == {"num": [str(c) for c in want],
+                                   "den": ["1"]}
 
 
 class TestCosetSeries:
@@ -151,10 +317,11 @@ class TestCosetSeries:
         # |N_W(W_J)| = |W_J| * p_{J,J,J}(1), checked against a direct count
         t = tables["B3"]
         rs = t.rs
+        inv_idx = reference_table(rs).inv_idx
         for j in rs.subsets():
             wj = parabolic_elements(t, j)
             count = sum(1 for x in range(t.order)
-                        if {t.mul(t.mul(x, u), t.inv_idx[x])
+                        if {t.mul(t.mul(x, u), inv_idx[x])
                             for u in wj} == wj)
             assert count == len(wj) * t.p_poly(j, j, j)(1)
 

@@ -170,3 +170,41 @@ class TestExplicitChecks:
     def test_two_rho_check_raises_under_optimize(self):
         out = _run_optimized(_TWO_RHO_SCRIPT)
         assert "A2: 2 rho = (2, 1) does not pair to 2" in out
+
+
+# Changes one entry of the highest coroot of A2, then requires building
+# the affine group, whose extra generator is the reflection in the
+# highest root, to raise.  Exit codes: 0 raised, 1 did not raise, 3
+# asserts were not stripped.
+_REFLECTION_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.affine import get_affine
+    from coxgrowth.rootsystem import RootSystem
+    if __debug__:
+        sys.exit(3)
+    rs = RootSystem("A", 2)
+    rs.highest_root_coroot = (1, 2)
+    try:
+        get_affine(rs)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestReflectionCheck:
+    def test_root_coroot_mismatch_raises_under_optimize(self):
+        out = _run_optimized(_REFLECTION_SCRIPT)
+        assert ("A2: the reflection in (1, 1) with coroot (1, 2) does not "
+                "map the pair of" in out)
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_reflections_are_involutions(self, label):
+        rs = build_label(label)
+        n_pos = len(rs.positive_roots)
+        for root, coroot in rs.positive_roots:
+            s = rs.reflection(root, coroot)
+            b = rs.root_index[root]
+            assert s[b] == b + n_pos and s[b + n_pos] == b
+            assert all(s[s[c]] == c for c in range(len(s)))
