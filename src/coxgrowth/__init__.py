@@ -14,7 +14,7 @@ functions); every assembled series can be cross-checked against a
 brute-force enumeration oracle.
 """
 
-from .ratfun import IntPoly, RatFun, expand, monomial_shift, poly_str
+from .ratfun import IntPoly, RatFun, expand, poly_str
 from .rootsystem import (RootSystem, build_label, cartan_matrix,
                          parse_label, InvalidTypeError)
 from .finite import (GroupTable, get_table, matrix_M, matrix_N, PolyMatrix,
@@ -28,7 +28,7 @@ from .series import AffinePipeline, get_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPoly", "RatFun", "expand", "monomial_shift", "poly_str",
+    "IntPoly", "RatFun", "expand", "poly_str",
     "RootSystem", "build_label", "cartan_matrix", "parse_label",
     "InvalidTypeError",
     "GroupTable", "get_table", "matrix_M", "matrix_N", "PolyMatrix",

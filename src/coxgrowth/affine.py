@@ -38,7 +38,7 @@ from .ratfun import IntPoly
 from . import rootsystem
 from .finite import get_table
 
-MAX_BFS_ELEMENTS = 10 ** 7
+MAX_BFS_ELEMENTS = 3 * 10 ** 6
 MAX_PARABOLIC_ORDER = 200000
 
 

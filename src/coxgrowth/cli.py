@@ -203,6 +203,7 @@ def cmd_oracle(args):
     aff = get_affine(rs)
     j = rs.mask_of(_parse_ids(args.J))
     k = rs.mask_of(_parse_ids(args.K))
+    get_pipeline(rs).refuse_large_enumeration(args.max_length)
     bins, total = aff.oracle_series(j, k, args.max_length)
     out = {"type": rs.label, "J": rs.ids_of(j), "K": rs.ids_of(k),
            "max_length": args.max_length,

@@ -47,34 +47,33 @@ def parallelepiped_points(rs, indices):
     return points
 
 
-def _open_cone(rs, idx, points):
-    """sum_{m in points} t^(wt(W) - wt(m)) over prod_{i in idx}
-    (1 - t^wt(w_i)), where W is the sum of the generators."""
+def reciprocity_numerator(rs, q_mask, points=None):
+    """The numerator sum_{m in Pi} t^(wt(W) - wt(m)) of f_Q, and the
+    weights wt(w_i), i not in Q, of its denominator; the points of the
+    half-open parallelepiped Pi are enumerated unless given."""
+    idx = indices_outside(rs, q_mask)
+    if points is None:
+        points = parallelepiped_points(rs, idx)
     weights = [rs.two_rho_weight(rs.cone_gens[i]) for i in idx]
     top = sum(weights)
     coeffs = [0] * (top + 1)
     for m in points:
         coeffs[top - rs.two_rho_weight(m)] += 1
-    den = IntPoly.one()
-    for w in weights:
-        den = den * IntPoly.one_minus_t(w)
-    return RatFun(IntPoly(coeffs), den)
+    return IntPoly(coeffs), weights
 
 
 def f_q(rs, q_mask, points=None):
     """Series of strictly dominant translations with vanishing pattern Q:
     the open cone on {w_i : i not in Q}, by reciprocity over the
     half-open parallelepiped, whose points are enumerated unless given."""
-    idx = indices_outside(rs, q_mask)
-    if points is None:
-        points = parallelepiped_points(rs, idx)
-    return _open_cone(rs, idx, points)
+    num, weights = reciprocity_numerator(rs, q_mask, points)
+    return RatFun(num, IntPoly.one_minus_t(*weights))
 
 
 def f_q_closed_form(rs, q_mask):
     """t^(sum of generator weights) over prod (1 - t^weight): equal to
     f_q when every parallelepiped above Q holds only the origin."""
-    return _open_cone(rs, indices_outside(rs, q_mask), [(0,) * rs.rank])
+    return f_q(rs, q_mask, [(0,) * rs.rank])
 
 
 def all_parallelepipeds_trivial(rs):

@@ -5,7 +5,10 @@ series use int arithmetic alone; only `expand`, for a denominator whose
 constant term is not +-1, makes Fractions.  Nothing uses floating point.
 IntPoly is a dense integer polynomial, RatFun a fully normalized
 quotient of two IntPoly values.  RatFun normalization is canonical, so
-structural equality coincides with equality of rational functions.
+structural equality coincides with equality of rational functions.  The
+series pipeline keeps its sums as IntPoly numerators over one fixed
+product of factors 1 - t^k (`IntPoly.one_minus_t`) and expands them over
+it, so it runs a gcd only once per reported series.
 """
 
 from __future__ import annotations
@@ -55,11 +58,14 @@ class IntPoly:
         return cls((0,) * k + (1,))
 
     @classmethod
-    def one_minus_t(cls, k):
-        """1 - t^k (k >= 1)"""
-        if k < 1:
-            raise ValueError("need k >= 1")
-        return cls((1,) + (0,) * (k - 1) + (-1,))
+    def one_minus_t(cls, *ks):
+        """prod (1 - t^k) over ks, each k >= 1; 1 for none."""
+        out = cls.one()
+        for k in ks:
+            if k < 1:
+                raise ValueError("need k >= 1")
+            out = out * cls((1,) + (0,) * (k - 1) + (-1,))
+        return out
 
     # -- basic queries ------------------------------------------------
 
@@ -78,9 +84,6 @@ class IntPoly:
         # without this, iteration would run off the end through
         # __getitem__, which never raises
         return iter(self.coeffs)
-
-    def constant_term(self):
-        return self[0]
 
     def content(self):
         g = 0
@@ -389,8 +392,14 @@ def _normalize(num, den):
     return num, den
 
 
-def expand(r, n):
-    """Coefficients c_0..c_n of the power-series expansion of r at t=0.
+def poly_sum(polys):
+    """Sum of integer polynomials (zero for none)."""
+    return sum(polys, IntPoly())
+
+
+def expand(r, n, den=None):
+    """Coefficients c_0..c_n of the power-series expansion at t=0 of the
+    RatFun r, or of the IntPoly r over den, which need not be coprime.
 
     Requires den(0) != 0.  When den(0) is +-1, which holds for every
     pipeline series, the recurrence runs in ints alone (1/d0 == d0).
@@ -398,27 +407,20 @@ def expand(r, n):
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    den = r.den.coeffs
+    num, den = (r.num, r.den.coeffs) if den is None else (r, den.coeffs)
     d0 = den[0]
     if d0 == 0:
         raise ValueError("not a power series at 0 (denominator vanishes)")
     unit = d0 in (1, -1)
     out = []
     for k in range(n + 1):
-        acc = r.num[k]
+        acc = num[k]
         for i in range(1, min(k, len(den) - 1) + 1):
             acc -= den[i] * out[k - i]
         out.append(acc * d0 if unit else Fraction(acc, d0))
     if unit:
         return out
     return [int(c) if c.denominator == 1 else c for c in out]
-
-
-def monomial_shift(r, d):
-    """r * t^d in the field of rational functions; d may be negative."""
-    if d >= 0:
-        return RatFun(r.num.shift(d), r.den)
-    return RatFun(r.num, r.den.shift(-d))
 
 
 def factored_den(den):

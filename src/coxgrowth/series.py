@@ -5,21 +5,36 @@ finite Weyl group, and the translation series
 
     p_SS(Q) = t^(l(w_Q) - l(w_0)) * f_Q(t)
 
-for the full-group double cosets.  General series are assembled two
-independent ways and asserted equal:
+for the full-group double cosets.  Every f_Q, and so every assembled
+series, has a denominator dividing D = prod_i (1 - t^wt(w_i)), one factor
+per cone generator, so each series is carried as an integer numerator
+over D: sums need no gcd, and each reported series is normalized once.
+General series are assembled two independent ways, with equal numerators:
 
   * a matrix product against the finite M_{K,S} matrix, and
   * the expanded double sum with explicitly conjugated subsets,
 
-so a silent subset-conjugation slip on either path trips an assertion.
+so a silent subset-conjugation slip on either path trips a check.  Every
+check raises AssertionError explicitly, so it also runs under python -O.
 """
 
 from __future__ import annotations
 
-from .ratfun import IntPoly, RatFun, expand, monomial_shift
+from functools import wraps
+
+from .ratfun import IntPoly, RatFun, expand, poly_exact_div, poly_sum
 from . import cones
 from .finite import get_table, PolyMatrix, run_checks, signed
-from .affine import get_affine
+from .affine import MAX_BFS_ELEMENTS, get_affine
+
+
+def _memo(method):
+    """Cache a pipeline method per argument tuple on the root system."""
+    @wraps(method)
+    def memoized(self, *key):
+        return self.rs.cached((method.__name__,) + key,
+                              lambda: method(self, *key))
+    return memoized
 
 
 class AffinePipeline:
@@ -29,26 +44,26 @@ class AffinePipeline:
         self.rs = rs
         self.table = get_table(rs)
         self.aff = get_affine(rs)
-        self._pss = {}
-        self._maff = {}
-        self._pfull = {}
         self._w0 = self.table.longest_idx
+        self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
+        self.den = IntPoly.one_minus_t(*self.weights)
 
-    # -- building blocks -----------------------------------------------
+    # -- numerators over D -----------------------------------------------
 
-    def p_ss(self, q_mask):
-        """Series of full-group double-coset representatives with
-        intersection pattern Q."""
-        hit = self._pss.get(q_mask)
-        if hit is None:
-            shift = (self.rs.longest_length(q_mask)
-                     - self.rs.longest_length(self.rs.full_mask))
-            hit = monomial_shift(cones.f_q(self.rs, q_mask), shift)
-            if hit.den.constant_term() == 0:
-                raise AssertionError(f"shift left a genuine pole: {hit}")
-            self._pss[q_mask] = hit
-        return hit
+    @_memo
+    def _ss_num(self, q_mask):
+        """p_SS(Q): the reciprocity numerator of f_Q times the factors of
+        D for i in Q, divided by t^k, k = l(w_0) - l(w_Q)."""
+        rs = self.rs
+        num, _ = cones.reciprocity_numerator(rs, q_mask)
+        num = num * IntPoly.one_minus_t(*(self.weights[i] for i in range(
+            rs.rank) if (q_mask >> i) & 1))
+        k = rs.longest_length(rs.full_mask) - rs.longest_length(q_mask)
+        if any(num.coeffs[:k]):
+            raise AssertionError(f"shift left a genuine pole: {num} / t^{k}")
+        return IntPoly(num.coeffs[k:])
 
+    @_memo
     def _conj_by_w0(self, mask):
         out = self.table.conj_subset_signed(self._w0, mask)
         if out is None:
@@ -56,6 +71,7 @@ class AffinePipeline:
                 f"w_0 does not permute {self.rs.ids_of(mask)} up to sign")
         return out
 
+    @_memo
     def _conj_for(self, q_mask, qp_mask):
         """w_0 w_Q' Q w_Q' w_0 for Q within Q'."""
         if q_mask & ~qp_mask:
@@ -68,89 +84,99 @@ class AffinePipeline:
                                  f"outside Q'={self.rs.ids_of(qp_mask)}")
         return out
 
-    # -- assembled series ----------------------------------------------
+    def _column(self, q_mask, qp_mask, j_mask):
+        """The finite coset series against the conjugated Q' column."""
+        return self.table.p_poly(self._conj_for(q_mask, qp_mask), j_mask,
+                                 self._conj_by_w0(qp_mask))
 
-    def p_affine_S(self, q_mask, j_mask):
+    @_memo
+    def _affine_num(self, q_mask, j_mask):
         """p_{Q,J,S}: sum over Q' containing Q of a finite coset series
         against the K = conjugated Q' column, times p_SS(Q')."""
-        key = (q_mask, j_mask)
-        hit = self._maff.get(key)
-        if hit is None:
-            acc = RatFun.zero()
-            for qp in self.rs.subsets():
-                if q_mask & ~qp:
-                    continue
-                fin = self.table.p_poly(self._conj_for(q_mask, qp), j_mask,
-                                        self._conj_by_w0(qp))
-                if not fin.is_zero():
-                    acc = acc + RatFun(fin) * self.p_ss(qp)
-            self._maff[key] = hit = acc
-        return hit
+        return poly_sum(self._column(q_mask, qp, j_mask) * self._ss_num(qp)
+                        for qp in self.rs.subsets() if not q_mask & ~qp)
+
+    @_memo
+    def _full_num(self, q_mask, j_mask, k_mask):
+        """p_{Q,J,K}, computed along both reduction paths, which must
+        agree."""
+        subs = self.rs.subsets()
+        row = [(qp, self.table.p_poly(q_mask, qp, k_mask)) for qp in subs]
+        row = [(qp, fin) for qp, fin in row if not fin.is_zero()]
+        # path 1: row of M_{K,S} times the assembled S-column
+        acc1 = poly_sum(fin * self._affine_num(qp, j_mask) for qp, fin in row)
+        # path 2: the double sum, gathered by Q'' before its p_SS(Q'')
+        acc2 = poly_sum(poly_sum(fin * self._column(qp, qpp, j_mask)
+                                 for qp, fin in row if not qp & ~qpp)
+                        * self._ss_num(qpp) for qpp in subs)
+        if acc1 != acc2:
+            raise AssertionError(
+                f"reduction paths disagree for Q={self.rs.ids_of(q_mask)}, "
+                f"J={self.rs.ids_of(j_mask)}, K={self.rs.ids_of(k_mask)}: "
+                f"{acc1} vs {acc2} over {self.den}")
+        return acc1
+
+    @_memo
+    def _double_num(self, j_mask, k_mask):
+        return poly_sum(self._full_num(q, j_mask, k_mask)
+                        for q in self.rs.subsets(k_mask))
+
+    # -- reported series: one normalized RatFun each -----------------------
+
+    @_memo
+    def p_ss(self, q_mask):
+        """p_SS(Q), the full-group double cosets with pattern Q."""
+        return RatFun(self._ss_num(q_mask), self.den)
+
+    @_memo
+    def p_affine_S(self, q_mask, j_mask):
+        """p_{Q,J,S}, one entry of the affine series matrix."""
+        return RatFun(self._affine_num(q_mask, j_mask), self.den)
 
     def matrix_M_affine(self):
         subs = self.rs.subsets()
         entries = [[self.p_affine_S(q, j) for j in subs] for q in subs]
         return PolyMatrix(subs, subs, entries)
 
+    @_memo
     def p_full(self, q_mask, j_mask, k_mask):
-        """p_{Q,J,K}, computed along both reduction paths and asserted
-        equal."""
-        key = (q_mask, j_mask, k_mask)
-        hit = self._pfull.get(key)
-        if hit is not None:
-            return hit
-        if q_mask & ~k_mask:
-            hit = RatFun.zero()
-            self._pfull[key] = hit
-            return hit
-        # path 1: row of M_{K,S} times the assembled S-column
-        acc1 = RatFun.zero()
-        for qp in self.rs.subsets():
-            fin = self.table.p_poly(q_mask, qp, k_mask)
-            if not fin.is_zero():
-                acc1 = acc1 + RatFun(fin) * self.p_affine_S(qp, j_mask)
-        # path 2: fully expanded double sum
-        acc2 = RatFun.zero()
-        for qp in self.rs.subsets():
-            fin1 = self.table.p_poly(q_mask, qp, k_mask)
-            if fin1.is_zero():
-                continue
-            for qpp in self.rs.subsets():
-                if qp & ~qpp:
-                    continue
-                fin2 = self.table.p_poly(self._conj_for(qp, qpp), j_mask,
-                                         self._conj_by_w0(qpp))
-                if not fin2.is_zero():
-                    acc2 = acc2 + (RatFun(fin1) * RatFun(fin2)
-                                   * self.p_ss(qpp))
-        if acc1 != acc2:  # an explicit raise, so that it survives -O
-            raise AssertionError(
-                f"reduction paths disagree for Q={self.rs.ids_of(q_mask)}, "
-                f"J={self.rs.ids_of(j_mask)}, K={self.rs.ids_of(k_mask)}: "
-                f"{acc1} vs {acc2}")
-        self._pfull[key] = acc1
-        return acc1
+        """p_{Q,J,K}, the Q-stratum of the (W_J, W_K) double cosets."""
+        return RatFun(self._full_num(q_mask, j_mask, k_mask), self.den)
 
+    @_memo
     def double_coset_series(self, j_mask, k_mask):
-        acc = RatFun.zero()
-        for q in self.rs.subsets(k_mask):
-            acc = acc + self.p_full(q, j_mask, k_mask)
-        return acc
+        return RatFun(self._double_num(j_mask, k_mask), self.den)
 
     def group_series(self):
         return self.double_coset_series(0, 0)
 
+    @_memo
     def normalizer_series(self, j_mask):
-        return RatFun(self.table.poincare(j_mask)) * self.p_full(
-            j_mask, j_mask, j_mask)
+        return RatFun(self.table.poincare(j_mask)
+                      * self._full_num(j_mask, j_mask, j_mask), self.den)
+
+    def refuse_large_enumeration(self, max_length):
+        """ValueError when more than MAX_BFS_ELEMENTS elements have length
+        <= max_length: at least one per length, the rest counted from
+        the group series in doubling steps, before any enumeration."""
+        count, n = max_length + 1, 0
+        while count <= MAX_BFS_ELEMENTS and n < max_length:
+            n = min(max(2 * n, 64), max_length)
+            count = max(count, sum(expand(self.group_series(), n)))
+        if count > MAX_BFS_ELEMENTS:
+            raise ValueError(f"length {max_length} covers at least {count} "
+                             f"affine {self.rs.label} elements, over the "
+                             f"enumeration bound {MAX_BFS_ELEMENTS}")
 
     # -- identity suite -------------------------------------------------
 
     def affine_identity_checks(self, degree=20):
-        """Exact identity checks (the truncation degree only applies to
-        the reported expansions).  Returns (name, ok, detail) triples."""
+        """Exact identity checks on the numerators over D (the truncation
+        degree only applies to the reported expansions).  Returns
+        (name, ok, detail) triples."""
         rs = self.rs
-        wt = self.group_series()
+        wt_num = self._double_num(0, 0)
+        w_poly = {m: self.table.poincare(m) for m in rs.subsets()}
 
         def alternating_sum_zero():
             # alternating sum over all generator subsets, including those
@@ -163,22 +189,11 @@ class AffinePipeline:
                     term = RatFun.one()
                 else:
                     ids = [g for g in range(n1) if (bits >> g) & 1]
-                    term = wt / RatFun(self.aff.parabolic_poincare(ids))
+                    term = (self.group_series()
+                            / RatFun(self.aff.parabolic_poincare(ids)))
                 acc = acc + signed(term, bits)
             yield f"sum = {acc}", acc.is_zero()
 
-        def coset_partition_sum():
-            # full-group series recovered from any double-coset partition
-            for j in rs.subsets():
-                for k in rs.subsets():
-                    acc = RatFun.zero()
-                    wj = RatFun(self.table.poincare(j))
-                    wk = RatFun(self.table.poincare(k))
-                    for q in rs.subsets(k):
-                        acc = acc + (wj * wk
-                                     / RatFun(self.table.poincare(q))
-                                     * self.p_full(q, j, k))
-                    yield f"J={rs.ids_of(j)}, K={rs.ids_of(k)}", acc == wt
 
         def alternating_reduction():
             # alternating reduction in the affine group
@@ -188,16 +203,11 @@ class AffinePipeline:
                     qp = self.table.conj_subset_signed(v, q)
                     shift = self.table.lengths[v]
                     for j in rs.subsets():
-                        lhs = RatFun.zero()
-                        for h in rs.subsets(k):
-                            if q & ~h:
-                                continue
-                            for r in rs.subsets(h):
-                                if q & ~r:
-                                    continue
-                                lhs = lhs + signed(self.p_full(r, j, h),
-                                                   h & ~q)
-                        rhs = monomial_shift(self.p_full(qp, j, k), shift)
+                        lhs = poly_sum(
+                            signed(self._full_num(r, j, h), h & ~q)
+                            for h in rs.subsets(k) if not q & ~h
+                            for r in rs.subsets(h) if not q & ~r)
+                        rhs = self._full_num(qp, j, k).shift(shift)
                         yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
                                f"K={rs.ids_of(k)}", lhs == rhs)
 
@@ -206,20 +216,26 @@ class AffinePipeline:
                 for k in rs.subsets():
                     yield f"J={rs.ids_of(j)}, K={rs.ids_of(k)}", test(j, k)
 
+        def partition(j, k):
+            # full-group series recovered from any double-coset partition;
+            # W_K / W_Q is a polynomial for Q within K
+            return wt_num == poly_sum(
+                w_poly[j] * poly_exact_div(w_poly[k], w_poly[q])
+                * self._full_num(q, j, k) for q in rs.subsets(k))
+
         def nonnegative(j, k):
             # every reported series is a power series with nonnegative
             # integer coefficients
-            coeffs = expand(self.double_coset_series(j, k), degree)
+            coeffs = expand(self._double_num(j, k), degree, self.den)
             return all(isinstance(c, int) and c >= 0 for c in coeffs)
 
         def symmetric(j, k):
             # inversion symmetry of the double-coset series
-            return (self.double_coset_series(j, k)
-                    == self.double_coset_series(k, j))
+            return self._double_num(j, k) == self._double_num(k, j)
 
         return run_checks([
             ("alternating-sum-zero", alternating_sum_zero()),
-            ("coset-partition-sum", coset_partition_sum()),
+            ("coset-partition-sum", pairs(partition)),
             ("alternating-reduction", alternating_reduction()),
             ("nonnegative-expansion", pairs(nonnegative)),
             ("inversion-symmetry", pairs(symmetric)),
@@ -230,6 +246,7 @@ class AffinePipeline:
     def verify_against_oracle(self, max_length):
         """Compare every assembled series against the brute-force group
         enumeration.  Returns (name, ok, detail) triples."""
+        self.refuse_large_enumeration(max_length)
         rs = self.rs
         subs = rs.subsets()
         cosets, counts = self.aff.oracle_scan(

@@ -5,12 +5,21 @@ from itertools import count
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxgrowth import ratfun
-from coxgrowth.ratfun import (IntPoly, RatFun, expand, monomial_shift,
+from coxgrowth.ratfun import (IntPoly, RatFun, expand,
                               poly_gcd, poly_exact_div,
-                              factored_den, poly_str)
+                              poly_sum, factored_den, poly_str)
+
+
+def monomial_shift(r, d):
+    """r * t^d in the field of rational functions; d may be negative.  A
+    reference: the series pipeline divides its numerators by t^k
+    instead."""
+    if d >= 0:
+        return RatFun(r.num.shift(d), r.den)
+    return RatFun(r.num, r.den.shift(-d))
 
 
 coeffs = st.lists(st.integers(-9, 9), max_size=8)
@@ -198,7 +207,7 @@ class TestRatFun:
         assert r.as_poly() == IntPoly((1, 1))
         # denominator kept with positive lowest coefficient
         r = RatFun(IntPoly((1,)), IntPoly((-1, -1)))
-        assert r.den.constant_term() > 0
+        assert r.den[0] > 0
 
     def test_content_reduced(self):
         r = RatFun(IntPoly((2, 4)), IntPoly((6,)))
@@ -239,7 +248,7 @@ class TestRatFun:
         r = RatFun(IntPoly.one(), IntPoly.one_minus_t(3))
         assert expand(r, 7) == [1, 0, 0, 1, 0, 0, 1, 0]
 
-    @given(polys, nonzero_polys.filter(lambda p: p.constant_term() != 0))
+    @given(polys, nonzero_polys.filter(lambda p: p[0] != 0))
     @settings(max_examples=80, deadline=None)
     def test_expand_matches_product(self, n, d):
         r = RatFun(n, d)
@@ -253,6 +262,31 @@ class TestRatFun:
     def test_expand_pole_at_zero(self):
         with pytest.raises(ValueError):
             expand(RatFun(IntPoly.one(), IntPoly((0, 1))), 3)
+
+    @given(polys, st.lists(st.integers(1, 6), max_size=3),
+           st.lists(small_factors, max_size=2))
+    def test_expand_over_den_needs_no_normal_form(self, num, ks, factors):
+        # a numerator and denominator sharing factors expand like the
+        # normalized quotient
+        common = _product([], factors)
+        assume(common[0] in (1, -1))
+        den = IntPoly.one_minus_t(*ks)
+        assert (expand(num * common, 12, den * common)
+                == expand(RatFun(num, den), 12))
+
+    @given(st.lists(polys, max_size=5))
+    def test_poly_sum(self, ps):
+        acc = IntPoly.zero()
+        for p in ps:
+            acc = acc + p
+        assert poly_sum(ps) == acc
+        assert poly_sum(iter(ps)) == acc
+
+    @given(st.lists(st.integers(1, 12), max_size=4))
+    def test_one_minus_t_of_several(self, ks):
+        assert IntPoly.one_minus_t(*ks) == _product(ks, [])
+        with pytest.raises(ValueError):
+            IntPoly.one_minus_t(*ks, 0)
 
     def test_monomial_shift(self):
         r = RatFun(IntPoly.one(), IntPoly.one_minus_t(2))

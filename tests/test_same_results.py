@@ -7,7 +7,9 @@ fq digests were recorded at commit 71de8a0, before the residue
 enumeration of parallelepipeds and the reciprocity form of f_Q replaced
 the box scan and the inclusion-exclusion.  The G2 verify and B2 oracle
 digests were recorded at commit 5def361, before one scan over the
-enumeration replaced the per-(J, K) classification.  A change that alters
+enumeration replaced the per-(J, K) classification.  The A4 and F4 matrix
+digests were recorded at commit f7c20cf, before the series were carried
+as integer numerators over one fixed denominator.  A change that alters
 any of these bytes must say so and re-record the digest."""
 
 import hashlib
@@ -51,6 +53,10 @@ DIGESTS = [
      "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
     ("oracle --type B2 --J 1 --K 1,2 --max-length 30 --format json",
      "39b6ab5a3b52d9a55ccb8e1e95b9ca95ab75bb42ed6cdfa610f36de6980a4e01"),
+    ("matrix --type A4 --format json",
+     "e7eed9a0852facf6dd191c98096656d2a618479b29c62e57f3041873f29c257b"),
+    ("matrix --type F4 --format json",
+     "a72907bcc88dfb755d7c55391b775f5d5087c293dde1fcd68a27083c19dade87"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Assembled affine double-coset series."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,63 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label, get_pipeline
-from coxgrowth.ratfun import IntPoly, RatFun, expand, monomial_shift
+from coxgrowth.cones import f_q
+from coxgrowth.ratfun import IntPoly, RatFun, expand
+from test_ratfun import monomial_shift
+
+
+class ReferenceAssembly:
+    """The assembly as sums of normalized RatFuns, every `+` running a
+    gcd, with the subset conjugations recomputed from the table on each
+    use: p_SS(Q) by a monomial shift of f_Q, p_{Q,J,S} and both
+    reduction paths of p_{Q,J,K} term by term.  The pipeline carries the
+    same sums as integer numerators over one fixed denominator."""
+
+    def __init__(self, pl):
+        self.rs, self.table = pl.rs, pl.table
+        self.w0 = self.table.longest_idx
+
+    def conj_by_w0(self, mask):
+        return self.table.conj_subset_signed(self.w0, mask)
+
+    def conj_for(self, q_mask, qp_mask):
+        u = self.table.mul(self.w0, self.table.longest_element(qp_mask))
+        return self.table.conj_subset_signed(u, q_mask)
+
+    def p_ss(self, q_mask):
+        rs = self.rs
+        shift = rs.longest_length(q_mask) - rs.longest_length(rs.full_mask)
+        return monomial_shift(f_q(rs, q_mask), shift)
+
+    def p_affine_S(self, q_mask, j_mask):
+        acc = RatFun.zero()
+        for qp in self.rs.subsets():
+            if q_mask & ~qp:
+                continue
+            fin = self.table.p_poly(self.conj_for(q_mask, qp), j_mask,
+                                    self.conj_by_w0(qp))
+            if not fin.is_zero():
+                acc = acc + RatFun(fin) * self.p_ss(qp)
+        return acc
+
+    def p_full(self, q_mask, j_mask, k_mask):
+        if q_mask & ~k_mask:
+            return RatFun.zero()
+        acc1 = RatFun.zero()
+        acc2 = RatFun.zero()
+        for qp in self.rs.subsets():
+            fin1 = self.table.p_poly(q_mask, qp, k_mask)
+            if fin1.is_zero():
+                continue
+            acc1 = acc1 + RatFun(fin1) * self.p_affine_S(qp, j_mask)
+            for qpp in self.rs.subsets():
+                if qp & ~qpp:
+                    continue
+                fin2 = self.table.p_poly(self.conj_for(qp, qpp), j_mask,
+                                         self.conj_by_w0(qpp))
+                acc2 = acc2 + RatFun(fin1 * fin2) * self.p_ss(qpp)
+        assert acc1 == acc2
+        return acc1
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +154,39 @@ class TestStructure:
                     assert all(isinstance(c, int) and c >= 0 for c in cs)
 
     def test_shift_consistency(self, pa2):
-        # p_SS(Q) relates to f_Q by the longest-length shift
+        # the numerator of p_SS(Q) over D is f_Q shifted by the
+        # difference of the longest lengths
         rs = pa2.rs
-        from coxgrowth.cones import f_q
         for q in rs.subsets():
             shift = rs.longest_length(q) - rs.longest_length(rs.full_mask)
+            assert (RatFun(pa2._ss_num(q), pa2.den)
+                    == monomial_shift(f_q(rs, q), shift))
             assert pa2.p_ss(q) == monomial_shift(f_q(rs, q), shift)
+
+
+class TestReferenceAssembly:
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+    def test_every_entry_rank_le_2(self, label):
+        pl = get_pipeline(build_label(label))
+        ref = ReferenceAssembly(pl)
+        subs = pl.rs.subsets()
+        for q in subs:
+            assert pl.p_ss(q) == ref.p_ss(q), (label, q)
+            for j in subs:
+                assert pl.p_affine_S(q, j) == ref.p_affine_S(q, j)
+                for k in subs:
+                    assert pl.p_full(q, j, k) == ref.p_full(q, j, k), (
+                        label, q, j, k)
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+    def test_every_affine_column_rank_3(self, label):
+        pl = get_pipeline(build_label(label))
+        ref = ReferenceAssembly(pl)
+        subs = pl.rs.subsets()
+        for q in subs:
+            for j in subs:
+                assert pl.p_affine_S(q, j) == ref.p_affine_S(q, j), (
+                    label, q, j)
 
 
 class TestOracleAgreement:
@@ -126,14 +210,30 @@ class TestOracleAgreement:
             assert (expand(pl.p_full(q, j, k), 8)
                     == bins.get(q, [0] * 9)), (label, q, j, k)
 
+    def test_e6_series_matches_oracle(self):
+        # the expanded E6 series against the enumeration, each command in
+        # a process of its own
+        series = _run_python(["-m", "coxgrowth.cli", "series", "--type",
+                              "E6", "--J", "1", "--K", "2", "--expand", "8",
+                              "--format", "json"], timeout=30)
+        oracle = _run_python(["-m", "coxgrowth.cli", "oracle", "--type",
+                              "E6", "--J", "1", "--K", "2", "--max-length",
+                              "8", "--format", "json"], timeout=30)
+        assert series.returncode == 0, series.stderr
+        assert oracle.returncode == 0, oracle.stderr
+        total = json.loads(oracle.stdout)["total"]
+        assert len(total) == 9 and all(c > 0 for c in total)
+        assert json.loads(series.stdout)["expansion"] == total
 
-# Puts a wrong value into one A2 p_{Q',J,S} entry that path 1 of p_full
-# reads, then requires the dual-path comparison to raise.  Exit codes:
-# 0 raised, 1 did not raise, 3 asserts were not stripped.
+
+# Puts a wrong numerator into the cached A2 p_{Q',J,S} entry that path 1
+# of p_full reads, then requires the dual-path comparison to raise.  Exit
+# codes: 0 raised, 1 did not raise, 3 asserts were not stripped, 4 the
+# wrong numerator did not reach the cache.
 _FAULT_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label, get_pipeline
-    from coxgrowth.ratfun import RatFun
+    from coxgrowth.ratfun import IntPoly
     if __debug__:
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
@@ -141,7 +241,10 @@ _FAULT_SCRIPT = textwrap.dedent("""
     q, j, k = 0, rs.mask_of([1]), rs.full_mask
     qp = next(m for m in rs.subsets()
               if not pl.table.p_poly(q, m, k).is_zero())
-    pl._maff[(qp, j)] = pl.p_affine_S(qp, j) + RatFun.one()
+    bad = pl._affine_num(qp, j) + IntPoly.one()
+    rs._derived[("_affine_num", qp, j)] = bad
+    if pl._affine_num(qp, j) != bad:
+        sys.exit(4)
     try:
         pl.p_full(q, j, k)
     except AssertionError as exc:
@@ -157,7 +260,7 @@ _FAULT_SCRIPT = textwrap.dedent("""
 _CHECKS_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label, cones, get_pipeline
-    from coxgrowth.ratfun import IntPoly, RatFun
+    from coxgrowth.ratfun import IntPoly
     if __debug__:
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
@@ -180,7 +283,7 @@ _CHECKS_SCRIPT = textwrap.dedent("""
     del pl._conj_by_w0
     pl.table.conj_subset_signed = lambda idx, mask: None
     expect("w0", lambda: pl._conj_by_w0(rs.mask_of([1])))
-    cones.f_q = lambda rs, q: RatFun(IntPoly.one(), IntPoly.t_power(1))
+    cones.reciprocity_numerator = lambda rs, q: (IntPoly.one(), [])
     expect("pole", lambda: pl.p_ss(0))
     sys.exit(0 if raised == 4 else 1)
 """)
