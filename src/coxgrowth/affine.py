@@ -15,8 +15,8 @@ The action convention is the one under which a generator s_a lengthens x
 on the right exactly when x sends the simple affine root a to a positive
 affine root; this duality is asserted in the tests against BFS depths.
 The package itself multiplies only by generators (`mul_gen`); the
-general product, the inverse, the root action and the inversion sets
-are reference implementations in the tests.
+general product, the inverse, the root action, the inversion sets and
+the closure of a parabolic are reference implementations in the tests.
 
 Generators are numbered 1..n for the finite simple reflections and 0 for
 the extra affine reflection, whose (w, v) pair is (reflection in the
@@ -29,17 +29,19 @@ x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
 w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
 Minimality in a (W_J, W_K) double coset, Q and normalizing W_J are mask
 tests on that profile, so one scan, with lengths from the BFS depths,
-fills the bins of every (J, K) and every normalizer count.
+fills the bins of every (J, K) and every normalizer count.  Root heights
+give every Poincare series, Bott's W(t) / prod (1 - t^e) included.
 """
 
 from __future__ import annotations
 
-from .ratfun import IntPoly
+from collections import defaultdict
+
+from .ratfun import IntPoly, expand
 from . import rootsystem
 from .finite import get_table
 
 MAX_BFS_ELEMENTS = 3 * 10 ** 6
-MAX_PARABOLIC_ORDER = 200000
 
 
 def affine_root_positive(root_sign, level):
@@ -101,7 +103,21 @@ class AffineWeyl:
 
     def bfs_enumerate(self, max_length):
         """(elements in BFS order, {element: length}) up to max_length;
-        each BFS depth is checked against the closed-form length."""
+        each BFS depth is checked against the closed-form length.  First
+        refuses a ball of over MAX_BFS_ELEMENTS elements: one per length,
+        the rest counted from Bott's series in doubling steps."""
+        rs = self.rs
+        num = rs.poincare(rs.full_mask)
+        den = IntPoly.one_minus_t(*rootsystem.exponents(
+            map(sum, self._pos_roots)))
+        count, n = max_length + 1, 0
+        while count <= MAX_BFS_ELEMENTS and n < max_length:
+            n = min(max(2 * n, 64), max_length)
+            count = max(count, sum(expand(num, n, den)))
+        if count > MAX_BFS_ELEMENTS:
+            raise ValueError(f"length {max_length} covers at least {count} "
+                             f"affine {rs.label} elements, over the "
+                             f"enumeration bound {MAX_BFS_ELEMENTS}")
         start = self.identity()
         seen = {start: 0}
         order = [start]
@@ -115,7 +131,10 @@ class AffineWeyl:
                     y = self.mul_gen(x, g)
                     if y in seen:
                         continue
-                    _check_depth(y, depth, self.length(y))
+                    length = self.length(y)
+                    if length != depth:     # an explicit raise survives -O
+                        raise AssertionError(f"BFS depth {depth} != closed-"
+                                             f"form length {length} of {y}")
                     seen[y] = depth
                     order.append(y)
                     nxt.append(y)
@@ -125,33 +144,24 @@ class AffineWeyl:
         return order, seen
 
     def parabolic_poincare(self, gen_ids):
-        """Poincare polynomial of the (finite) subgroup generated by a
-        proper subset of the n+1 generators, by closure."""
-        gen_ids = sorted(set(gen_ids))
+        """Poincare polynomial of the finite group generated by a proper
+        subset I of the n+1 generators, from the heights of its positive
+        roots: (beta, 0) for beta > 0 on F = I - {0}, of height ht beta,
+        and if 0 is in I, (beta, 1) for theta + beta (>= 0, as theta is
+        highest) supported on F, of height 1 + ht(theta + beta); a
+        generator outside I bounds the level by 1."""
+        gen_ids = set(gen_ids)
         if len(gen_ids) > self.n:
             raise ValueError("proper subsets only")
-        start = self.identity()
-        seen = {start: 0}
-        frontier = [start]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for g in gen_ids:
-                    y = self.mul_gen(x, g)
-                    if y in seen:
-                        continue
-                    _check_depth(y, depth, self.length(y))
-                    seen[y] = depth
-                    nxt.append(y)
-                    if len(seen) > MAX_PARABOLIC_ORDER:
-                        raise ValueError("parabolic subgroup too large")
-            frontier = nxt
-        coeffs = [0] * (depth + 1)
-        for l in seen.values():
-            coeffs[l] += 1
-        return IntPoly(coeffs)
+        rs = self.rs
+        f_mask = rs.mask_of(gen_ids - {0})
+        heights = [sum(root) for root, _ in rs.positive_roots_of(f_mask)]
+        if 0 in gen_ids:
+            for beta in rs.roots:
+                up = [a + b for a, b in zip(rs.highest_root, beta)]
+                if all(c == 0 or (f_mask >> i) & 1 for i, c in enumerate(up)):
+                    heights.append(1 + sum(up))
+        return rootsystem.poincare_of(heights)
 
     # -- classification -------------------------------------------------
 
@@ -196,7 +206,8 @@ class AffineWeyl:
         else:
             length = self.length
         size = max_length + 1
-        cosets = {pair: ({}, [0] * size) for pair in pairs}
+        cosets = {pair: (defaultdict(lambda: [0] * size), [0] * size)
+                  for pair in pairs}
         counts = {j: [0] * size for j in j_masks}
         for x in elements:
             l = length(x)
@@ -206,12 +217,12 @@ class AffineWeyl:
             for (j, k), (bins, total) in cosets.items():
                 q = coset_pattern(profile, j, k)
                 if q is not None:
-                    bins.setdefault(q, [0] * size)[l] += 1
+                    bins[q][l] += 1
                     total[l] += 1
             for j, c in counts.items():
                 if normalizes(profile, j):
                     c[l] += 1
-        return cosets, counts
+        return {p: (dict(b), t) for p, (b, t) in cosets.items()}, counts
 
     def oracle_series(self, j_mask, k_mask, max_length, elements=None):
         """Bins t^l(x) of minimal double-coset representatives by Q.
@@ -223,13 +234,6 @@ class AffineWeyl:
         """Truncated growth count of the full normalizer of W_J."""
         return self.oracle_scan(max_length, [], [j_mask],
                                 elements)[1][j_mask]
-
-
-def _check_depth(x, depth, length):
-    # an explicit raise, so that the check survives -O
-    if depth != length:
-        raise AssertionError(
-            f"BFS depth {depth} != closed-form length {length} of {x}")
 
 
 def coset_pattern(profile, j_mask, k_mask):

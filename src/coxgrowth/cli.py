@@ -115,7 +115,7 @@ def cmd_finite(args):
     if args.what == "poincare":
         _emit({"type": rs.label, "subset": rs.ids_of(sp),
                "order": table.order,
-               "poincare": _fmt(table.poincare(), args.format)},
+               "poincare": _fmt(rs.poincare(sp), args.format)},
               args.format)
         return 0
     if args.what == "pmatrix":
@@ -203,7 +203,6 @@ def cmd_oracle(args):
     aff = get_affine(rs)
     j = rs.mask_of(_parse_ids(args.J))
     k = rs.mask_of(_parse_ids(args.K))
-    get_pipeline(rs).refuse_large_enumeration(args.max_length)
     bins, total = aff.oracle_series(j, k, args.max_length)
     out = {"type": rs.label, "J": rs.ids_of(j), "K": rs.ids_of(k),
            "max_length": args.max_length,

@@ -7,11 +7,11 @@ x(beta_b), so x sends beta_b to a negative root when perm[b] >= N.  The
 product x*s_i is perm composed with the permutation of s_i, and since
 w(alpha)^vee = w(alpha^vee) the same permutation acts on the coroots.
 
-Lengths come from BFS depth.  The order of W_J, the product of
-(ht(alpha) + 1) / ht(alpha) over the positive roots of J, is known
-beforehand: a table over the bound is refused before the BFS, and the
-BFS order is checked against it.  Ascent sets and simple-root images are
-index lookups cached per element, so the coset sums are linear scans.
+Lengths come from BFS depth.  The Poincare polynomial of W_J is known
+in closed form: a table whose order, its value at 1, is over the bound
+is refused before the BFS, and the BFS lengths are checked against it.
+Ascent sets and simple-root images are index lookups cached per
+element, so the coset sums are linear scans.
 
 Series computed here:
 
@@ -26,6 +26,7 @@ every R at once.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import itemgetter
 
 from .ratfun import IntPoly, RatFun
@@ -42,11 +43,11 @@ class GroupTable:
             mask = rs.full_mask
         self.rs = rs
         self.mask = mask
-        order = rs.group_order(mask)
-        if order > MAX_GROUP_ORDER:
+        poincare = rs.poincare(mask)
+        if poincare(1) > MAX_GROUP_ORDER:
             raise ValueError(f"{rs.label} parabolic {rs.ids_of(mask)} has "
-                             f"group order {order}, over the table bound "
-                             f"{MAX_GROUP_ORDER}")
+                             f"group order {poincare(1)}, over the table "
+                             f"bound {MAX_GROUP_ORDER}")
         # x*s_i sends beta_b to x(s_i beta_b), so its permutation is
         # x's composed with that of s_i
         gens = {i: itemgetter(*rs.reflection(rs.roots[s], rs.coroots[s]))
@@ -56,8 +57,10 @@ class GroupTable:
         self.lengths = [0]
         self.index = {ident: 0}
         self.rmult = [dict()]
+        histogram = []  # the size of each BFS level
         frontier = [0]
         while frontier:
+            histogram.append(len(frontier))
             nxt = []
             for idx in frontier:
                 perm = self.perms[idx]
@@ -75,17 +78,14 @@ class GroupTable:
             frontier = nxt
 
         self.order = len(self.perms)
-        if self.order != order:
-            raise AssertionError(f"BFS found {self.order} elements, the "
-                                 f"closed form {order}")
+        # the closed form is monic, so the longest element is unique
+        if IntPoly(histogram) != poincare:
+            raise AssertionError(f"BFS length histogram {histogram} is not "
+                                 f"the closed form {poincare}")
+        self.longest_idx = self.lengths.index(poincare.degree)
         self._simple_pos = {s: i for i, s in enumerate(rs.simple_idx)}
         self._profiles()
         self._cosets = {}
-
-        lw = rs.longest_length(mask)
-        if max(self.lengths) != lw or self.lengths.count(lw) != 1:
-            raise AssertionError(f"no unique element of length {lw}")
-        self.longest_idx = self.lengths.index(lw)
 
     def _profiles(self):
         """Right and left ascent masks and simple-root images, read off
@@ -177,15 +177,7 @@ class GroupTable:
                                  "descents")
         return idx
 
-    # -- Poincare polynomials and coset series --------------------------
-
-    def poincare(self, mask=None):
-        if mask is None or mask == self.mask:
-            coeffs = [0] * (max(self.lengths) + 1)
-            for l in self.lengths:
-                coeffs[l] += 1
-            return IntPoly(coeffs)
-        return get_table(self.rs, mask).poincare()
+    # -- coset series ----------------------------------------------------
 
     def p_poly(self, q_mask, j_mask, k_mask):
         return self._coset_bins(j_mask, k_mask)[0].get(q_mask, _ZERO)
@@ -201,9 +193,9 @@ class GroupTable:
         hit = self._cosets.get(key)
         if hit is not None:
             return hit
-        size = max(self.lengths) + 1
-        p_bins = {}
-        h_bins = {}
+        size = self.lengths[self.longest_idx] + 1
+        p_bins = defaultdict(lambda: [0] * size)
+        h_bins = defaultdict(lambda: [0] * size)
         for idx in range(self.order):
             if self.lasc[idx] & j_mask != j_mask:
                 continue
@@ -224,9 +216,9 @@ class GroupTable:
                         r |= 1 << j
                 k &= k - 1
             length = self.lengths[idx]
-            p_bins.setdefault(q, [0] * size)[length] += 1
+            p_bins[q][length] += 1
             if r is not None:
-                h_bins.setdefault(r, [0] * size)[length] += 1
+                h_bins[r][length] += 1
         hit = ({q: IntPoly(c) for q, c in p_bins.items()},
                {r: IntPoly(c) for r, c in h_bins.items()})
         self._cosets[key] = hit
@@ -330,7 +322,7 @@ def identity_checks_finite(rs, sp_mask=None):
         sp_mask = rs.full_mask
     table = get_table(rs, sp_mask)
     subsets = rs.subsets(sp_mask)
-    w_poly = {m: RatFun(table.poincare(m)) for m in subsets}
+    w_poly = {m: RatFun(rs.poincare(m)) for m in subsets}
     wt = w_poly[sp_mask]
 
     def alternating_sum():

@@ -1,8 +1,8 @@
 """Exact polynomial and rational-function arithmetic over Z in one variable t.
 
-Normalization (gcd, exact division) and the expansion of every pipeline
-series use int arithmetic alone; only `expand`, for a denominator whose
-constant term is not +-1, makes Fractions.  Nothing uses floating point.
+Normalization (gcd, exact division) and expansion use int arithmetic
+alone; `expand` takes only denominators with constant term +-1, which
+every pipeline series has.  Nothing uses Fractions or floating point.
 IntPoly is a dense integer polynomial, RatFun a fully normalized
 quotient of two IntPoly values.  RatFun normalization is canonical, so
 structural equality coincides with equality of rational functions.  The
@@ -13,7 +13,6 @@ it, so it runs a gcd only once per reported series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -401,26 +400,23 @@ def expand(r, n, den=None):
     """Coefficients c_0..c_n of the power-series expansion at t=0 of the
     RatFun r, or of the IntPoly r over den, which need not be coprime.
 
-    Requires den(0) != 0.  When den(0) is +-1, which holds for every
-    pipeline series, the recurrence runs in ints alone (1/d0 == d0).
-    Otherwise entries are ints whenever exact, Fractions elsewhere.
+    Requires den(0) = +-1, as every pipeline series has (D(0) = 1), so the
+    recurrence runs in ints alone (1/d0 == d0); raises ValueError else.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     num, den = (r.num, r.den.coeffs) if den is None else (r, den.coeffs)
     d0 = den[0]
-    if d0 == 0:
-        raise ValueError("not a power series at 0 (denominator vanishes)")
-    unit = d0 in (1, -1)
+    if d0 not in (1, -1):
+        raise ValueError(f"expand needs a denominator with constant term "
+                         f"+-1, not {d0}")
     out = []
     for k in range(n + 1):
         acc = num[k]
         for i in range(1, min(k, len(den) - 1) + 1):
             acc -= den[i] * out[k - i]
-        out.append(acc * d0 if unit else Fraction(acc, d0))
-    if unit:
-        return out
-    return [int(c) if c.denominator == 1 else c for c in out]
+        out.append(acc * d0)
+    return out
 
 
 def factored_den(den):

@@ -10,12 +10,16 @@ matrix mediates every pairing:
 
 Generator subsets are bitmasks: bit i-1 stands for the i-th simple
 reflection (generators are numbered 1..n throughout the public API).
+W_J(t) is prod (1 + ... + t^e) over exponents e read off root heights.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+
+from .ratfun import IntPoly
 
 VALID_TYPES = "ABCDEFG"
 
@@ -132,6 +136,29 @@ def vec_gcd(v):
     for x in v:
         g = gcd(g, x)
     return g
+
+
+def exponents(heights):
+    """Exponents of a root system, reducible or not, from the heights of
+    its positive roots: #{ht = h} - #{ht = h + 1} of them equal h
+    (Humphreys, Reflection Groups and Coxeter Groups, 3.20)."""
+    count = Counter(heights)
+    out = []
+    for h in range(1, max(count, default=0) + 1):
+        k = count[h] - count[h + 1]
+        if k < 0:
+            raise AssertionError(f"{count[h + 1]} roots of height {h + 1} "
+                                 f"but {count[h]} of height {h}")
+        out += [h] * k
+    return out
+
+
+def poincare_of(heights):
+    """prod (1 + t + ... + t^e) over the exponents e of these heights."""
+    out = IntPoly.one()
+    for e in exponents(heights):
+        out = out * IntPoly((1,) * (e + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +342,9 @@ class RootSystem:
         """l(w_J) = number of positive roots of the parabolic J."""
         return len(self.positive_roots_of(mask))
 
-    def group_order(self, mask):
-        """|W_J|: the Poincare polynomial prod (1 - t^(ht+1)) / (1 - t^ht)
-        over the positive roots of J, evaluated at t = 1."""
-        num = den = 1
-        for root, _ in self.positive_roots_of(mask):
-            num *= sum(root) + 1
-            den *= sum(root)
-        return num // den
+    def poincare(self, mask):
+        """W_J(t), in closed form from the heights of the roots of J."""
+        return poincare_of(sum(r) for r, _ in self.positive_roots_of(mask))
 
     def subsets(self, mask=None):
         """All subsets of `mask` (default: all generators), ascending."""

@@ -8,6 +8,7 @@ import pytest
 from coxgrowth import build_label, rootsystem
 from coxgrowth.affine import (affine_root_positive, coset_pattern,
                               get_affine, normalizes)
+from coxgrowth.ratfun import IntPoly
 from test_finite import _is_unit_col, _root_sign, matcol, reference_table
 from test_series import _run_optimized
 
@@ -101,6 +102,28 @@ def inversion_set(aff, x):
     if len(out) != aff.length(x):
         raise AssertionError(f"{len(out)} inversions != length of {x}")
     return out
+
+
+def closure_poincare(aff, gen_ids):
+    """Poincare polynomial of the subgroup generated by gen_ids, by BFS
+    closure with every depth checked against the closed-form length."""
+    start = aff.identity()
+    seen = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gen_ids:
+                y = aff.mul_gen(x, g)
+                if y not in seen:
+                    seen[y] = seen[x] + 1
+                    assert aff.length(y) == seen[y], y
+                    nxt.append(y)
+        frontier = nxt
+    coeffs = [0] * (max(seen.values()) + 1)
+    for l in seen.values():
+        coeffs[l] += 1
+    return IntPoly(coeffs)
 
 
 def random_element(aff, rng, nsteps=12):
@@ -364,6 +387,18 @@ _DEPTH_SCRIPT = textwrap.dedent("""
         sys.exit(0)
     sys.exit(1)
 """)
+
+
+class TestParabolicPoincare:
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3",
+                                       "D4", "F4"])
+    def test_heights_match_the_closure(self, label):
+        aff = get_affine(build_label(label))
+        n1 = aff.n + 1
+        for bits in range((1 << n1) - 1):
+            ids = [g for g in range(n1) if (bits >> g) & 1]
+            assert (aff.parabolic_poincare(ids)
+                    == closure_poincare(aff, ids)), ids
 
 
 class TestExplicitChecks:

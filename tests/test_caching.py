@@ -60,6 +60,16 @@ def test_selftest_constructions(monkeypatch):
                       "AffinePipeline": 1}
 
 
+def test_oracle_assembles_no_series(monkeypatch, capsys):
+    # the enumeration is sized from Bott's series, not the pipeline's
+    counts = {}
+    count_inits(monkeypatch, AffinePipeline, counts)
+    assert main(["oracle", "--type", "A3", "--J", "1", "--K", "2",
+                 "--max-length", "6"]) == 0
+    assert "total" in capsys.readouterr().out
+    assert counts == {}
+
+
 def test_one_scan_per_table_j_k(monkeypatch):
     scans = []
     orig = GroupTable._coset_bins

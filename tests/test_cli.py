@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from coxgrowth import build_label, get_pipeline, series
+from coxgrowth import affine, build_label, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
 from coxgrowth.cli import main, run_selftest
 from coxgrowth.finite import MAX_GROUP_ORDER
@@ -82,7 +82,7 @@ class TestExitCodes:
          "--max-length", "100000"],
     ], ids=["verify-G2", "oracle-A3"])
     def test_huge_length_refused_before_enumerating(self, argv):
-        # the element count comes from the group series, so the refusal
+        # the element count comes from Bott's series, so the refusal
         # comes before the enumeration, well inside the timeout
         proc = _run_python(["-m", "coxgrowth.cli", *argv], timeout=10)
         assert proc.returncode == 2 and proc.stdout == ""
@@ -93,13 +93,13 @@ class TestExitCodes:
     def test_length_refusal_counts_exactly(self, monkeypatch, label):
         # with a small bound, the longest accepted length is the last one
         # whose ball, counted by the enumeration, fits under the bound
-        pl = get_pipeline(build_label(label))
-        elements, _ = pl.aff.bfs_enumerate(12)
+        aff = get_affine(build_label(label))
+        elements, _ = aff.bfs_enumerate(12)
         bound = len(elements) - 1
-        monkeypatch.setattr(series, "MAX_BFS_ELEMENTS", bound)
-        pl.refuse_large_enumeration(11)
+        monkeypatch.setattr(affine, "MAX_BFS_ELEMENTS", bound)
+        aff.bfs_enumerate(11)
         with pytest.raises(ValueError, match=f"at least {bound + 1} "):
-            pl.refuse_large_enumeration(12)
+            aff.bfs_enumerate(12)
 
     def test_verify_success(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "A1",

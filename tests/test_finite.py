@@ -236,7 +236,7 @@ class TestGroupTable:
 
     def test_poincare_palindromic(self, tables):
         for label, t in tables.items():
-            cs = t.poincare().coeffs
+            cs = t.rs.poincare(t.mask).coeffs
             assert list(cs) == list(reversed(cs))
             assert sum(cs) == t.order
 
@@ -269,8 +269,8 @@ class TestCosetSeries:
             rs = t.rs
             for j in rs.subsets():
                 quot = t.p_poly(0, j, 0)
-                sub = t.poincare(j)
-                assert quot * sub == t.poincare()
+                sub = rs.poincare(j)
+                assert quot * sub == rs.poincare(rs.full_mask)
 
     def test_double_coset_rep_count(self, tables):
         # the number of double cosets, counted directly as orbits, equals
@@ -344,15 +344,16 @@ class TestIdentitySuite:
             assert ok, f"{label} {name}: {detail}"
 
 
-# Breaks each check of the finite tables in turn, on fresh A2 tables, and
-# requires it to raise.  Exit codes: 0 all raised, 1 some did not raise,
-# 3 asserts were not stripped.
+# Breaks each check of the finite tables and of their closed form in turn,
+# on fresh A2 tables, and requires it to raise.  Exit codes: 0 all raised,
+# 1 some did not raise, 3 asserts were not stripped.
 _CHECKS_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import finite
     from coxgrowth.finite import (GroupTable, PolyMatrix, get_table,
                                   identity_checks_finite)
-    from coxgrowth.rootsystem import RootSystem
+    from coxgrowth.ratfun import IntPoly
+    from coxgrowth.rootsystem import RootSystem, exponents
     if __debug__:
         sys.exit(3)
     raised = 0
@@ -367,12 +368,14 @@ _CHECKS_SCRIPT = textwrap.dedent("""
         else:
             print(f"{name}: no error")
 
+    # A2 has W(t) = 1 + 2t + 2t^2 + t^3
     rs = RootSystem("A", 2)
-    rs.group_order = lambda mask: 5
-    expect("order", lambda: GroupTable(rs))
+    rs.poincare = lambda mask: IntPoly((1, 2, 3, 1))
+    expect("coefficient", lambda: GroupTable(rs))
     rs = RootSystem("A", 2)
-    rs.longest_length = lambda mask: 2
-    expect("unique", lambda: GroupTable(rs))
+    rs.poincare = lambda mask: IntPoly((1, 2, 1, 1, 1))
+    expect("degree", lambda: GroupTable(rs))
+    expect("exponents", lambda: exponents([1, 3]))
 
     rs = RootSystem("A", 2)
     one, full = rs.mask_of([1]), rs.full_mask
@@ -394,15 +397,18 @@ _CHECKS_SCRIPT = textwrap.dedent("""
     finite.run_checks = lambda checks: run_checks(
         [c for c in checks if c[0] != "p-alternating-reduction"])
     expect("h-conj", lambda: identity_checks_finite(rs))
-    sys.exit(0 if raised == 9 else 1)
+    sys.exit(0 if raised == 10 else 1)
 """)
 
 
 class TestExplicitChecks:
     def test_checks_raise_under_optimize(self):
         out = _run_optimized(_CHECKS_SCRIPT)
-        assert "order: BFS found 6 elements, the closed form 5" in out
-        assert "unique: no unique element of length 2" in out
+        assert ("coefficient: BFS length histogram [1, 2, 2, 1] is not the "
+                "closed form 1 + 2*t + 3*t^2 + t^3" in out)
+        assert ("degree: BFS length histogram [1, 2, 2, 1] is not the "
+                "closed form 1 + 2*t + t^2 + t^3 + t^4" in out)
+        assert "exponents: 1 roots of height 3 but 0 of height 2" in out
         assert "outside: [1, 2] is not inside the table's [1]" in out
         assert "inside: J=[1, 2] is not inside H=[1]" in out
         assert "matmul: matrix product: columns and rows differ" in out

@@ -1,6 +1,7 @@
 """No function without a caller: every function and class defined in the
-package is used by name somewhere outside the tests, and every attribute
-the package assigns on `self` is read somewhere outside the tests.
+package is used by name somewhere outside the tests, every attribute the
+package assigns on `self` is read somewhere outside the tests, and so is
+every constant it assigns at module level.
 
 The package, the demos and the benchmark harness (its own test files
 excluded) are parsed with `ast`.  A name counts as used when it is read
@@ -11,7 +12,8 @@ mentions a function is not a caller of it.  Dunder methods are called by
 the interpreter, not by name, and are not checked.  An attribute counts
 as read when it appears as an attribute outside an assignment target, or
 as an identifier inside such a string constant; assigning it is not a
-read.
+read.  A module-level constant counts as read when it is also read as a
+variable.
 """
 
 import ast
@@ -38,16 +40,19 @@ def _docstrings(tree):
 
 
 def used_names():
-    """(used, read): every name the users refer to, and those of them that
-    can read an attribute."""
+    """(used, read, loaded): every name the users refer to, those of them
+    that can read an attribute, and the variables they read."""
     used = set()
     read = set()
+    loaded = set()
     for directory in USERS:
         for _, tree in _parsed(directory):
             docstrings = _docstrings(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
+                    if not isinstance(node.ctx, ast.Store):
+                        loaded.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
                     if not isinstance(node.ctx, ast.Store):
@@ -58,7 +63,7 @@ def used_names():
                     found = IDENTIFIER.findall(node.value)
                     used.update(found)
                     read.update(found)
-    return used, read
+    return used, read, loaded
 
 
 def definitions():
@@ -82,17 +87,39 @@ def self_attributes():
                 yield f"{path.name}:{node.lineno}", node.attr
 
 
+def module_constants():
+    """(place, name) of every non-dunder name the package assigns at
+    module level."""
+    for path, tree in _parsed(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for name in ast.walk(target):
+                        if (isinstance(name, ast.Name)
+                                and not name.id.startswith("__")):
+                            yield f"{path.name}:{node.lineno}", name.id
+
+
 def test_every_definition_has_a_user():
-    used, _ = used_names()
+    used, _, _ = used_names()
     unused = [f"{place} {name}" for place, name in definitions()
               if name not in used]
     assert not unused, "defined but never used: " + ", ".join(unused)
 
 
 def test_every_attribute_is_read():
-    _, read = used_names()
+    _, read, _ = used_names()
     unread = [f"{place} {name}" for place, name in self_attributes()
               if name not in read]
+    assert not unread, "assigned but never read: " + ", ".join(unread)
+
+
+def test_every_constant_is_read():
+    _, read, loaded = used_names()
+    unread = [f"{place} {name}" for place, name in module_constants()
+              if name not in read | loaded]
     assert not unread, "assigned but never read: " + ", ".join(unread)
 
 
@@ -102,3 +129,4 @@ def test_the_scan_sees_the_package():
     assert {"GroupTable", "AffineWeyl", "poly_gcd", "main"} <= names
     attributes = {name for _, name in self_attributes()}
     assert {"perms", "rmult", "roots", "gens"} <= attributes
+    assert "MAX_GROUP_ORDER" in {name for _, name in module_constants()}

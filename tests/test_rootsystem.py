@@ -6,8 +6,11 @@ from math import gcd
 import pytest
 
 from coxgrowth import rootsystem
-from coxgrowth.rootsystem import (build_label, cartan_matrix,
+from coxgrowth.finite import get_table
+from coxgrowth.ratfun import IntPoly
+from coxgrowth.rootsystem import (build_label, cartan_matrix, exponents,
                                   parse_label, mat_vec, InvalidTypeError)
+from test_finite import parabolic_elements
 from test_series import _run_optimized
 
 
@@ -84,6 +87,32 @@ class TestRoots:
         for label in ALL_LABELS:
             rs = build_label(label)
             assert rs.longest_length(rs.full_mask) == POS_COUNTS[label]
+
+
+class TestPoincare:
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_closed_form_is_the_length_histogram(self, label):
+        # W_J counted inside the full table by closure under the
+        # generators of J, with lengths from the full table's BFS
+        rs = build_label(label)
+        t = get_table(rs)
+        for mask in rs.subsets():
+            members = parabolic_elements(t, mask)
+            hist = [0] * (max(t.lengths[x] for x in members) + 1)
+            for x in members:
+                hist[t.lengths[x]] += 1
+            assert rs.poincare(mask) == IntPoly(hist), (label, mask)
+
+    def test_exponents_of_e6(self):
+        rs = build_label("E6")
+        heights = [sum(root) for root, _ in rs.positive_roots]
+        assert exponents(heights) == [1, 4, 5, 7, 8, 11]
+
+    @pytest.mark.parametrize("label, order", [("E7", 2903040),
+                                              ("E8", 696729600)])
+    def test_order_of_e7_e8(self, label, order):
+        rs = build_label(label)
+        assert rs.poincare(rs.full_mask)(1) == order
 
 
 class TestConeGens:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from coxgrowth import build_label, get_pipeline
 from coxgrowth.cones import f_q
 from coxgrowth.ratfun import IntPoly, RatFun, expand
+from coxgrowth.rootsystem import exponents
 from test_ratfun import monomial_shift
 
 
@@ -90,6 +91,17 @@ class TestKnownSeries:
         want = RatFun(IntPoly((1, 1, 1)),
                       IntPoly.one_minus_t(1) * IntPoly.one_minus_t(1))
         assert pa2.group_series() == want
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3",
+                                       "B4", "C3", "D4", "F4", "G2"])
+    def test_bott_formula(self, label):
+        # W(t) / prod (1 - t^e) over the exponents e (Bott 1956)
+        pl = get_pipeline(build_label(label))
+        rs = pl.rs
+        heights = [sum(root) for root, _ in rs.positive_roots]
+        bott = RatFun(rs.poincare(rs.full_mask),
+                      IntPoly.one_minus_t(*exponents(heights)))
+        assert pl.group_series() == bott
 
     def test_full_double_coset_column(self, pa2):
         # p_{Q,S,S} is the shifted translation series
