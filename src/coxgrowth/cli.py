@@ -47,6 +47,14 @@ def _fmt(r, fmt):
     return _ratfun_text(r)
 
 
+def _matrix_layout(rs, m, fmt):
+    """The rows, columns and entries of a PolyMatrix, in this key order,
+    which the text format prints."""
+    return {"rows": [rs.ids_of(q) for q in m.rows],
+            "cols": [rs.ids_of(j) for j in m.cols],
+            "entries": [[_fmt(e, fmt) for e in row] for row in m.entries]}
+
+
 def _emit(obj, fmt):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
@@ -118,25 +126,14 @@ def cmd_finite(args):
                "poincare": _fmt(rs.poincare(sp), args.format)},
               args.format)
         return 0
-    if args.what == "pmatrix":
-        k = rs.mask_of(_parse_ids(args.K or ""))
-        m = matrix_M(rs, k, sp)
-        out = {"type": rs.label, "K": rs.ids_of(k),
-               "rows": [rs.ids_of(q) for q in m.rows],
-               "cols": [rs.ids_of(j) for j in m.cols],
-               "entries": [[_fmt(e, args.format) for e in row]
-                           for row in m.entries]}
-        _emit(out, args.format)
-        return 0
-    if args.what == "hmatrix":
-        j = rs.mask_of(_parse_ids(args.J or ""))
-        m = matrix_N(rs, j, sp)
-        out = {"type": rs.label, "J": rs.ids_of(j),
-               "rows": [rs.ids_of(r) for r in m.rows],
-               "cols": [rs.ids_of(k) for k in m.cols],
-               "entries": [[_fmt(e, args.format) for e in row]
-                           for row in m.entries]}
-        _emit(out, args.format)
+    if args.what in ("pmatrix", "hmatrix"):
+        # M_{K,S'} has rows Q within K, N_{J,S'} rows R within J
+        name, build = (("K", matrix_M) if args.what == "pmatrix"
+                       else ("J", matrix_N))
+        mask = rs.mask_of(_parse_ids(getattr(args, name) or ""))
+        _emit({"type": rs.label, name: rs.ids_of(mask),
+               **_matrix_layout(rs, build(rs, mask, sp), args.format)},
+              args.format)
         return 0
     # check
     return 0 if _print_report(identity_checks_finite(rs, sp)) else 1
@@ -187,14 +184,9 @@ def cmd_series(args):
 
 def cmd_matrix(args):
     rs = rootsystem.build_label(args.type)
-    pl = get_pipeline(rs)
-    m = pl.matrix_M_affine()
-    out = {"type": rs.label,
-           "rows": [rs.ids_of(q) for q in m.rows],
-           "cols": [rs.ids_of(j) for j in m.cols],
-           "entries": [[_fmt(e, args.format) for e in row]
-                       for row in m.entries]}
-    _emit(out, args.format)
+    m = get_pipeline(rs).matrix_M_affine()
+    _emit({"type": rs.label, **_matrix_layout(rs, m, args.format)},
+          args.format)
     return 0
 
 
@@ -301,22 +293,18 @@ def check_fixture(name, fx):
     return results
 
 
-def run_selftest(verbose=True):
-    def show(report, prefix):
-        if verbose:
-            return _print_report(report, prefix)
-        return all(ok for _, ok, _ in report)
-
+def run_selftest():
     all_ok = True
     for name, fx in _load_fixtures().items():
         report = [(item, ok, "") for item, ok in check_fixture(name, fx)]
-        all_ok = show(report, f"{name}:") and all_ok
+        all_ok = _print_report(report, f"{name}:") and all_ok
     for label in ["A2", "C2", "G2"]:
         rs = rootsystem.build_label(label)
-        all_ok = show(identity_checks_finite(rs), f"{label}:finite-") and all_ok
+        all_ok = (_print_report(identity_checks_finite(rs),
+                                f"{label}:finite-") and all_ok)
     rs = rootsystem.build_label("A2")
     report = get_pipeline(rs).affine_identity_checks(12)
-    return show(report, "A2:affine-") and all_ok
+    return _print_report(report, "A2:affine-") and all_ok
 
 
 def cmd_selftest(args):

@@ -21,7 +21,13 @@ Series computed here:
         K exactly onto those of R.
 
 Both stratify the same set, so one scan per (J, K) bins every Q and
-every R at once.
+every R at once; the bins are cached on the root system.
+
+The identity checks run on IntPoly alone, and the finite and affine
+suites share one implementation of each identity: `solomon_sum` (the
+alternating sum of W(t) / W_I(t), by exact division),
+`reduction_targets` (the conjugates Q' of Q by w(K, Q)) and
+`p_alternating_reduction`, which takes the p-series as a function.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 
-from .ratfun import IntPoly, RatFun
+from .ratfun import IntPoly, poly_exact_div, poly_sum
 
 
 MAX_GROUP_ORDER = 10 ** 6
@@ -85,7 +91,6 @@ class GroupTable:
         self.longest_idx = self.lengths.index(poincare.degree)
         self._simple_pos = {s: i for i, s in enumerate(rs.simple_idx)}
         self._profiles()
-        self._cosets = {}
 
     def _profiles(self):
         """Right and left ascent masks and simple-root images, read off
@@ -186,13 +191,15 @@ class GroupTable:
         return self._coset_bins(j_mask, k_mask)[1].get(r_mask, _ZERO)
 
     def _coset_bins(self, j_mask, k_mask):
+        """The coset bins of (J, K), scanned once per table and kept on
+        the root system."""
+        return self.rs.cached(("cosets", self.mask, j_mask, k_mask),
+                              lambda: self._scan(j_mask, k_mask))
+
+    def _scan(self, j_mask, k_mask):
         """One scan of the minimal (W_J, W_K) double-coset representatives:
         their length polynomials binned by Q (for p_poly) and by R (for
         h_poly, only x mapping every simple root of K to a simple root)."""
-        key = (j_mask, k_mask)
-        hit = self._cosets.get(key)
-        if hit is not None:
-            return hit
         size = self.lengths[self.longest_idx] + 1
         p_bins = defaultdict(lambda: [0] * size)
         h_bins = defaultdict(lambda: [0] * size)
@@ -219,10 +226,8 @@ class GroupTable:
             p_bins[q][length] += 1
             if r is not None:
                 h_bins[r][length] += 1
-        hit = ({q: IntPoly(c) for q, c in p_bins.items()},
-               {r: IntPoly(c) for r, c in h_bins.items()})
-        self._cosets[key] = hit
-        return hit
+        return ({q: IntPoly(c) for q, c in p_bins.items()},
+                {r: IntPoly(c) for r, c in h_bins.items()})
 
 
 _ZERO = IntPoly.zero()
@@ -315,6 +320,52 @@ def signed(term, mask):
     return -term if bin(mask).count("1") % 2 else term
 
 
+def solomon_sum(num, parabolics, rest):
+    """One case: rest + sum_I (-1)^|I| num / W_I(t) is zero, over the
+    (ids, W_I(t)) pairs of `parabolics`.  With num = W(t) this is
+    Solomon's alternating sum of W(t) / W_I(t), which is t^l(w_0) for a
+    finite W and 0 for an affine one (Solomon 1966).  A W_I that does not
+    divide num fails the case."""
+    acc = rest
+    for ids, w_i in parabolics:
+        try:
+            quot = poly_exact_div(num, w_i)
+        except ValueError:
+            yield f"W_I = {w_i} does not divide the sum for I={ids}", False
+            return
+        acc = acc - quot if len(ids) % 2 else acc + quot
+    yield f"sum = {acc}, expected 0", acc.is_zero()
+
+
+def reduction_targets(table, subsets, names):
+    """(K, Q, Q', l(v)) for K in `subsets` and Q within K, where
+    v = w(K, Q) and Q' is the conjugate of Q by v, which must lie in K.
+    `names` spells Q and K in the message of that check."""
+    rs = table.rs
+    for k in subsets:
+        for q in rs.subsets(k):
+            v = table.w_hj(k, q)
+            qp = table.conj_subset_signed(v, q)
+            if qp is None or qp & ~k:
+                raise AssertionError(f"{names[0]}={rs.ids_of(q)} conjugates "
+                                     f"outside {names[1]}={rs.ids_of(k)}")
+            yield k, q, qp, table.lengths[v]
+
+
+def p_alternating_reduction(table, p, subsets):
+    """sum over Q<H<K, Q<R<H of (-1)^{|H|-|Q|} p(R, J, H)
+    = t^{l(w(K,Q))} p(Q', J, K), one case per (Q, J, K) with J and K in
+    `subsets`; p is the finite p_poly or the affine numerator."""
+    rs = table.rs
+    for k, q, qp, shift in reduction_targets(table, subsets, "QK"):
+        for j in subsets:
+            lhs = poly_sum(signed(p(r, j, h), h & ~q)
+                           for h in rs.subsets(k) if not q & ~h
+                           for r in rs.subsets(h) if not q & ~r)
+            yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, K={rs.ids_of(k)}",
+                   lhs == p(qp, j, k).shift(shift))
+
+
 def identity_checks_finite(rs, sp_mask=None):
     """Exact consistency checks on the parabolic W_{S'}.  Returns a list
     of (name, ok, detail) triples."""
@@ -322,81 +373,33 @@ def identity_checks_finite(rs, sp_mask=None):
         sp_mask = rs.full_mask
     table = get_table(rs, sp_mask)
     subsets = rs.subsets(sp_mask)
-    w_poly = {m: RatFun(rs.poincare(m)) for m in subsets}
+    w_poly = {m: rs.poincare(m) for m in subsets}
     wt = w_poly[sp_mask]
 
-    def alternating_sum():
-        # alternating sum of W(t)/W_J(t) over J
-        acc = RatFun.zero()
-        for j in subsets:
-            acc = acc + signed(wt / w_poly[j], j)
-        lw = rs.longest_length(sp_mask)
-        yield (f"sum = {acc}, expected t^{lw}",
-               acc == RatFun(IntPoly.t_power(lw)))
-
     def parabolic_quotient():
-        # quotient W(t)/W_J(t) is the polynomial of minimal representatives
+        # W(t) = W_J(t) times the series of minimal left representatives
         for j in subsets:
-            quot = wt / w_poly[j]
-            yield (f"W/W_J not polynomial for J={rs.ids_of(j)}",
-                   quot.is_polynomial())
-            yield (f"W/W_J != left-rep series for J={rs.ids_of(j)}",
-                   quot.as_poly() == table.p_poly(0, j, 0))
+            yield (f"W_J * W^J != W for J={rs.ids_of(j)}",
+                   w_poly[j] * table.p_poly(0, j, 0) == wt)
 
     def pkjk_partition():
         # partition of p_{K,J,K} by conjugation targets
         for j in subsets:
             for k in subsets:
-                total = IntPoly.zero()
-                for r in rs.subsets(j):
-                    total = total + table.h_poly(r, j, k)
+                total = poly_sum(table.h_poly(r, j, k) for r in rs.subsets(j))
                 yield (f"J={rs.ids_of(j)}, K={rs.ids_of(k)}",
                        total == table.p_poly(k, j, k))
-
-    def p_alternating_reduction():
-        # sum over Q<H<K, Q<R<H of (-1)^{|H|-|Q|} p_{R,J,H}
-        # = t^{l(w(K,Q'))} p_{Q',J,K}
-        for k in subsets:
-            for q in rs.subsets(k):
-                v = table.w_hj(k, q)
-                qp = table.conj_subset_signed(v, q)
-                if qp is None or qp & ~k:
-                    raise AssertionError(f"Q={rs.ids_of(q)} conjugates "
-                                         f"outside K={rs.ids_of(k)}")
-                shift = table.lengths[v]
-                for j in subsets:
-                    lhs = IntPoly.zero()
-                    for h in rs.subsets(k):
-                        if q & ~h:
-                            continue
-                        for r in rs.subsets(h):
-                            if q & ~r:
-                                continue
-                            lhs = lhs + signed(table.p_poly(r, j, h), h & ~q)
-                    rhs = table.p_poly(qp, j, k).shift(shift)
-                    yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
-                           f"K={rs.ids_of(k)}", lhs == rhs)
 
     def h_alternating_reduction():
         # sum over R<H<J of (-1)^{|H|-|R|} h_{R,H,K}
         # = t^{l(w(J,R'))} h_{R',J,K}
-        for j in subsets:
-            for r in rs.subsets(j):
-                v = table.w_hj(j, r)
-                rp = table.conj_subset_signed(v, r)
-                if rp is None or rp & ~j:
-                    raise AssertionError(f"R={rs.ids_of(r)} conjugates "
-                                         f"outside J={rs.ids_of(j)}")
-                shift = table.lengths[v]
-                for k in subsets:
-                    lhs = IntPoly.zero()
-                    for h in rs.subsets(j):
-                        if r & ~h:
-                            continue
-                        lhs = lhs + signed(table.h_poly(r, h, k), h & ~r)
-                    rhs = table.h_poly(rp, j, k).shift(shift)
-                    yield (f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
-                           f"K={rs.ids_of(k)}", lhs == rhs)
+        for j, r, rp, shift in reduction_targets(table, subsets, "RJ"):
+            for k in subsets:
+                lhs = poly_sum(signed(table.h_poly(r, h, k), h & ~r)
+                               for h in rs.subsets(j) if not r & ~h)
+                yield (f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
+                       f"K={rs.ids_of(k)}",
+                       lhs == table.h_poly(rp, j, k).shift(shift))
 
     def factorization(matrix, detail):
         # factorization of the series matrices along chains K < K' < S'
@@ -409,10 +412,13 @@ def identity_checks_finite(rs, sp_mask=None):
                 yield detail.format(rs.ids_of(k), rs.ids_of(kp)), lhs == rhs
 
     return run_checks([
-        ("alternating-sum", alternating_sum()),
+        ("alternating-sum", solomon_sum(
+            wt, ((rs.ids_of(j), w_poly[j]) for j in subsets),
+            -IntPoly.t_power(rs.longest_length(sp_mask)))),
         ("parabolic-quotient", parabolic_quotient()),
         ("pKJK-partition", pkjk_partition()),
-        ("p-alternating-reduction", p_alternating_reduction()),
+        ("p-alternating-reduction",
+         p_alternating_reduction(table, table.p_poly, subsets)),
         ("h-alternating-reduction", h_alternating_reduction()),
         ("M-factorization", factorization(matrix_M, "M chain K={} K'={}")),
         ("N-factorization", factorization(matrix_N, "N chain J={} J'={}")),

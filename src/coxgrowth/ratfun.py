@@ -3,24 +3,20 @@
 Normalization (gcd, exact division) and expansion use int arithmetic
 alone; `expand` takes only denominators with constant term +-1, which
 every pipeline series has.  Nothing uses Fractions or floating point.
-IntPoly is a dense integer polynomial, RatFun a fully normalized
+IntPoly is a dense integer polynomial that trusts its input: every
+caller passes ints (`RatFun.from_json` converts its decimal strings), so
+construction only trims trailing zeros.  RatFun is a fully normalized
 quotient of two IntPoly values.  RatFun normalization is canonical, so
 structural equality coincides with equality of rational functions.  The
-series pipeline keeps its sums as IntPoly numerators over one fixed
-product of factors 1 - t^k (`IntPoly.one_minus_t`) and expands them over
-it, so it runs a gcd only once per reported series.
-"""
+rest of the package computes on IntPoly alone, keeping its sums as
+numerators over one fixed product of factors 1 - t^k
+(`IntPoly.one_minus_t`) and expanding them over it; it builds a RatFun,
+and so runs a gcd, only once per reported series.  RatFun's arithmetic
+operators remain for references and interactive use."""
 
 from __future__ import annotations
 
 from math import gcd
-
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(int(x) for x in c)
 
 
 class IntPoly:
@@ -32,7 +28,11 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        c = tuple(coeffs)
+        end = len(c)
+        while end and not c[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coeffs", c[:end])
 
     def __setattr__(self, *a):
         raise AttributeError("IntPoly is immutable")
@@ -279,11 +279,6 @@ class RatFun:
 
     def is_polynomial(self):
         return self.den == IntPoly.one()
-
-    def as_poly(self):
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
 
     # -- arithmetic ---------------------------------------------------
 

@@ -11,12 +11,16 @@ matrix mediates every pairing:
 Generator subsets are bitmasks: bit i-1 stands for the i-th simple
 reflection (generators are numbered 1..n throughout the public API).
 W_J(t) is prod (1 + ... + t^e) over exponents e read off root heights.
+
+Everything is computed in ints: the determinant of C by Bareiss
+elimination, and the cone generator w_i, a multiple of the i-th
+fundamental coweight, as the coweight sum sum_{beta > 0} beta_i beta^vee
+instead of a column of C^-1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import gcd
 
 from .ratfun import IntPoly
@@ -87,55 +91,32 @@ def parse_label(label):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on small matrices
+# integer linear algebra on small matrices
 
 def mat_det(c):
-    n = len(c)
-    m = [[Fraction(x) for x in row] for row in c]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Bareiss 1968): each entry update divides by the previous
+    pivot, and every such division is exact, so only ints occur."""
+    m = [list(row) for row in c]
+    n = len(m)
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        piv = next((r for r in range(i, n) if m[r][i]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != i:
             m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = 1 / m[i][i]
+            sign = -sign
         for r in range(i + 1, n):
-            f = m[r][i] * inv
-            if f:
-                for j in range(i, n):
-                    m[r][j] -= f * m[i][j]
-    return det
-
-
-def mat_inv(c):
-    n = len(c)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(c)]
-    for i in range(n):
-        piv = next(r for r in range(i, n) if m[r][i] != 0)
-        m[i], m[piv] = m[piv], m[i]
-        inv = 1 / m[i][i]
-        m[i] = [x * inv for x in m[i]]
-        for r in range(n):
-            if r != i and m[r][i]:
-                f = m[r][i]
-                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
-    return tuple(tuple(row[n:]) for row in m)
+            for j in range(i + 1, n):
+                m[r][j] = (m[r][j] * m[i][i] - m[r][i] * m[i][j]) // prev
+        prev = m[i][i]
+    return sign * m[n - 1][n - 1]
 
 
 def mat_vec(c, v):
     return tuple(sum(c[i][j] * v[j] for j in range(len(v)))
                  for i in range(len(c)))
-
-
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
 
 
 def exponents(heights):
@@ -196,11 +177,9 @@ class RootSystem:
         n = rank
         self.cartan_t = tuple(tuple(self.cartan[j][i] for j in range(n))
                               for i in range(n))
-        det = mat_det(self.cartan)
-        if det <= 0:
+        self.det_c = mat_det(self.cartan)
+        if self.det_c <= 0:
             raise InvalidTypeError(f"Cartan matrix of {family}{rank} not finite type")
-        self.det_c = int(det)
-        self._cartan_inv = mat_inv(self.cartan)
         self._close_roots()
         self._check_counts()
         self._find_highest()
@@ -267,14 +246,21 @@ class RootSystem:
         self.highest_root_coroot = best[1]
 
     def _build_cone_gens(self):
+        """w_i is the primitive vector of sum_{beta > 0} beta_i beta^vee,
+        beta_i the alpha_i-coordinate of beta.  The map
+        lambda -> sum_beta <beta, lambda> beta^vee commutes with W, which
+        acts irreducibly, so it is a positive multiple of the identity and
+        the sum is a positive multiple of the i-th fundamental coweight;
+        the two checks below test this at run time."""
         n = self.rank
         gens = []
         for i in range(n):
-            v = tuple(self.det_c * self._cartan_inv[j][i] for j in range(n))
-            if any(x.denominator != 1 for x in v):
-                raise AssertionError("det * C^-1 not integral")
-            v = tuple(int(x) for x in v)
-            w = tuple(x // vec_gcd(v) for x in v)
+            v = [0] * n
+            for root, coroot in self.positive_roots:
+                for j, c in enumerate(coroot):
+                    v[j] += root[i] * c
+            g = gcd(*v)
+            w = tuple(x // g for x in v)
             if any(x < 0 for x in w):
                 raise AssertionError(
                     f"cone generator {w} has a negative entry; the box "

@@ -16,6 +16,8 @@ General series are assembled two independent ways, with equal numerators:
 
 so a silent subset-conjugation slip on either path trips a check.  Every
 check raises AssertionError explicitly, so it also runs under python -O.
+The identity suite compares numerators in IntPoly alone, and shares the
+Solomon sum and the alternating reduction with the finite suite.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import wraps
 
 from .ratfun import IntPoly, RatFun, expand, poly_exact_div, poly_sum
 from . import cones
-from .finite import get_table, PolyMatrix, run_checks, signed
+from .finite import (get_table, PolyMatrix, p_alternating_reduction,
+                     run_checks, signed, solomon_sum)
 from .affine import get_affine
 
 
@@ -166,37 +169,16 @@ class AffinePipeline:
         w_poly = {m: rs.poincare(m) for m in rs.subsets()}
 
         def alternating_sum_zero():
-            # alternating sum over all generator subsets, including those
-            # containing the affine generator, vanishes for an infinite
-            # group
-            n1 = rs.rank + 1
-            acc = RatFun.zero()
-            for bits in range(1 << n1):
-                if bits == (1 << n1) - 1:
-                    term = RatFun.one()
-                else:
-                    ids = [g for g in range(n1) if (bits >> g) & 1]
-                    term = (self.group_series()
-                            / RatFun(self.aff.parabolic_poincare(ids)))
-                acc = acc + signed(term, bits)
-            yield f"sum = {acc}", acc.is_zero()
-
-
-        def alternating_reduction():
-            # alternating reduction in the affine group
-            for k in rs.subsets():
-                for q in rs.subsets(k):
-                    v = self.table.w_hj(k, q)
-                    qp = self.table.conj_subset_signed(v, q)
-                    shift = self.table.lengths[v]
-                    for j in rs.subsets():
-                        lhs = poly_sum(
-                            signed(self._full_num(r, j, h), h & ~q)
-                            for h in rs.subsets(k) if not q & ~h
-                            for r in rs.subsets(h) if not q & ~r)
-                        rhs = self._full_num(qp, j, k).shift(shift)
-                        yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
-                               f"K={rs.ids_of(k)}", lhs == rhs)
+            # Solomon's sum for the affine group times D: each proper
+            # subset I of the n + 1 generators (0 is the affine one)
+            # contributes the numerator divided by W_I, and the full set's
+            # term W / W = 1 contributes D
+            full = (1 << (rs.rank + 1)) - 1
+            proper = ([g for g in range(rs.rank + 1) if (bits >> g) & 1]
+                      for bits in range(full))
+            return solomon_sum(
+                wt_num, ((ids, self.aff.parabolic_poincare(ids))
+                         for ids in proper), signed(self.den, full))
 
         def pairs(test):
             for j in rs.subsets():
@@ -223,7 +205,8 @@ class AffinePipeline:
         return run_checks([
             ("alternating-sum-zero", alternating_sum_zero()),
             ("coset-partition-sum", pairs(partition)),
-            ("alternating-reduction", alternating_reduction()),
+            ("alternating-reduction", p_alternating_reduction(
+                self.table, self._full_num, rs.subsets())),
             ("nonnegative-expansion", pairs(nonnegative)),
             ("inversion-symmetry", pairs(symmetric)),
         ])

@@ -55,7 +55,8 @@ def test_selftest_constructions(monkeypatch):
     counts = {}
     for cls in (RootSystem, GroupTable, AffinePipeline):
         count_inits(monkeypatch, cls, counts)
-    assert run_selftest(verbose=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_selftest()
     assert counts == {"RootSystem": 8, "GroupTable": 12,
                       "AffinePipeline": 1}
 
@@ -71,19 +72,20 @@ def test_oracle_assembles_no_series(monkeypatch, capsys):
 
 
 def test_one_scan_per_table_j_k(monkeypatch):
+    # first visits of each ("cosets", table mask, J, K) key
     scans = []
-    orig = GroupTable._coset_bins
+    orig = RootSystem.cached
 
-    def bins(self, j_mask, k_mask):
-        if (j_mask, k_mask) not in self._cosets:
-            scans.append((id(self), j_mask, k_mask))
-        return orig(self, j_mask, k_mask)
+    def cached(self, key, make):
+        if key[0] == "cosets" and key not in self._derived:
+            scans.append((id(self),) + key)
+        return orig(self, key, make)
 
-    monkeypatch.setattr(GroupTable, "_coset_bins", bins)
+    monkeypatch.setattr(RootSystem, "cached", cached)
     with contextlib.redirect_stdout(io.StringIO()):
         for label in ["D4", "F4"]:
             assert main(["finite", "--type", label, "--what", "check"]) == 0
-    assert len(scans) == len(set(scans))
+    assert scans and len(scans) == len(set(scans))
     assert len(scans) <= 1250
 
 

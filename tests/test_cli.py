@@ -180,7 +180,8 @@ class TestSubcommands:
         assert len(doc["entries"]) == 2 and len(doc["entries"][0]) == 4
 
     def test_selftest(self, capsys):
-        assert run_selftest(verbose=False)
+        assert run_selftest()
+        assert "FAIL" not in capsys.readouterr().out
 
 
 # Feeds check_fixture the A2 fixture with its M_S rows (and entries)

@@ -401,7 +401,36 @@ _CHECKS_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Builds every A2 table against the true closed form, then gives W_{1}
+# the non-divisor 1 + 2t in place of 1 + t and runs `growth finite
+# --what check`.  Exit codes: those of the command, or 3 if asserts were
+# not stripped.
+_SOLOMON_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.cli import main
+    from coxgrowth.finite import get_table
+    from coxgrowth.ratfun import IntPoly
+    from coxgrowth.rootsystem import build_label
+    if __debug__:
+        sys.exit(3)
+    rs = build_label("A2")
+    for mask in rs.subsets():
+        get_table(rs, mask)
+    poincare, one = rs.poincare, rs.mask_of([1])
+    rs.poincare = lambda mask: (IntPoly((1, 2)) if mask == one
+                                else poincare(mask))
+    sys.exit(main(["finite", "--type", "A2", "--what", "check"]))
+""")
+
+
 class TestExplicitChecks:
+    def test_inexact_solomon_quotient_fails_the_check(self):
+        proc = _run_python(["-O", "-c", _SOLOMON_SCRIPT])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.startswith("FAIL alternating-sum") for line in lines)
+        assert "PASS pKJK-partition" in lines
+
     def test_checks_raise_under_optimize(self):
         out = _run_optimized(_CHECKS_SCRIPT)
         assert ("coefficient: BFS length histogram [1, 2, 2, 1] is not the "

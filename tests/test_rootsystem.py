@@ -1,6 +1,8 @@
 """Cartan data, positive roots and cone generators."""
 
+import random
 import textwrap
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,7 +11,8 @@ from coxgrowth import rootsystem
 from coxgrowth.finite import get_table
 from coxgrowth.ratfun import IntPoly
 from coxgrowth.rootsystem import (build_label, cartan_matrix, exponents,
-                                  parse_label, mat_vec, InvalidTypeError)
+                                  parse_label, mat_det, mat_vec,
+                                  InvalidTypeError)
 from test_finite import parabolic_elements
 from test_series import _run_optimized
 
@@ -18,6 +21,11 @@ ALL_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
               "D4", "F4", "G2", "E6"]
 
 # number of positive roots per type
+# every irreducible type up to rank 8
+ALL_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "F4", "G2"])
+
 POS_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "A4": 10, "B2": 4, "B3": 9,
               "B4": 16, "C2": 4, "C3": 9, "C4": 16, "D4": 12, "F4": 24,
               "G2": 6, "E6": 36}
@@ -55,8 +63,80 @@ class TestCartan:
     def test_determinants(self):
         for label, want in [("A1", 2), ("A2", 3), ("A3", 4), ("B3", 2),
                             ("C4", 2), ("D4", 4), ("F4", 1), ("G2", 1),
-                            ("E6", 3)]:
+                            ("E6", 3), ("D5", 4), ("E7", 2), ("E8", 1),
+                            ("A8", 9)]:
             assert build_label(label).det_c == want
+
+
+# -- Fraction reference ------------------------------------------------
+# Gauss-Jordan elimination over the rationals, the way the root data was
+# computed before it became integer-only.
+
+
+def fraction_det(c):
+    n = len(c)
+    m = [[Fraction(x) for x in row] for row in c]
+    det = Fraction(1)
+    for i in range(n):
+        piv = next((r for r in range(i, n) if m[r][i] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            for j in range(i, n):
+                m[r][j] -= f * m[i][j]
+    return det
+
+
+def fraction_inverse(c):
+    n = len(c)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(c)]
+    for i in range(n):
+        piv = next(r for r in range(i, n) if m[r][i] != 0)
+        m[i], m[piv] = m[piv], m[i]
+        m[i] = [x / m[i][i] for x in m[i]]
+        for r in range(n):
+            if r != i and m[r][i]:
+                f = m[r][i]
+                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return [row[n:] for row in m]
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("label", ALL_TYPES)
+    def test_cone_gens_and_determinant(self, label):
+        # w_i is the primitive column i of det * C^-1
+        rs = build_label(label)
+        n = rs.rank
+        det = fraction_det(rs.cartan)
+        got = mat_det(rs.cartan)
+        assert type(got) is int and got == det == rs.det_c
+        inv = fraction_inverse(rs.cartan)
+        for i, w in enumerate(rs.cone_gens):
+            col = [det * inv[j][i] for j in range(n)]
+            assert all(x.denominator == 1 for x in col)
+            g = gcd(*(int(x) for x in col))
+            assert w == tuple(int(x) // g for x in col)
+
+    def test_determinant_of_integer_matrices(self):
+        # small entries, so that zero pivots, row swaps and singular
+        # matrices all occur
+        rng = random.Random(5)
+        singular = swapped = 0
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            want = fraction_det(c)
+            singular += want == 0
+            swapped += c[0][0] == 0
+            got = mat_det(c)
+            assert type(got) is int and got == want, c
+        assert singular and swapped
 
 
 class TestRoots:
@@ -195,10 +275,48 @@ _TWO_RHO_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Gives the positive root (1, 1) of A2 a wrong coroot, so that the
+# coweight sum of w_1 has a negative entry, then one that is not a
+# multiple of the first fundamental coweight, and requires each
+# cone-generator check to raise.  Exit codes: 0 both raised, 1 some did
+# not raise, 3 asserts were not stripped.
+_CONE_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.rootsystem import RootSystem
+    if __debug__:
+        sys.exit(3)
+    close = RootSystem._close_roots
+    raised = 0
+
+    def with_coroot(coroot):
+        def close_and_replace(self):
+            close(self)
+            self.positive_roots = [(r, coroot if r == (1, 1) else c)
+                                   for r, c in self.positive_roots]
+        return close_and_replace
+
+    for name, coroot in [("negative", (-3, 1)), ("multiple", (1, 2))]:
+        RootSystem._close_roots = with_coroot(coroot)
+        try:
+            RootSystem("A", 2)
+        except AssertionError as exc:
+            raised += 1
+            print(f"{name}: {exc}")
+        else:
+            print(f"{name}: no error")
+    sys.exit(0 if raised == 2 else 1)
+""")
+
+
 class TestExplicitChecks:
     def test_two_rho_check_raises_under_optimize(self):
         out = _run_optimized(_TWO_RHO_SCRIPT)
         assert "A2: 2 rho = (2, 1) does not pair to 2" in out
+
+    def test_cone_generator_checks_raise_under_optimize(self):
+        out = _run_optimized(_CONE_SCRIPT)
+        assert "negative: cone generator (-2, 1) has a negative entry" in out
+        assert "multiple: C w_i is not a positive multiple of e_i" in out
 
 
 # Changes one entry of the highest coroot of A2, then requires building

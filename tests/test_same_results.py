@@ -9,7 +9,10 @@ the box scan and the inclusion-exclusion.  The G2 verify and B2 oracle
 digests were recorded at commit 5def361, before one scan over the
 enumeration replaced the per-(J, K) classification.  The A4 and F4 matrix
 digests were recorded at commit f7c20cf, before the series were carried
-as integer numerators over one fixed denominator.  A change that alters
+as integer numerators over one fixed denominator.  The E8 and G2 cartan,
+F4 finite check, B3 check, selftest, B3 pmatrix and hmatrix and A2 text
+matrix digests were recorded at commit dde3dd5, before the root data and
+the identity suites became integer-only.  A change that alters
 any of these bytes must say so and re-record the digest."""
 
 import hashlib
@@ -57,6 +60,22 @@ DIGESTS = [
      "e7eed9a0852facf6dd191c98096656d2a618479b29c62e57f3041873f29c257b"),
     ("matrix --type F4 --format json",
      "a72907bcc88dfb755d7c55391b775f5d5087c293dde1fcd68a27083c19dade87"),
+    ("cartan E8 --format json",
+     "672a372c8bd4f9bf4f9fd569db9434a2cfc47edb0e2e8772e264cdc2ec3b48b2"),
+    ("cartan G2",
+     "44a309b8763619d7b6e1b4b797cd75796864cb3cccc24ab4d7839b60f7f9634e"),
+    ("finite --type F4 --what check",
+     "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
+    ("check --type B3",
+     "d95b2ec952c7e98586b16c1c97d038a1935643668356b5915f9df25c69951f72"),
+    ("selftest",
+     "bba40956d824e63b40df8941f993b1c941d35d202106d0fc4e909819f43ff6f8"),
+    ("finite --type B3 --what pmatrix --K 1",
+     "d239521e632afe3761749b31247d88e62e2f9f427b33b40f3fb305745be82e2c"),
+    ("finite --type B3 --what hmatrix --J 1",
+     "e1c684867fe85ea7687ff06b5d9b3464dc991ab2a54306f25188496669f6ea50"),
+    ("matrix --type A2",
+     "5d8e82f7a702fe6231b064884f0835541637dfea0336659643f5622d76b4d193"),
 ]
 
 

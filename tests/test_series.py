@@ -301,6 +301,43 @@ _CHECKS_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Makes every parabolic Poincare polynomial of the affine group a
+# non-divisor of the group series numerator, then runs `growth check` on
+# A2.  Exit codes: those of `growth check`, or 3 if asserts were not
+# stripped.
+_SOLOMON_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.affine import AffineWeyl
+    from coxgrowth.cli import main
+    from coxgrowth.ratfun import IntPoly
+    if __debug__:
+        sys.exit(3)
+    AffineWeyl.parabolic_poincare = lambda self, ids: IntPoly(COEFFS)
+    sys.exit(main(["check", "--type", "A2"]))
+""")
+
+
+# Assembles and caches every A2 numerator, then makes the table's subset
+# conjugation fail and requires the affine alternating reduction to
+# raise.  Exit codes: 0 raised, 1 did not raise, 3 asserts were not
+# stripped.
+_REDUCTION_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label, get_pipeline
+    if __debug__:
+        sys.exit(3)
+    pl = get_pipeline(build_label("A2"))
+    pl.affine_identity_checks()
+    pl.table.conj_subset_signed = lambda idx, mask: None
+    try:
+        pl.affine_identity_checks()
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
 def _run_python(args, timeout=120):
     """Run the interpreter on args in a subprocess, with src on the path."""
     root = Path(__file__).resolve().parent.parent
@@ -329,3 +366,20 @@ class TestPipelineChecks:
         assert "image: Q=[1] conjugates outside Q'=[1]" in out
         assert "w0: w_0 does not permute" in out
         assert "pole: shift left a genuine pole" in out
+
+
+class TestAffineIdentityFaults:
+    # 1 + 2t fails on a leading coefficient, 3 + t on the remainder
+    @pytest.mark.parametrize("coeffs", [(1, 2), (3, 1)])
+    def test_inexact_solomon_quotient_fails_the_check(self, coeffs):
+        proc = _run_python(["-O", "-c", _SOLOMON_SCRIPT.replace(
+            "COEFFS", repr(coeffs))])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any(line.startswith("FAIL affine alternating-sum-zero")
+                   for line in lines)
+        assert "PASS affine coset-partition-sum" in lines
+
+    def test_reduction_conjugation_check_raises_under_optimize(self):
+        out = _run_optimized(_REDUCTION_SCRIPT)
+        assert "Q=[] conjugates outside K=[]" in out
