@@ -13,7 +13,8 @@ from importlib import resources
 
 from .ratfun import RatFun, IntPoly, expand, poly_str, factored_den_str
 from . import rootsystem, cones
-from .finite import get_table, matrix_M, matrix_N, identity_checks_finite
+from .finite import (check_table_size, get_table, matrix_M, matrix_N,
+                     identity_checks_finite)
 from .affine import get_affine
 from .series import get_pipeline
 
@@ -119,10 +120,12 @@ def cmd_finite(args):
     rs = rootsystem.build_label(args.type)
     sp = rs.full_mask if args.subset is None else rs.mask_of(
         _parse_ids(args.subset))
-    table = get_table(rs, sp)
     if args.what == "poincare":
+        # the closed form gives the order without the table, but a
+        # parabolic too large to tabulate is refused all the same
+        check_table_size(rs, sp)
         _emit({"type": rs.label, "subset": rs.ids_of(sp),
-               "order": table.order,
+               "order": rs.poincare(sp)(1),
                "poincare": _fmt(rs.poincare(sp), args.format)},
               args.format)
         return 0

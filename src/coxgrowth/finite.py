@@ -23,6 +23,12 @@ Series computed here:
 Both stratify the same set, so one scan per (J, K) bins every Q and
 every R at once; the bins are cached on the root system.
 
+The matrices M and N are built column by column from the cached bins,
+and their products run in packed integers (`ratfun.poly_matmul`): each
+entry of both factors is evaluated once at t = 2^B, for one slot width B
+that bounds every output coefficient, each entry of the product is a sum
+of integer products, and each is read back once.
+
 The identity checks run on IntPoly alone, and the finite and affine
 suites share one implementation of each identity: `solomon_sum` (the
 alternating sum of W(t) / W_I(t), by exact division),
@@ -35,10 +41,19 @@ from __future__ import annotations
 from collections import defaultdict
 from operator import itemgetter
 
-from .ratfun import IntPoly, poly_exact_div, poly_sum
+from .ratfun import IntPoly, poly_exact_div, poly_matmul, poly_sum
 
 
 MAX_GROUP_ORDER = 10 ** 6
+
+
+def check_table_size(rs, mask):
+    """Refuse a table of W_mask whose order is over MAX_GROUP_ORDER."""
+    order = rs.poincare(mask)(1)
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"{rs.label} parabolic {rs.ids_of(mask)} has "
+                         f"group order {order}, over the table bound "
+                         f"{MAX_GROUP_ORDER}")
 
 
 class GroupTable:
@@ -49,11 +64,8 @@ class GroupTable:
             mask = rs.full_mask
         self.rs = rs
         self.mask = mask
+        check_table_size(rs, mask)
         poincare = rs.poincare(mask)
-        if poincare(1) > MAX_GROUP_ORDER:
-            raise ValueError(f"{rs.label} parabolic {rs.ids_of(mask)} has "
-                             f"group order {poincare(1)}, over the table "
-                             f"bound {MAX_GROUP_ORDER}")
         # x*s_i sends beta_b to x(s_i beta_b), so its permutation is
         # x's composed with that of s_i
         gens = {i: itemgetter(*rs.reflection(rs.roots[s], rs.coroots[s]))
@@ -95,9 +107,12 @@ class GroupTable:
     def _profiles(self):
         """Right and left ascent masks and simple-root images, read off
         the permutations: x alpha_i > 0 when x sends alpha_i to an index
-        below N, x^-1 alpha_i > 0 when the inverse permutation does."""
+        below N, and x^-1 alpha_i > 0 when alpha_i is the image of a
+        positive root, that is, among the first N entries."""
         n_pos = len(self.rs.positive_roots)
         simple = self.rs.simple_idx
+        simple_set = frozenset(simple)
+        bit = {s: 1 << i for i, s in enumerate(simple)}.__getitem__
         self.rasc = []
         self.lasc = []
         self.simple_img = []
@@ -105,10 +120,10 @@ class GroupTable:
             img = [perm[s] for s in simple]
             self.rasc.append(sum(1 << i for i, b in enumerate(img)
                                  if b < n_pos))
-            self.lasc.append(sum(1 << i for i, s in enumerate(simple)
-                                 if perm.index(s) < n_pos))
-            self.simple_img.append(tuple(self._simple_pos.get(b, -1)
-                                         for b in img))
+            self.lasc.append(sum(map(bit, simple_set.intersection(
+                perm[:n_pos]))))
+            self.simple_img.append(tuple([self._simple_pos.get(b, -1)
+                                          for b in img]))
 
     # -- element queries ------------------------------------------------
 
@@ -244,26 +259,23 @@ def get_table(rs, mask=None):
 
 
 class PolyMatrix:
-    """Matrix of series indexed by subset bitmasks (ascending order)."""
+    """Matrix of series indexed by subset bitmasks (ascending order).
+
+    The entries are IntPoly for the products (the finite M and N
+    matrices); the affine series matrix holds RatFun entries and is only
+    printed, never multiplied."""
 
     def __init__(self, rows, cols, entries):
         self.rows = list(rows)
         self.cols = list(cols)
-        self.entries = entries        # entries[i][j], supporting + and *
+        self.entries = entries        # entries[i][j]
 
     def __matmul__(self, other):
+        """The product of two IntPoly matrices, in packed integers."""
         if self.cols != other.rows:
             raise AssertionError("matrix product: columns and rows differ")
-        out = []
-        for i in range(len(self.rows)):
-            row = []
-            for j in range(len(other.cols)):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, len(self.cols)):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.rows, other.cols, out)
+        return PolyMatrix(self.rows, other.cols,
+                          poly_matmul(self.entries, other.entries))
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix)
@@ -285,8 +297,9 @@ def matrix_M(rs, k_mask, sp_mask):
     table = get_table(rs, sp_mask)
     rows = rs.subsets(k_mask)
     cols = rs.subsets(sp_mask)
-    entries = [[table.p_poly(q, j, k_mask) for j in cols] for q in rows]
-    return PolyMatrix(rows, cols, entries)
+    bins = [table._coset_bins(j, k_mask)[0] for j in cols]
+    return PolyMatrix(rows, cols, [[col.get(q, _ZERO) for col in bins]
+                                   for q in rows])
 
 
 def matrix_N(rs, j_mask, sp_mask):
@@ -295,8 +308,9 @@ def matrix_N(rs, j_mask, sp_mask):
     table = get_table(rs, sp_mask)
     rows = rs.subsets(j_mask)
     cols = rs.subsets(sp_mask)
-    entries = [[table.h_poly(r, j_mask, k) for k in cols] for r in rows]
-    return PolyMatrix(rows, cols, entries)
+    bins = [table._coset_bins(j_mask, k)[1] for k in cols]
+    return PolyMatrix(rows, cols, [[col.get(r, _ZERO) for col in bins]
+                                   for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +418,10 @@ def identity_checks_finite(rs, sp_mask=None):
     def factorization(matrix, detail):
         # factorization of the series matrices along chains K < K' < S'
         for k in subsets:
+            lhs = matrix(rs, k, sp_mask)
             for kp in subsets:
                 if k & ~kp:
                     continue
-                lhs = matrix(rs, k, sp_mask)
                 rhs = matrix(rs, k, kp) @ matrix(rs, kp, sp_mask)
                 yield detail.format(rs.ids_of(k), rs.ids_of(kp)), lhs == rhs
 

@@ -12,11 +12,20 @@ rest of the package computes on IntPoly alone, keeping its sums as
 numerators over one fixed product of factors 1 - t^k
 (`IntPoly.one_minus_t`) and expanding them over it; it builds a RatFun,
 and so runs a gcd, only once per reported series.  RatFun's arithmetic
-operators remain for references and interactive use."""
+operators remain for references and interactive use.
+
+Sums of products, the bulk of that IntPoly work, run packed: `poly_dot`
+evaluates every operand at t = 2^B, with the slot width B taken from a
+proven bound on the output coefficients, sums the integer products and
+reads the coefficients back off the one integer (Kronecker substitution),
+and `poly_matmul` does the same for a whole matrix product at one slot
+width.  `IntPoly.__mul__` stays the schoolbook product for single
+products, and `poly_sum` adds into one coefficient list."""
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add, mul
 
 
 class IntPoly:
@@ -387,8 +396,91 @@ def _normalize(num, den):
 
 
 def poly_sum(polys):
-    """Sum of integer polynomials (zero for none)."""
-    return sum(polys, IntPoly())
+    """Sum of integer polynomials (zero for none), accumulated in one
+    coefficient list."""
+    out = []
+    for p in polys:
+        c = p.coeffs
+        if len(c) > len(out):
+            out, c = list(c), out
+        out[:len(c)] = map(add, out, c)
+    return IntPoly(out)
+
+
+def _height(p):
+    """Largest absolute value of a coefficient (0 for the zero
+    polynomial)."""
+    return max(map(abs, p.coeffs), default=0)
+
+
+def _pack_bits(bound):
+    """Slot width B for packed coefficients of absolute value at most
+    `bound`: then |c| < 2^(B-2), inside the signed range of `_unpack`."""
+    return bound.bit_length() + 2
+
+
+def _pack(p, bits):
+    """The integer p(2^bits), by shift-and-add."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc << bits) + c
+    return acc
+
+
+def _unpack(value, bits):
+    """The polynomial with value `value` at 2^bits whose coefficients lie
+    in [-2^(bits-1), 2^(bits-1)): take the low bits, less 2^bits when
+    they are at least 2^(bits-1), and carry."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    out = []
+    while value:
+        c = value & mask
+        value >>= bits
+        if c >= half:
+            c -= mask + 1
+            value += 1
+        out.append(c)
+    return IntPoly(out)
+
+
+def poly_dot(pairs):
+    """sum a * b over the (a, b) pairs of integer polynomials (zero for
+    none), as one sum of packed integers (Kronecker substitution; von zur
+    Gathen and Gerhard, Modern Computer Algebra, 8.4).
+
+    Every output coefficient is at most
+    sum max|a| * max|b| * min(len a, len b) in absolute value, which sets
+    the slot width; each operand is packed once, the integer products are
+    summed, and the sum is unpacked once.
+    """
+    pairs = [(a, b) for a, b in pairs if a.coeffs and b.coeffs]
+    bits = _pack_bits(sum(_height(a) * _height(b)
+                          * min(len(a.coeffs), len(b.coeffs))
+                          for a, b in pairs))
+    return _unpack(sum(_pack(a, bits) * _pack(b, bits) for a, b in pairs),
+                   bits)
+
+
+def poly_matmul(left, right):
+    """The matrix product of two integer-polynomial matrices, given as
+    lists of rows, with every entry a poly_dot of a row and a column.
+
+    One slot width serves the whole product, from the inner dimension
+    times the largest coefficients of each side times the shorter of
+    their longest entries; each entry of both sides is packed once and
+    each output entry is unpacked once.
+    """
+    a = [e for row in left for e in row]
+    b = [e for row in right for e in row]
+    bits = _pack_bits(
+        len(right) * max(map(_height, a), default=0)
+        * max(map(_height, b), default=0)
+        * min(max((len(e.coeffs) for e in a), default=0),
+              max((len(e.coeffs) for e in b), default=0)))
+    cols = list(zip(*([_pack(e, bits) for e in row] for row in right)))
+    return [[_unpack(sum(map(mul, packed, col)), bits) for col in cols]
+            for packed in ([_pack(e, bits) for e in row] for row in left)]
 
 
 def expand(r, n, den=None):

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from functools import wraps
 
-from .ratfun import IntPoly, RatFun, expand, poly_exact_div, poly_sum
+from .ratfun import (IntPoly, RatFun, expand, poly_dot, poly_exact_div,
+                     poly_sum)
 from . import cones
 from .finite import (get_table, PolyMatrix, p_alternating_reduction,
                      run_checks, signed, solomon_sum)
@@ -96,7 +97,7 @@ class AffinePipeline:
     def _affine_num(self, q_mask, j_mask):
         """p_{Q,J,S}: sum over Q' containing Q of a finite coset series
         against the K = conjugated Q' column, times p_SS(Q')."""
-        return poly_sum(self._column(q_mask, qp, j_mask) * self._ss_num(qp)
+        return poly_dot((self._column(q_mask, qp, j_mask), self._ss_num(qp))
                         for qp in self.rs.subsets() if not q_mask & ~qp)
 
     @_memo
@@ -107,11 +108,11 @@ class AffinePipeline:
         row = [(qp, self.table.p_poly(q_mask, qp, k_mask)) for qp in subs]
         row = [(qp, fin) for qp, fin in row if not fin.is_zero()]
         # path 1: row of M_{K,S} times the assembled S-column
-        acc1 = poly_sum(fin * self._affine_num(qp, j_mask) for qp, fin in row)
+        acc1 = poly_dot((fin, self._affine_num(qp, j_mask)) for qp, fin in row)
         # path 2: the double sum, gathered by Q'' before its p_SS(Q'')
-        acc2 = poly_sum(poly_sum(fin * self._column(qp, qpp, j_mask)
-                                 for qp, fin in row if not qp & ~qpp)
-                        * self._ss_num(qpp) for qpp in subs)
+        acc2 = poly_dot((poly_dot((fin, self._column(qp, qpp, j_mask))
+                                  for qp, fin in row if not qp & ~qpp),
+                         self._ss_num(qpp)) for qpp in subs)
         if acc1 != acc2:
             raise AssertionError(
                 f"reduction paths disagree for Q={self.rs.ids_of(q_mask)}, "
@@ -188,9 +189,9 @@ class AffinePipeline:
         def partition(j, k):
             # full-group series recovered from any double-coset partition;
             # W_K / W_Q is a polynomial for Q within K
-            return wt_num == poly_sum(
-                w_poly[j] * poly_exact_div(w_poly[k], w_poly[q])
-                * self._full_num(q, j, k) for q in rs.subsets(k))
+            return wt_num == w_poly[j] * poly_dot(
+                (poly_exact_div(w_poly[k], w_poly[q]), self._full_num(q, j, k))
+                for q in rs.subsets(k))
 
         def nonnegative(j, k):
             # every reported series is a power series with nonnegative

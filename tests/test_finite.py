@@ -6,9 +6,10 @@ import random
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label
-from coxgrowth.finite import (get_table, matrix_M, matrix_N,
+from coxgrowth.finite import (PolyMatrix, get_table, matrix_M, matrix_N,
                               identity_checks_finite)
 from coxgrowth.ratfun import IntPoly, RatFun
 from test_series import _run_optimized, _run_python
@@ -334,6 +335,68 @@ class TestCosetSeries:
         j = rs.mask_of([2])
         jp = rs.mask_of([2, 3])
         assert matrix_N(rs, j, s) == matrix_N(rs, j, jp) @ matrix_N(rs, jp, s)
+
+
+def reference_matmul(a, b):
+    """The product entry by entry, each sum built from schoolbook
+    products: the reference for the packed PolyMatrix product."""
+    out = []
+    for i in range(len(a.rows)):
+        row = []
+        for j in range(len(b.cols)):
+            acc = a.entries[i][0] * b.entries[0][j]
+            for k in range(1, len(a.cols)):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(a.rows, b.cols, out)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Two IntPoly matrices that can be multiplied, with entries of mixed
+    sign, zero entries and coefficients up to 2^40."""
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=7).map(
+        IntPoly)
+
+    def matrix(rows, cols):
+        return PolyMatrix(range(rows), range(cols),
+                          [[draw(entries) for _ in range(cols)]
+                           for _ in range(rows)])
+    return matrix(n, m), matrix(m, p)
+
+
+class TestPackedMatmul:
+    @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+    def test_every_chain(self, label):
+        rs = build_label(label)
+        s = rs.full_mask
+        for build in (matrix_M, matrix_N):
+            for k in rs.subsets():
+                for kp in rs.subsets():
+                    if k & ~kp:
+                        continue
+                    a, b = build(rs, k, kp), build(rs, kp, s)
+                    assert a @ b == reference_matmul(a, b)
+
+    @given(poly_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_random(self, ab):
+        a, b = ab
+        assert a @ b == reference_matmul(a, b)
+
+    def test_tight(self):
+        # every coefficient +-M: each output entry's middle coefficient
+        # reaches the slot bound, inner dimension times M^2 times length
+        m = 2 ** 33 - 1
+        for sign in (1, -1):
+            a = PolyMatrix([0, 1], [0, 1, 2],
+                           [[IntPoly([m] * 4)] * 3] * 2)
+            b = PolyMatrix([0, 1, 2], [0], [[IntPoly([sign * m] * 4)]] * 3)
+            prod = a @ b
+            assert prod == reference_matmul(a, b)
+            assert prod.entries[0][0][3] == sign * 3 * 4 * m * m
 
 
 class TestIdentitySuite:

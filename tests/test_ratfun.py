@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coxgrowth import ratfun
 from coxgrowth.ratfun import (IntPoly, RatFun, expand,
-                              poly_gcd, poly_exact_div,
+                              poly_dot, poly_gcd, poly_exact_div,
                               poly_sum, factored_den, poly_str)
 
 
@@ -198,6 +198,78 @@ class TestIntPoly:
         assert poly_gcd(num, den) == -IntPoly.one_minus_t(2)
         assert poly_exact_div(den, IntPoly.one_minus_t(2)) == r.den
         assert expand(r, 7) == [3, -1, 4, 0, 0, 0, 3, -1]
+
+
+def schoolbook_dot(pairs):
+    """sum a * b by schoolbook products, each added through a fresh
+    polynomial: the reference for the packed poly_dot."""
+    acc = IntPoly.zero()
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+# Coefficients up to 2^70 in absolute value, so that slots span several
+# machine words; and tight operands whose coefficients are all +-M, so
+# that an output coefficient can reach the slot bound itself.
+wide_polys = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12).map(
+    IntPoly)
+
+
+@st.composite
+def tight_pairs(draw):
+    m = draw(st.sampled_from([1, 2, 3, 7, 255, 256, 2 ** 31, 2 ** 64 - 1]))
+    signs = st.sampled_from([m, -m])
+    same = draw(st.booleans())
+
+    def operand():
+        n = draw(st.integers(0, 10))
+        return IntPoly([m] * n if same else
+                       [draw(signs) for _ in range(n)])
+    return [(operand(), operand()) for _ in range(draw(st.integers(0, 5)))]
+
+
+class TestPolyDot:
+    @given(st.lists(st.tuples(polys, polys), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_small(self, pairs):
+        assert poly_dot(pairs) == schoolbook_dot(pairs)
+        assert poly_dot(iter(pairs)) == schoolbook_dot(pairs)
+
+    @given(st.lists(st.tuples(wide_polys, wide_polys), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_wide_coefficients(self, pairs):
+        assert poly_dot(pairs) == schoolbook_dot(pairs)
+
+    @given(tight_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_tight(self, pairs):
+        assert poly_dot(pairs) == schoolbook_dot(pairs)
+
+    def test_bound_reached(self):
+        # every coefficient +-M, equal lengths: the middle output
+        # coefficient is the bound sum M^2 min(len a, len b) exactly
+        for m in (1, 3, 2 ** 40):
+            for sign in (1, -1):
+                a = IntPoly([m] * 5)
+                b = IntPoly([sign * m] * 5)
+                dot = poly_dot([(a, b), (a, b)])
+                assert dot[4] == sign * 2 * m * m * 5
+                assert dot == schoolbook_dot([(a, b), (a, b)])
+
+    def test_edge_cases(self):
+        zero, one = IntPoly.zero(), IntPoly.one()
+        p = IntPoly((3, -1, 0, 2))
+        assert poly_dot([]) == zero
+        assert poly_dot([(zero, p), (p, zero), (zero, zero)]) == zero
+        assert poly_dot([(p, one), (zero, p)]) == p
+        assert poly_dot([(p, one), (-p, one)]) == zero
+        # unequal lengths, and cancellation down to a lower degree
+        q = IntPoly((1, 1))
+        assert poly_dot([(p, q), (IntPoly.t_power(4), IntPoly((-2,)))]) == (
+            p * q - IntPoly((0, 0, 0, 0, 2)))
+        assert poly_dot([(IntPoly((-1,)), IntPoly.t_power(9))]) == (
+            -IntPoly.t_power(9))
 
 
 class TestRatFun:

@@ -12,7 +12,11 @@ digests were recorded at commit f7c20cf, before the series were carried
 as integer numerators over one fixed denominator.  The E8 and G2 cartan,
 F4 finite check, B3 check, selftest, B3 pmatrix and hmatrix and A2 text
 matrix digests were recorded at commit dde3dd5, before the root data and
-the identity suites became integer-only.  A change that alters
+the identity suites became integer-only.  The B4 check, D4 verify, B4
+series, F4 pmatrix and hmatrix and D4 finite poincare digests were
+recorded at commit 3744ca8, before sums of polynomial products were
+packed into integers and before `finite --what poincare` stopped
+building the group table.  A change that alters
 any of these bytes must say so and re-record the digest."""
 
 import hashlib
@@ -76,6 +80,18 @@ DIGESTS = [
      "e1c684867fe85ea7687ff06b5d9b3464dc991ab2a54306f25188496669f6ea50"),
     ("matrix --type A2",
      "5d8e82f7a702fe6231b064884f0835541637dfea0336659643f5622d76b4d193"),
+    ("check --type B4",
+     "d95b2ec952c7e98586b16c1c97d038a1935643668356b5915f9df25c69951f72"),
+    ("verify --type D4 --max-length 6",
+     "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
+    ("series --type B4 --J 1 --K 2 --format json",
+     "4813564d5974a8b6a2c79303eaf8e076f841c4a8cbad42ba7673a178612bf81f"),
+    ("finite --type F4 --what pmatrix --K 1,2",
+     "b0d35b1848f98a1425464fd7d40d5139f9e5ae55eb92228cceecbfd98f10ba33"),
+    ("finite --type F4 --what hmatrix --J 3,4",
+     "e656021a280cccf4105fa8ef79c7a6cf17d1fade004944d66d63ba701a297dd7"),
+    ("finite --type D4",
+     "eeefbf531bf4a197042b48e13e8452719a615fef40e999ba5aaf75fe1f5c4169"),
 ]
 
 
