@@ -123,10 +123,10 @@ def cmd_finite(args):
     if args.what == "poincare":
         # the closed form gives the order without the table, but a
         # parabolic too large to tabulate is refused all the same
-        check_table_size(rs, sp)
+        poincare = check_table_size(rs, sp)
         _emit({"type": rs.label, "subset": rs.ids_of(sp),
-               "order": rs.poincare(sp)(1),
-               "poincare": _fmt(rs.poincare(sp), args.format)},
+               "order": poincare(1),
+               "poincare": _fmt(poincare, args.format)},
               args.format)
         return 0
     if args.what in ("pmatrix", "hmatrix"):

@@ -23,37 +23,42 @@ Series computed here:
 Both stratify the same set, so one scan per (J, K) bins every Q and
 every R at once; the bins are cached on the root system.
 
-The matrices M and N are built column by column from the cached bins,
-and their products run in packed integers (`ratfun.poly_matmul`): each
-entry of both factors is evaluated once at t = 2^B, for one slot width B
-that bounds every output coefficient, each entry of the product is a sum
-of integer products, and each is read back once.
+The matrices M and N are built column by column from the cached bins.
 
-The identity checks run on IntPoly alone, and the finite and affine
-suites share one implementation of each identity: `solomon_sum` (the
-alternating sum of W(t) / W_I(t), by exact division),
+The identity checks on the bins run in packed integers (Kronecker
+substitution): one suite run evaluates each bin it reads once at
+t = 2^B (`PackedBins`), for one slot width B that bounds every
+coefficient the suite can form from bins that pass its range check.
+Every such identity is then an equation between integer sums, shifts
+(t^l is << B*l) and matrix products, and equal integers mean equal
+polynomials.  The Solomon sum and the parabolic quotient stay on IntPoly.
+The finite and affine suites share one implementation of each identity:
+`solomon_sum` (the alternating sum of W(t) / W_I(t), by exact division),
 `reduction_targets` (the conjugates Q' of Q by w(K, Q)) and
-`p_alternating_reduction`, which takes the p-series as a function.
+`p_alternating_reduction`, which takes the packed p-series as a function.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .ratfun import IntPoly, poly_exact_div, poly_matmul, poly_sum
+from .ratfun import IntPoly, pack, pack_bits, poly_exact_div
 
 
 MAX_GROUP_ORDER = 10 ** 6
 
 
 def check_table_size(rs, mask):
-    """Refuse a table of W_mask whose order is over MAX_GROUP_ORDER."""
-    order = rs.poincare(mask)(1)
+    """W_mask(t), after refusing a table of W_mask whose order is over
+    MAX_GROUP_ORDER."""
+    poincare = rs.poincare(mask)
+    order = poincare(1)
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"{rs.label} parabolic {rs.ids_of(mask)} has "
                          f"group order {order}, over the table bound "
                          f"{MAX_GROUP_ORDER}")
+    return poincare
 
 
 class GroupTable:
@@ -64,12 +69,12 @@ class GroupTable:
             mask = rs.full_mask
         self.rs = rs
         self.mask = mask
-        check_table_size(rs, mask)
-        poincare = rs.poincare(mask)
+        poincare = check_table_size(rs, mask)
         # x*s_i sends beta_b to x(s_i beta_b), so its permutation is
         # x's composed with that of s_i
-        gens = {i: itemgetter(*rs.reflection(rs.roots[s], rs.coroots[s]))
-                for i, s in enumerate(rs.simple_idx) if (mask >> i) & 1}
+        gens = {i: itemgetter(*perm)
+                for i, perm in enumerate(rs.simple_reflections())
+                if (mask >> i) & 1}
         ident = tuple(range(len(rs.roots)))
         self.perms = [ident]
         self.lengths = [0]
@@ -200,14 +205,14 @@ class GroupTable:
     # -- coset series ----------------------------------------------------
 
     def p_poly(self, q_mask, j_mask, k_mask):
-        return self._coset_bins(j_mask, k_mask)[0].get(q_mask, _ZERO)
+        return self.coset_bins(j_mask, k_mask)[0].get(q_mask, ZERO)
 
     def h_poly(self, r_mask, j_mask, k_mask):
-        return self._coset_bins(j_mask, k_mask)[1].get(r_mask, _ZERO)
+        return self.coset_bins(j_mask, k_mask)[1].get(r_mask, ZERO)
 
-    def _coset_bins(self, j_mask, k_mask):
-        """The coset bins of (J, K), scanned once per table and kept on
-        the root system."""
+    def coset_bins(self, j_mask, k_mask):
+        """The coset bins of (J, K), p by Q and h by R, scanned once per
+        table and kept on the root system."""
         return self.rs.cached(("cosets", self.mask, j_mask, k_mask),
                               lambda: self._scan(j_mask, k_mask))
 
@@ -245,13 +250,56 @@ class GroupTable:
                 {r: IntPoly(c) for r, c in h_bins.items()})
 
 
-_ZERO = IntPoly.zero()
+ZERO = IntPoly.zero()
 
 
 def get_table(rs, mask=None):
     if mask is None:
         mask = rs.full_mask
     return rs.cached(("table", mask), lambda: GroupTable(rs, mask))
+
+
+class PackedBins:
+    """The coset bins that one identity-suite run on W_{S'} reads, each
+    evaluated once at t = 2^bits and kept by (table mask, J, K).
+
+    A bin of the table of W_X, X within S', counts elements by length, so
+    it has at most L = l(w_{S'}) + 1 coefficients, each in [0, |W_{S'}|];
+    every bin is checked for both as it is packed.  An entry of a product
+    of two matrices of such bins, a sum over at most 2^n columns,
+    n = |S'|, then has coefficients of at most 2^n L |W_{S'}|^2, and an
+    alternating sum of at most 3^n bins stays below that bound, as
+    |W_{S'}| >= 2^n.  The slot width holds the bound with a bit to spare,
+    so equal packed values are equal polynomials."""
+
+    def __init__(self, table):
+        self.rs = table.rs
+        self.order = table.order
+        self.size = table.lengths[table.longest_idx] + 1
+        self.bits = pack_bits(len(self.rs.subsets(table.mask)) * self.size
+                              * self.order ** 2)
+        self._bins = {}
+
+    def __call__(self, table, j_mask, k_mask):
+        """The (p, h) bins of the table's (J, K) scan, packed."""
+        key = (table.mask, j_mask, k_mask)
+        hit = self._bins.get(key)
+        if hit is None:
+            hit = self._bins[key] = tuple(
+                {m: self._pack(poly, key) for m, poly in side.items()}
+                for side in table.coset_bins(j_mask, k_mask))
+        return hit
+
+    def _pack(self, poly, key):
+        c = poly.coeffs
+        if (len(c) > self.size or min(c, default=0) < 0
+                or max(c, default=0) > self.order):
+            mask, j_mask, k_mask = map(self.rs.ids_of, key)
+            raise AssertionError(
+                f"coset bin {poly} of the table {mask}, J={j_mask}, "
+                f"K={k_mask} has a coefficient outside [0, {self.order}] "
+                f"or a term past t^{self.size - 1}")
+        return pack(poly, self.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +309,9 @@ def get_table(rs, mask=None):
 class PolyMatrix:
     """Matrix of series indexed by subset bitmasks (ascending order).
 
-    The entries are IntPoly for the products (the finite M and N
-    matrices); the affine series matrix holds RatFun entries and is only
-    printed, never multiplied."""
+    The entries are IntPoly or RatFun for printing (the finite M and N
+    matrices, the affine series matrix), or the packed ints of an
+    identity-suite run, which alone are multiplied."""
 
     def __init__(self, rows, cols, entries):
         self.rows = list(rows)
@@ -271,11 +319,14 @@ class PolyMatrix:
         self.entries = entries        # entries[i][j]
 
     def __matmul__(self, other):
-        """The product of two IntPoly matrices, in packed integers."""
+        """The product of two matrices of packed ints: every entry is a
+        plain sum of integer products."""
         if self.cols != other.rows:
             raise AssertionError("matrix product: columns and rows differ")
+        cols = list(zip(*other.entries))
         return PolyMatrix(self.rows, other.cols,
-                          poly_matmul(self.entries, other.entries))
+                          [[sum(map(mul, row, col)) for col in cols]
+                           for row in self.entries])
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix)
@@ -290,26 +341,35 @@ def _check_inside(rs, name, mask, sp_mask):
                          f"parabolic {rs.ids_of(sp_mask)}")
 
 
-def matrix_M(rs, k_mask, sp_mask):
-    """M_{K,S'}: rows Q within K, columns J within S', entries the
-    p-series of the parabolic W_{S'}."""
-    _check_inside(rs, "K", k_mask, sp_mask)
+def _bin_columns(rs, sp_mask, pairs, side, packed):
+    """The p (side 0) or h (side 1) bins of each (J, K) pair on the table
+    of W_{S'}, packed by `packed` if given, and the entry of an empty
+    bin."""
     table = get_table(rs, sp_mask)
-    rows = rs.subsets(k_mask)
-    cols = rs.subsets(sp_mask)
-    bins = [table._coset_bins(j, k_mask)[0] for j in cols]
-    return PolyMatrix(rows, cols, [[col.get(q, _ZERO) for col in bins]
+    if packed is None:
+        return [table.coset_bins(j, k)[side] for j, k in pairs], ZERO
+    return [packed(table, j, k)[side] for j, k in pairs], 0
+
+
+def matrix_M(rs, k_mask, sp_mask, packed=None):
+    """M_{K,S'}: rows Q within K, columns J within S', entries the
+    p-series of the parabolic W_{S'} (packed, given a PackedBins)."""
+    _check_inside(rs, "K", k_mask, sp_mask)
+    rows, cols = rs.subsets(k_mask), rs.subsets(sp_mask)
+    bins, zero = _bin_columns(rs, sp_mask, [(j, k_mask) for j in cols], 0,
+                              packed)
+    return PolyMatrix(rows, cols, [[col.get(q, zero) for col in bins]
                                    for q in rows])
 
 
-def matrix_N(rs, j_mask, sp_mask):
-    """N_{J,S'}: rows R within J, columns K within S', entries h-series."""
+def matrix_N(rs, j_mask, sp_mask, packed=None):
+    """N_{J,S'}: rows R within J, columns K within S', entries h-series
+    (packed, given a PackedBins)."""
     _check_inside(rs, "J", j_mask, sp_mask)
-    table = get_table(rs, sp_mask)
-    rows = rs.subsets(j_mask)
-    cols = rs.subsets(sp_mask)
-    bins = [table._coset_bins(j_mask, k)[1] for k in cols]
-    return PolyMatrix(rows, cols, [[col.get(r, _ZERO) for col in bins]
+    rows, cols = rs.subsets(j_mask), rs.subsets(sp_mask)
+    bins, zero = _bin_columns(rs, sp_mask, [(j_mask, k) for k in cols], 1,
+                              packed)
+    return PolyMatrix(rows, cols, [[col.get(r, zero) for col in bins]
                                    for r in rows])
 
 
@@ -319,13 +379,14 @@ def matrix_N(rs, j_mask, sp_mask):
 
 def run_checks(checks):
     """Run (name, cases) pairs, where `cases` yields one (detail, ok) pair
-    per case and a check stops at its first failing case.  Returns
-    (name, ok, detail) triples; detail describes the failing case and is
-    empty for a passing check."""
+    per case and a check stops at its first failing case.  detail() spells
+    the case; it is called for the failing case alone, while `cases`
+    still stands at it.  Returns (name, ok, detail) triples, with an
+    empty detail for a passing check."""
     report = []
     for name, cases in checks:
         failed = next((detail for detail, ok in cases if not ok), None)
-        report.append((name, failed is None, failed or ""))
+        report.append((name, failed is None, failed() if failed else ""))
     return report
 
 
@@ -345,10 +406,11 @@ def solomon_sum(num, parabolics, rest):
         try:
             quot = poly_exact_div(num, w_i)
         except ValueError:
-            yield f"W_I = {w_i} does not divide the sum for I={ids}", False
+            yield (lambda: f"W_I = {w_i} does not divide the sum for "
+                           f"I={ids}"), False
             return
         acc = acc - quot if len(ids) % 2 else acc + quot
-    yield f"sum = {acc}, expected 0", acc.is_zero()
+    yield (lambda: f"sum = {acc}, expected 0"), acc.is_zero()
 
 
 def reduction_targets(table, subsets, names):
@@ -366,18 +428,21 @@ def reduction_targets(table, subsets, names):
             yield k, q, qp, table.lengths[v]
 
 
-def p_alternating_reduction(table, p, subsets):
+def p_alternating_reduction(table, p, subsets, bits):
     """sum over Q<H<K, Q<R<H of (-1)^{|H|-|Q|} p(R, J, H)
     = t^{l(w(K,Q))} p(Q', J, K), one case per (Q, J, K) with J and K in
-    `subsets`; p is the finite p_poly or the affine numerator."""
+    `subsets`; p gives the finite coset series or the affine numerators,
+    packed at t = 2^bits for a slot width that holds every such sum."""
     rs = table.rs
     for k, q, qp, shift in reduction_targets(table, subsets, "QK"):
+        terms = [(r, h, signed(1, h & ~q))
+                 for h in rs.subsets(k) if not q & ~h
+                 for r in rs.subsets(h) if not q & ~r]
         for j in subsets:
-            lhs = poly_sum(signed(p(r, j, h), h & ~q)
-                           for h in rs.subsets(k) if not q & ~h
-                           for r in rs.subsets(h) if not q & ~r)
-            yield (f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, K={rs.ids_of(k)}",
-                   lhs == p(qp, j, k).shift(shift))
+            lhs = sum(sign * p(r, j, h) for r, h, sign in terms)
+            yield ((lambda: f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
+                            f"K={rs.ids_of(k)}"),
+                   lhs == p(qp, j, k) << bits * shift)
 
 
 def identity_checks_finite(rs, sp_mask=None):
@@ -389,41 +454,48 @@ def identity_checks_finite(rs, sp_mask=None):
     subsets = rs.subsets(sp_mask)
     w_poly = {m: rs.poincare(m) for m in subsets}
     wt = w_poly[sp_mask]
+    packed = PackedBins(table)
+    bits = packed.bits
 
     def parabolic_quotient():
         # W(t) = W_J(t) times the series of minimal left representatives
         for j in subsets:
-            yield (f"W_J * W^J != W for J={rs.ids_of(j)}",
+            yield ((lambda: f"W_J * W^J != W for J={rs.ids_of(j)}"),
                    w_poly[j] * table.p_poly(0, j, 0) == wt)
 
     def pkjk_partition():
         # partition of p_{K,J,K} by conjugation targets
         for j in subsets:
             for k in subsets:
-                total = poly_sum(table.h_poly(r, j, k) for r in rs.subsets(j))
-                yield (f"J={rs.ids_of(j)}, K={rs.ids_of(k)}",
-                       total == table.p_poly(k, j, k))
+                p_bins, h_bins = packed(table, j, k)
+                total = sum(v for r, v in h_bins.items() if not r & ~j)
+                yield ((lambda: f"J={rs.ids_of(j)}, K={rs.ids_of(k)}"),
+                       total == p_bins.get(k, 0))
 
     def h_alternating_reduction():
         # sum over R<H<J of (-1)^{|H|-|R|} h_{R,H,K}
         # = t^{l(w(J,R'))} h_{R',J,K}
         for j, r, rp, shift in reduction_targets(table, subsets, "RJ"):
+            terms = [(h, signed(1, h & ~r))
+                     for h in rs.subsets(j) if not r & ~h]
             for k in subsets:
-                lhs = poly_sum(signed(table.h_poly(r, h, k), h & ~r)
-                               for h in rs.subsets(j) if not r & ~h)
-                yield (f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
-                       f"K={rs.ids_of(k)}",
-                       lhs == table.h_poly(rp, j, k).shift(shift))
+                lhs = sum(sign * packed(table, h, k)[1].get(r, 0)
+                          for h, sign in terms)
+                yield ((lambda: f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
+                                f"K={rs.ids_of(k)}"),
+                       lhs == packed(table, j, k)[1].get(rp, 0)
+                       << bits * shift)
 
     def factorization(matrix, detail):
         # factorization of the series matrices along chains K < K' < S'
+        full = {k: matrix(rs, k, sp_mask, packed) for k in subsets}
         for k in subsets:
-            lhs = matrix(rs, k, sp_mask)
             for kp in subsets:
                 if k & ~kp:
                     continue
-                rhs = matrix(rs, k, kp) @ matrix(rs, kp, sp_mask)
-                yield detail.format(rs.ids_of(k), rs.ids_of(kp)), lhs == rhs
+                rhs = matrix(rs, k, kp, packed) @ full[kp]
+                yield ((lambda: detail.format(rs.ids_of(k), rs.ids_of(kp))),
+                       full[k] == rhs)
 
     return run_checks([
         ("alternating-sum", solomon_sum(
@@ -431,8 +503,9 @@ def identity_checks_finite(rs, sp_mask=None):
             -IntPoly.t_power(rs.longest_length(sp_mask)))),
         ("parabolic-quotient", parabolic_quotient()),
         ("pKJK-partition", pkjk_partition()),
-        ("p-alternating-reduction",
-         p_alternating_reduction(table, table.p_poly, subsets)),
+        ("p-alternating-reduction", p_alternating_reduction(
+            table, lambda q, j, k: packed(table, j, k)[0].get(q, 0),
+            subsets, bits)),
         ("h-alternating-reduction", h_alternating_reduction()),
         ("M-factorization", factorization(matrix_M, "M chain K={} K'={}")),
         ("N-factorization", factorization(matrix_N, "N chain J={} J'={}")),

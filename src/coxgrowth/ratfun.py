@@ -17,15 +17,16 @@ operators remain for references and interactive use.
 Sums of products, the bulk of that IntPoly work, run packed: `poly_dot`
 evaluates every operand at t = 2^B, with the slot width B taken from a
 proven bound on the output coefficients, sums the integer products and
-reads the coefficients back off the one integer (Kronecker substitution),
-and `poly_matmul` does the same for a whole matrix product at one slot
-width.  `IntPoly.__mul__` stays the schoolbook product for single
-products, and `poly_sum` adds into one coefficient list."""
+reads the coefficients back off the one integer (Kronecker substitution).
+The identity suites pack their polynomials once each with `pack`, at a
+width from `pack_bits`, and compare the packed values.
+`IntPoly.__mul__` stays the schoolbook product for single products, and
+`poly_sum` adds into one coefficient list."""
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul
+from operator import add
 
 
 class IntPoly:
@@ -407,19 +408,21 @@ def poly_sum(polys):
     return IntPoly(out)
 
 
-def _height(p):
+def height(p):
     """Largest absolute value of a coefficient (0 for the zero
     polynomial)."""
     return max(map(abs, p.coeffs), default=0)
 
 
-def _pack_bits(bound):
+def pack_bits(bound):
     """Slot width B for packed coefficients of absolute value at most
-    `bound`: then |c| < 2^(B-2), inside the signed range of `_unpack`."""
+    `bound`: then |c| < 2^(B-2), inside the signed range of `_unpack`, so
+    two such polynomials have equal packed values only when they are
+    equal."""
     return bound.bit_length() + 2
 
 
-def _pack(p, bits):
+def pack(p, bits):
     """The integer p(2^bits), by shift-and-add."""
     acc = 0
     for c in reversed(p.coeffs):
@@ -455,32 +458,11 @@ def poly_dot(pairs):
     summed, and the sum is unpacked once.
     """
     pairs = [(a, b) for a, b in pairs if a.coeffs and b.coeffs]
-    bits = _pack_bits(sum(_height(a) * _height(b)
-                          * min(len(a.coeffs), len(b.coeffs))
-                          for a, b in pairs))
-    return _unpack(sum(_pack(a, bits) * _pack(b, bits) for a, b in pairs),
+    bits = pack_bits(sum(height(a) * height(b)
+                         * min(len(a.coeffs), len(b.coeffs))
+                         for a, b in pairs))
+    return _unpack(sum(pack(a, bits) * pack(b, bits) for a, b in pairs),
                    bits)
-
-
-def poly_matmul(left, right):
-    """The matrix product of two integer-polynomial matrices, given as
-    lists of rows, with every entry a poly_dot of a row and a column.
-
-    One slot width serves the whole product, from the inner dimension
-    times the largest coefficients of each side times the shorter of
-    their longest entries; each entry of both sides is packed once and
-    each output entry is unpacked once.
-    """
-    a = [e for row in left for e in row]
-    b = [e for row in right for e in row]
-    bits = _pack_bits(
-        len(right) * max(map(_height, a), default=0)
-        * max(map(_height, b), default=0)
-        * min(max((len(e.coeffs) for e in a), default=0),
-              max((len(e.coeffs) for e in b), default=0)))
-    cols = list(zip(*([_pack(e, bits) for e in row] for row in right)))
-    return [[_unpack(sum(map(mul, packed, col)), bits) for col in cols]
-            for packed in ([_pack(e, bits) for e in row] for row in left)]
 
 
 def expand(r, n, den=None):

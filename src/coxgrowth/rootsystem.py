@@ -295,6 +295,13 @@ class RootSystem:
             perm.append(img)
         return tuple(perm)
 
+    def simple_reflections(self):
+        """The permutation of each simple reflection, in generator order,
+        made once and kept in the cache."""
+        return self.cached("simple_reflections", lambda: tuple(
+            self.reflection(self.roots[s], self.coroots[s])
+            for s in self.simple_idx))
+
     def cached(self, key, make):
         """The object derived from this root system under `key` (a group
         table, the affine group, the pipeline), made by make() on first

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label
-from coxgrowth.finite import (PolyMatrix, get_table, matrix_M, matrix_N,
-                              identity_checks_finite)
-from coxgrowth.ratfun import IntPoly, RatFun
+from coxgrowth import finite
+from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, matrix_M,
+                              matrix_N, identity_checks_finite)
+from coxgrowth.ratfun import IntPoly, RatFun, _unpack, pack, pack_bits
 from test_series import _run_optimized, _run_python
 
 
@@ -329,17 +330,21 @@ class TestCosetSeries:
     def test_matrix_factorization_instance(self, tables):
         rs = build_label("A3")
         s = rs.full_mask
+        packed = PackedBins(get_table(rs))
         k = rs.mask_of([1])
         kp = rs.mask_of([1, 2])
-        assert matrix_M(rs, k, s) == matrix_M(rs, k, kp) @ matrix_M(rs, kp, s)
+        assert (matrix_M(rs, k, s, packed)
+                == matrix_M(rs, k, kp, packed) @ matrix_M(rs, kp, s, packed))
         j = rs.mask_of([2])
         jp = rs.mask_of([2, 3])
-        assert matrix_N(rs, j, s) == matrix_N(rs, j, jp) @ matrix_N(rs, jp, s)
+        assert (matrix_N(rs, j, s, packed)
+                == matrix_N(rs, j, jp, packed) @ matrix_N(rs, jp, s, packed))
 
 
 def reference_matmul(a, b):
     """The product entry by entry, each sum built from schoolbook
-    products: the reference for the packed PolyMatrix product."""
+    products: the reference for the PolyMatrix product of packed
+    matrices."""
     out = []
     for i in range(len(a.rows)):
         row = []
@@ -367,36 +372,73 @@ def poly_matrices(draw):
     return matrix(n, m), matrix(m, p)
 
 
+def packed_matrix(m, bits):
+    return PolyMatrix(m.rows, m.cols, [[pack(e, bits) for e in row]
+                                       for row in m.entries])
+
+
+def unpacked_matrix(m, bits):
+    return PolyMatrix(m.rows, m.cols, [[_unpack(e, bits) for e in row]
+                                       for row in m.entries])
+
+
 class TestPackedMatmul:
+    # the product of packed matrices against the schoolbook product packed
+    # at the same width, and read back: equal packed values are equal
+    # polynomials only when the width holds every coefficient
     @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
     def test_every_chain(self, label):
         rs = build_label(label)
         s = rs.full_mask
+        packed = PackedBins(get_table(rs))
         for build in (matrix_M, matrix_N):
             for k in rs.subsets():
                 for kp in rs.subsets():
                     if k & ~kp:
                         continue
-                    a, b = build(rs, k, kp), build(rs, kp, s)
-                    assert a @ b == reference_matmul(a, b)
+                    prod = build(rs, k, kp, packed) @ build(rs, kp, s, packed)
+                    want = reference_matmul(build(rs, k, kp),
+                                            build(rs, kp, s))
+                    assert prod == packed_matrix(want, packed.bits)
+                    assert unpacked_matrix(prod, packed.bits) == want
 
     @given(poly_matrices())
     @settings(max_examples=150, deadline=None)
     def test_random(self, ab):
         a, b = ab
-        assert a @ b == reference_matmul(a, b)
+        # inner dimension times the largest coefficient squared times 7,
+        # the longest entry the strategy draws
+        entries = [e for m in ab for row in m.entries for e in row]
+        bits = pack_bits(len(b.rows) * max(max(map(abs, e), default=0)
+                                          for e in entries) ** 2 * 7)
+        prod = packed_matrix(a, bits) @ packed_matrix(b, bits)
+        want = reference_matmul(a, b)
+        assert prod == packed_matrix(want, bits)
+        assert unpacked_matrix(prod, bits) == want
 
     def test_tight(self):
-        # every coefficient +-M: each output entry's middle coefficient
-        # reaches the slot bound, inner dimension times M^2 times length
-        m = 2 ** 33 - 1
-        for sign in (1, -1):
-            a = PolyMatrix([0, 1], [0, 1, 2],
-                           [[IntPoly([m] * 4)] * 3] * 2)
-            b = PolyMatrix([0, 1, 2], [0], [[IntPoly([sign * m] * 4)]] * 3)
-            prod = a @ b
-            assert prod == reference_matmul(a, b)
-            assert prod.entries[0][0][3] == sign * 3 * 4 * m * m
+        # bins at the suite's range check, every coefficient |W| up to
+        # t^l(w_0), over all 2^n columns: the middle coefficient of the
+        # product reaches the bound that sets the suite's slot width
+        for label, sign in [("B3", 1), ("B3", -1), ("F4", 1), ("F4", -1)]:
+            rs = build_label(label)
+            table = get_table(rs)
+            packed = PackedBins(table)
+            size = table.lengths[table.longest_idx] + 1
+            cols = rs.subsets()
+            # the sign -1 reaches the negative end of the signed range
+            a = PolyMatrix([0], cols,
+                           [[IntPoly([table.order] * size)] * len(cols)])
+            b = PolyMatrix(cols, [0],
+                           [[IntPoly([sign * table.order] * size)]]
+                           * len(cols))
+            prod = packed_matrix(a, packed.bits) @ packed_matrix(
+                b, packed.bits)
+            want = reference_matmul(a, b)
+            assert want.entries[0][0][size - 1] == (
+                sign * len(cols) * size * table.order ** 2)
+            assert prod == packed_matrix(want, packed.bits)
+            assert unpacked_matrix(prod, packed.bits) == want
 
 
 class TestIdentitySuite:
@@ -405,6 +447,117 @@ class TestIdentitySuite:
         rs = build_label(label)
         for name, ok, detail in identity_checks_finite(rs):
             assert ok, f"{label} {name}: {detail}"
+
+    def test_each_bin_packed_once(self, monkeypatch):
+        packed = []
+
+        def record(poly, bits):
+            packed.append(poly)
+            return pack(poly, bits)
+
+        monkeypatch.setattr(finite, "pack", record)
+        assert all(ok for _, ok, _ in identity_checks_finite(
+            build_label("D4")))
+        ids = [id(poly) for poly in packed]
+        assert ids and len(ids) == len(set(ids))
+
+
+# Runs `growth finite --type D4 --what check` with one bin of the full
+# table's (J, K) scan corrupted: SIDE is "p" or "h", J, K and BIN are
+# generator ids, and each (position, plain, carry) in DELTAS adds
+# plain + carry * 2^B to a coefficient, B the suite's slot width.  Exit
+# codes: those of the command, or 3 if asserts were not stripped.
+_BIN_FAULT_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.cli import main
+    from coxgrowth.finite import GroupTable, PackedBins, get_table
+    from coxgrowth.ratfun import IntPoly
+    from coxgrowth.rootsystem import build_label
+    if __debug__:
+        sys.exit(3)
+    SIDE, J, K, BIN, DELTAS = ARGS
+    rs = build_label("D4")
+    bits = PackedBins(get_table(rs)).bits
+    key = (rs.full_mask, rs.mask_of(J), rs.mask_of(K))
+    scan = GroupTable._scan
+
+    def corrupt(self, j_mask, k_mask):
+        bins = scan(self, j_mask, k_mask)
+        if (self.mask, j_mask, k_mask) == key:
+            side = bins["ph".index(SIDE)]
+            coeffs = list(side[rs.mask_of(BIN)].coeffs)
+            for pos, plain, carry in DELTAS:
+                coeffs[pos] += plain + (carry << bits)
+            side[rs.mask_of(BIN)] = IntPoly(coeffs)
+        return bins
+
+    GroupTable._scan = corrupt
+    sys.exit(main(["finite", "--type", "D4", "--what", "check"]))
+""")
+
+
+def _run_bin_fault(*args):
+    return _run_python(["-O", "-c", _BIN_FAULT_SCRIPT.replace(
+        "ARGS", repr(args))])
+
+
+# one coefficient off by 1 in a p or an h bin: the report of each case,
+# as recorded before the suite was packed
+_OFF_BY_ONE = [
+    (("p", [], [], [], [(3, 1, 0)]),
+     ["FAIL parabolic-quotient: W_J * W^J != W for J=[]",
+      "FAIL pKJK-partition: J=[], K=[]",
+      "FAIL p-alternating-reduction: Q=[], J=[], K=[1]",
+      "PASS h-alternating-reduction",
+      "FAIL M-factorization: M chain K=[] K'=[1]",
+      "PASS N-factorization"]),
+    (("p", [2], [1, 2], [1], [(2, 1, 0)]),
+     ["PASS parabolic-quotient",
+      "PASS pKJK-partition",
+      "FAIL p-alternating-reduction: Q=[], J=[2], K=[1, 2]",
+      "PASS h-alternating-reduction",
+      "FAIL M-factorization: M chain K=[] K'=[1, 2]",
+      "PASS N-factorization"]),
+    (("h", [1, 2], [1], [1], [(1, 1, 0)]),
+     ["PASS parabolic-quotient",
+      "FAIL pKJK-partition: J=[1, 2], K=[1]",
+      "PASS p-alternating-reduction",
+      "FAIL h-alternating-reduction: R=[1], J=[1, 2], K=[1]",
+      "PASS M-factorization",
+      "FAIL N-factorization: N chain J=[1] J'=[1, 2]"]),
+    (("p", [1, 2], [3], [3], [(0, 1, 0)]),
+     ["PASS parabolic-quotient",
+      "FAIL pKJK-partition: J=[1, 2], K=[3]",
+      "FAIL p-alternating-reduction: Q=[], J=[1, 2], K=[3]",
+      "PASS h-alternating-reduction",
+      "FAIL M-factorization: M chain K=[] K'=[3]",
+      "PASS N-factorization"]),
+    (("h", [1, 2, 3, 4], [1, 3], [1, 3], [(0, 1, 0)]),
+     ["PASS parabolic-quotient",
+      "FAIL pKJK-partition: J=[1, 2, 3, 4], K=[1, 3]",
+      "PASS p-alternating-reduction",
+      "FAIL h-alternating-reduction: R=[1, 3], J=[1, 2, 3, 4], K=[1, 3]",
+      "PASS M-factorization",
+      "FAIL N-factorization: N chain J=[1, 3] J'=[1, 2, 3, 4]"]),
+]
+
+
+class TestPackedSuiteFaults:
+    @pytest.mark.parametrize("args, report", _OFF_BY_ONE,
+                             ids=[str(i) for i in range(len(_OFF_BY_ONE))])
+    def test_off_by_one_bin_fails(self, args, report):
+        proc = _run_bin_fault(*args)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["PASS alternating-sum", *report]
+
+    def test_bin_past_the_width_raises(self):
+        # t^1 gains 2^B and t^2 loses 1: the packed bin is unchanged, so
+        # only the range check tells it from the true one
+        proc = _run_bin_fault("p", [1], [2], [], [(1, 0, 1), (2, -1, 0)])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert ("of the table [1, 2, 3, 4], J=[1], K=[2] has a coefficient "
+                "outside [0, 192]" in proc.stderr)
 
 
 # Breaks each check of the finite tables and of their closed form in turn,

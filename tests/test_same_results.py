@@ -16,8 +16,10 @@ the identity suites became integer-only.  The B4 check, D4 verify, B4
 series, F4 pmatrix and hmatrix and D4 finite poincare digests were
 recorded at commit 3744ca8, before sums of polynomial products were
 packed into integers and before `finite --what poincare` stopped
-building the group table.  A change that alters
-any of these bytes must say so and re-record the digest."""
+building the group table.  The D4 finite check digest was recorded at
+commit 0f07b34, before the finite identity suite ran on packed coset
+bins.  A change that alters any of these bytes must say so and re-record
+the digest."""
 
 import hashlib
 
@@ -92,6 +94,8 @@ DIGESTS = [
      "e656021a280cccf4105fa8ef79c7a6cf17d1fade004944d66d63ba701a297dd7"),
     ("finite --type D4",
      "eeefbf531bf4a197042b48e13e8452719a615fef40e999ba5aaf75fe1f5c4169"),
+    ("finite --type D4 --what check",
+     "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
 ]
 
 
