@@ -23,19 +23,26 @@ the extra affine reflection, whose (w, v) pair is (reflection in the
 highest root, minus the highest coroot); the reflection is built as a
 root permutation, checked to act alike on roots and coroots.
 
+Every pairing <beta, v> is a dot product of m with an integer row
+precomputed per root, and each generator's finite part acts on m by a
+precomputed integer matrix, so the hot loop does no matrix algebra.
+
 The enumeration oracle reads each element once: `classify` gives the
 masks of right and left ascents (x . (alpha_i, 0) > 0 and
 x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
 w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
 Minimality in a (W_J, W_K) double coset, Q and normalizing W_J are mask
-tests on that profile, so one scan, with lengths from the BFS depths,
-fills the bins of every (J, K) and every normalizer count.  Root heights
-give every Poincare series, Bott's W(t) / prod (1 - t^e) included.
+tests on that profile.  So one scan, with lengths from the BFS depths,
+keeps a length histogram per distinct profile, and each distinct profile
+is tested once against every (J, K) and every normalizer; a long
+enumeration has far fewer profiles than elements.  Root heights give
+every Poincare series, Bott's W(t) / prod (1 - t^e) included.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import add, mul
 
 from .ratfun import IntPoly, expand
 from . import rootsystem
@@ -67,10 +74,20 @@ class AffineWeyl:
         # reflection, precomputed once
         self._rmul_at = [self.table.mul(idx, at_idx)
                          for idx in range(self.table.order)]
-        self._pos_roots = [root for root, _ in rs.positive_roots]
         # support mask of each root, by root index
         self._supp = [sum(1 << p for p, c in enumerate(root) if c)
                       for root in rs.roots]
+        # <beta, v> = _pair[b] . m for the root of index b, and the rows
+        # of the matrix by which each generator's finite part acts on m
+        self._pair = [tuple(sum(b * a for b, a in zip(root, col))
+                            for col in zip(*rs.cartan)) for root in rs.roots]
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        self._act = {g: tuple(zip(*(self.table.act_coroot(w, e)
+                                    for e in units)))
+                     for g, (w, _) in self.gens.items()}
+        self._pos_pair = self._pair[:len(rs.positive_roots)]
+        self._simple_pair = [self._pair[s] for s in rs.simple_idx]
+        self._inv_simple = {}   # finite index -> indices of w^-1 alpha_i
 
     # -- core group operations -----------------------------------------
 
@@ -80,24 +97,15 @@ class AffineWeyl:
     def mul_gen(self, x, g):
         """x * s_g for a generator id (0 = affine)."""
         w, m = x
-        gw, gv = self.gens[g]
-        if g == 0:
-            w2 = self._rmul_at[w]
-        else:
-            w2 = self.table.rmult[w][g - 1]
-        mr = self.table.act_coroot(gw, m)
-        return (w2, tuple(a + b for a, b in zip(mr, gv)))
+        w2 = self._rmul_at[w] if g == 0 else self.table.rmult[w][g - 1]
+        return (w2, tuple(sum(map(mul, row, m)) + c
+                          for row, c in zip(self._act[g], self.gens[g][1])))
 
     def length(self, x):
         w, m = x
-        cm = rootsystem.mat_vec(self.rs.cartan, m)
-        perm = self.table.perms[w]
-        n_pos = len(self._pos_roots)
-        total = 0
-        for r, root in enumerate(self._pos_roots):
-            pairing = sum(a * b for a, b in zip(root, cm))
-            total += abs(pairing + (perm[r] >= n_pos))
-        return total
+        n_pos = len(self._pos_pair)
+        return sum(abs(sum(map(mul, row, m)) + (p >= n_pos))
+                   for row, p in zip(self._pos_pair, self.table.perms[w]))
 
     # -- enumeration ----------------------------------------------------
 
@@ -109,7 +117,7 @@ class AffineWeyl:
         rs = self.rs
         num = rs.poincare(rs.full_mask)
         den = IntPoly.one_minus_t(*rootsystem.exponents(
-            map(sum, self._pos_roots)))
+            sum(root) for root, _ in rs.positive_roots))
         count, n = max_length + 1, 0
         while count <= MAX_BFS_ELEMENTS and n < max_length:
             n = min(max(2 * n, 64), max_length)
@@ -174,9 +182,13 @@ class AffineWeyl:
         w alpha_i; elsewhere dest[i] = -1 and supp[i] = -1 (every bit)."""
         w, m = x
         table = self.table
-        cm = rootsystem.mat_vec(self.rs.cartan, m)
-        cwm = rootsystem.mat_vec(self.rs.cartan, table.act_coroot(w, m))
         right, left, perm = table.rasc[w], table.lasc[w], table.perms[w]
+        inv = self._inv_simple.get(w)
+        if inv is None:
+            inv = self._inv_simple[w] = [perm.index(s)
+                                         for s in self.rs.simple_idx]
+        cm = [sum(map(mul, row, m)) for row in self._simple_pair]
+        cwm = [sum(map(mul, self._pair[b], m)) for b in inv]
         rasc = lasc = 0
         for i in range(self.n):
             bit = 1 << i
@@ -195,7 +207,9 @@ class AffineWeyl:
 
     def oracle_scan(self, max_length, pairs, j_masks, elements=None):
         """One pass over the elements of length <= max_length (the BFS
-        enumeration by default), classifying each once.  Returns
+        enumeration by default), classifying each once into a length
+        histogram per distinct profile; each profile is then matched once
+        against every (J, K) and every J.  Returns
         ({(J, K): (bins, total)}, {J: counts}): for each (J, K) in pairs,
         the coefficient lists t^l(x) of the minimal double-coset
         representatives binned by Q and in total; for each J in j_masks,
@@ -206,22 +220,25 @@ class AffineWeyl:
         else:
             length = self.length
         size = max_length + 1
+        # one length histogram per distinct profile, in the order of first
+        # appearance, so the bins get their keys in the enumeration order
+        histograms = defaultdict(lambda: [0] * size)
+        for x in elements:
+            l = length(x)
+            if l <= max_length:
+                histograms[self.classify(x)][l] += 1
         cosets = {pair: (defaultdict(lambda: [0] * size), [0] * size)
                   for pair in pairs}
         counts = {j: [0] * size for j in j_masks}
-        for x in elements:
-            l = length(x)
-            if l > max_length:
-                continue
-            profile = self.classify(x)
+        for profile, h in histograms.items():
             for (j, k), (bins, total) in cosets.items():
                 q = coset_pattern(profile, j, k)
                 if q is not None:
-                    bins[q][l] += 1
-                    total[l] += 1
+                    bins[q] = list(map(add, bins[q], h))
+                    total[:] = map(add, total, h)
             for j, c in counts.items():
                 if normalizes(profile, j):
-                    c[l] += 1
+                    c[:] = map(add, c, h)
         return {p: (dict(b), t) for p, (b, t) in cosets.items()}, counts
 
     def oracle_series(self, j_mask, k_mask, max_length, elements=None):

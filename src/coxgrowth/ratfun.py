@@ -128,12 +128,6 @@ class IntPoly:
                     out[i + j] += ca * cb
         return IntPoly(out)
 
-    def shift(self, k):
-        """Multiply by t^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 

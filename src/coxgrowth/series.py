@@ -43,6 +43,19 @@ def _memo(method):
     return memoized
 
 
+class _Conjugates(dict):
+    """w_0 w_Q' Q w_Q' w_0 by (Q, Q'), for each Q within Q'."""
+
+    def __init__(self, rs):
+        super().__init__()
+        self.rs = rs
+
+    def __missing__(self, key):
+        q_mask, qp_mask = key
+        raise AssertionError(f"Q={self.rs.ids_of(q_mask)} is not inside "
+                             f"Q'={self.rs.ids_of(qp_mask)}")
+
+
 class AffinePipeline:
     """Caches one root system's tables and assembled series."""
 
@@ -50,9 +63,28 @@ class AffinePipeline:
         self.rs = rs
         self.table = get_table(rs)
         self.aff = get_affine(rs)
-        self._w0 = self.table.longest_idx
         self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
         self.den = IntPoly.one_minus_t(*self.weights)
+        # the conjugate of each mask by w_0, and of each Q within Q' by
+        # w_0 w_Q'
+        table = self.table
+        w0 = table.longest_idx
+        self._by_w0 = {}
+        for mask in rs.subsets():
+            out = table.conj_subset_signed(w0, mask)
+            if out is None:
+                raise AssertionError(
+                    f"w_0 does not permute {rs.ids_of(mask)} up to sign")
+            self._by_w0[mask] = out
+        self._conj = _Conjugates(rs)
+        for qp in rs.subsets():
+            u = table.mul(w0, table.longest_element(qp))
+            for q in rs.subsets(qp):
+                out = table.conj_subset_signed(u, q)
+                if out is None or out & ~self._by_w0[qp]:
+                    raise AssertionError(f"Q={rs.ids_of(q)} conjugates "
+                                         f"outside Q'={rs.ids_of(qp)}")
+                self._conj[q, qp] = out
 
     # -- numerators over D -----------------------------------------------
 
@@ -69,38 +101,17 @@ class AffinePipeline:
             raise AssertionError(f"shift left a genuine pole: {num} / t^{k}")
         return IntPoly(num.coeffs[k:])
 
-    @_memo
-    def _conj_by_w0(self, mask):
-        out = self.table.conj_subset_signed(self._w0, mask)
-        if out is None:
-            raise AssertionError(
-                f"w_0 does not permute {self.rs.ids_of(mask)} up to sign")
-        return out
-
-    @_memo
-    def _conj_for(self, q_mask, qp_mask):
-        """w_0 w_Q' Q w_Q' w_0 for Q within Q'."""
-        if q_mask & ~qp_mask:
-            raise AssertionError(f"Q={self.rs.ids_of(q_mask)} is not inside "
-                                 f"Q'={self.rs.ids_of(qp_mask)}")
-        u = self.table.mul(self._w0, self.table.longest_element(qp_mask))
-        out = self.table.conj_subset_signed(u, q_mask)
-        if out is None or out & ~self._conj_by_w0(qp_mask):
-            raise AssertionError(f"Q={self.rs.ids_of(q_mask)} conjugates "
-                                 f"outside Q'={self.rs.ids_of(qp_mask)}")
-        return out
-
     def _column(self, qp_mask, j_mask):
         """The finite p-bins of (J, K) for K the conjugate of Q' by w_0:
-        the entry of Q within Q' is at the conjugate _conj_for(Q, Q')."""
-        return self.table.coset_bins(j_mask, self._conj_by_w0(qp_mask))[0]
+        the entry of Q within Q' is at its conjugate _conj[Q, Q']."""
+        return self.table.coset_bins(j_mask, self._by_w0[qp_mask])[0]
 
     @_memo
     def _affine_num(self, q_mask, j_mask):
         """p_{Q,J,S}: sum over Q' containing Q of a finite coset series
         against the K = conjugated Q' column, times p_SS(Q')."""
         return poly_dot(
-            (self._column(qp, j_mask).get(self._conj_for(q_mask, qp), ZERO),
+            (self._column(qp, j_mask).get(self._conj[q_mask, qp], ZERO),
              self._ss_num(qp))
             for qp in self.rs.subsets() if not q_mask & ~qp)
 
@@ -116,7 +127,7 @@ class AffinePipeline:
         # path 2: the double sum, gathered by Q'' before its p_SS(Q'')
         def gathered(qpp):
             col = self._column(qpp, j_mask)
-            return poly_dot((fin, col.get(self._conj_for(qp, qpp), ZERO))
+            return poly_dot((fin, col.get(self._conj[qp, qpp], ZERO))
                             for qp, fin in row if not qp & ~qpp)
         acc2 = poly_dot((gathered(qpp), self._ss_num(qpp)) for qpp in subs)
         if acc1 != acc2:

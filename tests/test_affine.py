@@ -2,6 +2,7 @@
 
 import random
 import textwrap
+from collections import defaultdict
 
 import pytest
 
@@ -367,6 +368,96 @@ class TestOracle:
             assert b2.normalizer_counts(j, 9, elements) == counts[j]
 
 
+def reference_profile(aff, x):
+    """classify by matrix algebra: <alpha_i, v> and <alpha_i, w v> from
+    the Cartan matrix and the coroot action of w."""
+    w, m = x
+    table = aff.table
+    cm = rootsystem.mat_vec(aff.rs.cartan, m)
+    cwm = rootsystem.mat_vec(aff.rs.cartan, table.act_coroot(w, m))
+    right, left, perm = table.rasc[w], table.lasc[w], table.perms[w]
+    rasc = lasc = 0
+    for i in range(aff.n):
+        bit = 1 << i
+        if affine_root_positive(1 if right & bit else -1, -cm[i]):
+            rasc |= bit
+        if affine_root_positive(1 if left & bit else -1, cwm[i]):
+            lasc |= bit
+    dest = tuple(-1 if c else d for c, d in zip(cm, table.simple_img[w]))
+    supp = tuple(-1 if c else aff._supp[perm[s]]
+                 for s, c in zip(aff.rs.simple_idx, cm))
+    return rasc, lasc, dest, supp
+
+
+def reference_length(aff, x):
+    """sum over positive roots beta of |<beta, v> + chi(w beta)|."""
+    w, m = x
+    cm = rootsystem.mat_vec(aff.rs.cartan, m)
+    n_pos = len(aff.rs.positive_roots)
+    return sum(abs(sum(a * b for a, b in zip(root, cm))
+                   + (aff.table.perms[w][r] >= n_pos))
+               for r, (root, _) in enumerate(aff.rs.positive_roots))
+
+
+def reference_scan(aff, max_length, pairs, j_masks, elements, length):
+    """oracle_scan element by element: each element's profile is tested
+    against every (J, K) and every J."""
+    size = max_length + 1
+    cosets = {pair: (defaultdict(lambda: [0] * size), [0] * size)
+              for pair in pairs}
+    counts = {j: [0] * size for j in j_masks}
+    for x in elements:
+        l = length(x)
+        if l > max_length:
+            continue
+        profile = reference_profile(aff, x)
+        for (j, k), (bins, total) in cosets.items():
+            q = coset_pattern(profile, j, k)
+            if q is not None:
+                bins[q][l] += 1
+                total[l] += 1
+        for j, c in counts.items():
+            if normalizes(profile, j):
+                c[l] += 1
+    return {p: (dict(b), t) for p, (b, t) in cosets.items()}, counts
+
+
+def _ordered(scan):
+    """A scan's result with every dict as its list of items, so equality
+    also compares the order of the bins."""
+    cosets, counts = scan
+    return ([(p, list(b.items()), t) for p, (b, t) in cosets.items()],
+            list(counts.items()))
+
+
+class TestBucketedScan:
+    @pytest.mark.parametrize("label, max_length",
+                             [("G2", 20), ("B2", 20), ("A3", 8), ("C3", 6)])
+    def test_matches_the_element_scan(self, label, max_length):
+        aff = get_affine(build_label(label))
+        subs = aff.rs.subsets()
+        pairs = [(j, k) for j in subs for k in subs]
+        elements, depths = aff.bfs_enumerate(max_length)
+        want = _ordered(reference_scan(aff, max_length, pairs, subs,
+                                       elements, depths.__getitem__))
+        assert _ordered(aff.oracle_scan(max_length, pairs, subs)) == want
+        # a longer enumeration, cut at max_length by the closed form
+        longer, _ = aff.bfs_enumerate(max_length + 2)
+        assert len(longer) > len(elements)
+        assert _ordered(aff.oracle_scan(max_length, pairs, subs,
+                                        longer)) == want
+
+    @pytest.mark.parametrize("label", ["A2", "G2", "A3", "C3"])
+    def test_rows_match_the_matrix_algebra(self, label):
+        aff = get_affine(build_label(label))
+        elements, _ = aff.bfs_enumerate(5)
+        for x in elements:
+            assert aff.classify(x) == reference_profile(aff, x)
+            assert aff.length(x) == reference_length(aff, x)
+            for g, s in aff.gens.items():
+                assert aff.mul_gen(x, g) == mul(aff, x, s)
+
+
 # Makes the closed-form length of one A2 element one too long, then
 # requires the BFS depth check to raise.  Exit codes: 0 raised, 1 did not
 # raise, 3 asserts were not stripped.
@@ -382,6 +473,27 @@ _DEPTH_SCRIPT = textwrap.dedent("""
     AffineWeyl.length = lambda self, x: length(self, x) + (x == bad)
     try:
         aff.bfs_enumerate(4)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+# Adds 1 to the first entry of the second row of the coroot-action matrix
+# of generator 1 of A2, then requires the BFS depth check to raise.  Exit
+# codes as above.
+_ACTION_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label
+    from coxgrowth.affine import get_affine
+    if __debug__:
+        sys.exit(3)
+    aff = get_affine(build_label("A2"))
+    row, (a, b) = aff._act[1]
+    aff._act[1] = (row, (a + 1, b))
+    try:
+        aff.bfs_enumerate(6)
     except AssertionError as exc:
         print(exc)
         sys.exit(0)
@@ -405,6 +517,10 @@ class TestExplicitChecks:
     def test_depth_check_raises(self):
         out = _run_optimized(_DEPTH_SCRIPT)
         assert "BFS depth 2 != closed-form length 3" in out
+
+    def test_action_rows_checked_by_depth(self):
+        out = _run_optimized(_ACTION_SCRIPT)
+        assert "BFS depth 2 != closed-form length 6" in out
 
     def test_proper_subsets_only(self, a2):
         with pytest.raises(ValueError, match="proper subsets only"):

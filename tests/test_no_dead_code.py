@@ -8,7 +8,11 @@ excluded) are parsed with `ast`.  A name counts as used when it is read
 as a variable, read as an attribute, or appears as an identifier inside
 a string constant other than a docstring (`__all__` entries, the
 harness's trace targets such as "GroupTable.p_poly").  A docstring that
-mentions a function is not a caller of it.  Dunder methods are called by
+mentions a function is not a caller of it.  A method is stricter: it
+counts as used only when it is read as an attribute, or when a string
+constant is, as a whole, a possibly dotted identifier that names it
+("GroupTable.p_poly"); a local variable of the same name, or the word in
+a message, is not a caller.  Dunder methods are called by
 the interpreter, not by name, and are not checked.  An attribute counts
 as read when it appears as an attribute outside an assignment target, or
 as an identifier inside such a string constant; assigning it is not a
@@ -24,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coxgrowth"
 USERS = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -40,11 +45,13 @@ def _docstrings(tree):
 
 
 def used_names():
-    """(used, read, loaded): every name the users refer to, those of them
-    that can read an attribute, and the variables they read."""
+    """(used, read, loaded, named): every name the users refer to, those
+    of them that can read an attribute, the variables they read, and the
+    names read as attributes or named by a whole dotted identifier."""
     used = set()
     read = set()
     loaded = set()
+    named = set()
     for directory in USERS:
         for _, tree in _parsed(directory):
             docstrings = _docstrings(tree)
@@ -57,23 +64,32 @@ def used_names():
                     used.add(node.attr)
                     if not isinstance(node.ctx, ast.Store):
                         read.add(node.attr)
+                        named.add(node.attr)
                 elif (isinstance(node, ast.Constant)
                       and isinstance(node.value, str)
                       and id(node) not in docstrings):
                     found = IDENTIFIER.findall(node.value)
                     used.update(found)
                     read.update(found)
-    return used, read, loaded
+                    if DOTTED.fullmatch(node.value):
+                        named.update(found)
+    return used, read, loaded, named
 
 
 def definitions():
-    """(place, name) of every function and class defined in the package."""
+    """(place, name, is_method) of every function and class defined in
+    the package."""
     for path, tree in _parsed(PACKAGE):
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))}
         for node in ast.walk(tree):
             if isinstance(node, DEFINITIONS):
                 if not (node.name.startswith("__")
                         and node.name.endswith("__")):
-                    yield f"{path.name}:{node.lineno}", node.name
+                    yield (f"{path.name}:{node.lineno}", node.name,
+                           id(node) in methods)
 
 
 def self_attributes():
@@ -103,21 +119,21 @@ def module_constants():
 
 
 def test_every_definition_has_a_user():
-    used, _, _ = used_names()
-    unused = [f"{place} {name}" for place, name in definitions()
-              if name not in used]
+    used, _, _, named = used_names()
+    unused = [f"{place} {name}" for place, name, method in definitions()
+              if name not in (named if method else used)]
     assert not unused, "defined but never used: " + ", ".join(unused)
 
 
 def test_every_attribute_is_read():
-    _, read, _ = used_names()
+    _, read, _, _ = used_names()
     unread = [f"{place} {name}" for place, name in self_attributes()
               if name not in read]
     assert not unread, "assigned but never read: " + ", ".join(unread)
 
 
 def test_every_constant_is_read():
-    _, read, loaded = used_names()
+    _, read, loaded, _ = used_names()
     unread = [f"{place} {name}" for place, name in module_constants()
               if name not in read | loaded]
     assert not unread, "assigned but never read: " + ", ".join(unread)
@@ -125,8 +141,11 @@ def test_every_constant_is_read():
 
 def test_the_scan_sees_the_package():
     # a guard that parsed nothing would pass vacuously
-    names = {name for _, name in definitions()}
+    names = {name for _, name, _ in definitions()}
     assert {"GroupTable", "AffineWeyl", "poly_gcd", "main"} <= names
+    methods = {name for _, name, method in definitions() if method}
+    assert {"p_poly", "classify", "mul_gen"} <= methods
+    assert "poly_gcd" not in methods
     attributes = {name for _, name in self_attributes()}
     assert {"perms", "rmult", "roots", "gens"} <= attributes
     assert "MAX_GROUP_ORDER" in {name for _, name in module_constants()}

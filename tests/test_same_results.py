@@ -18,8 +18,10 @@ recorded at commit 3744ca8, before sums of polynomial products were
 packed into integers and before `finite --what poincare` stopped
 building the group table.  The D4 finite check digest was recorded at
 commit 0f07b34, before the finite identity suite ran on packed coset
-bins.  A change that alters any of these bytes must say so and re-record
-the digest."""
+bins.  The B2 and A3 verify and G2 oracle digests were recorded at
+commit 21c2ada, before the oracle scan classified each distinct profile
+once and read root pairings from precomputed integer rows.  A change
+that alters any of these bytes must say so and re-record the digest."""
 
 import hashlib
 
@@ -96,6 +98,12 @@ DIGESTS = [
      "eeefbf531bf4a197042b48e13e8452719a615fef40e999ba5aaf75fe1f5c4169"),
     ("finite --type D4 --what check",
      "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
+    ("verify --type B2 --max-length 40",
+     "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
+    ("verify --type A3 --max-length 12",
+     "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
+    ("oracle --type G2 --J 1 --K 2 --max-length 40 --format json",
+     "2b13becf77331a1468041d9cb51e69fbe55aa0eef20dc956d14f0017581148bd"),
 ]
 
 

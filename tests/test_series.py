@@ -273,10 +273,13 @@ _CHECKS_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label, cones, get_pipeline
     from coxgrowth.ratfun import IntPoly
+    from coxgrowth.series import AffinePipeline
     if __debug__:
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
     rs = pl.rs
+    table = pl.table
+    conj = table.conj_subset_signed
     raised = 0
 
     def expect(name, call):
@@ -289,12 +292,14 @@ _CHECKS_SCRIPT = textwrap.dedent("""
         else:
             print(f"{name}: no error")
 
-    expect("subset", lambda: pl._conj_for(rs.full_mask, 0))
-    pl._conj_by_w0 = lambda mask: 0
-    expect("image", lambda: pl._conj_for(rs.mask_of([1]), rs.mask_of([1])))
-    del pl._conj_by_w0
-    pl.table.conj_subset_signed = lambda idx, mask: None
-    expect("w0", lambda: pl._conj_by_w0(rs.mask_of([1])))
+    expect("subset", lambda: pl._conj[rs.full_mask, 0])
+    # w_0 sends every mask to the empty one, so no nonempty Q fits
+    table.conj_subset_signed = lambda idx, mask: (
+        0 if idx == table.longest_idx else conj(idx, mask))
+    expect("image", lambda: AffinePipeline(rs))
+    table.conj_subset_signed = lambda idx, mask: None
+    expect("w0", lambda: AffinePipeline(rs))
+    table.conj_subset_signed = conj
     cones.reciprocity_numerator = lambda rs, q: (IntPoly.one(), [])
     expect("pole", lambda: pl.p_ss(0))
     sys.exit(0 if raised == 4 else 1)
