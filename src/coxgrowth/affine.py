@@ -46,7 +46,7 @@ from operator import add, mul
 
 from .ratfun import IntPoly, expand
 from . import rootsystem
-from .finite import get_table
+from .finite import get_table, image_masks
 
 MAX_BFS_ELEMENTS = 3 * 10 ** 6
 
@@ -111,17 +111,19 @@ class AffineWeyl:
 
     def bfs_enumerate(self, max_length):
         """(elements in BFS order, {element: length}) up to max_length;
-        each BFS depth is checked against the closed-form length.  First
-        refuses a ball of over MAX_BFS_ELEMENTS elements: one per length,
-        the rest counted from Bott's series in doubling steps."""
+        each BFS depth is checked against the closed-form length and each
+        level's size against Bott's series.  First refuses a ball of over
+        MAX_BFS_ELEMENTS elements: one per length, the rest counted from
+        Bott's series in doubling steps, the last up to max_length."""
         rs = self.rs
         num = rs.poincare(rs.full_mask)
         den = IntPoly.one_minus_t(*rootsystem.exponents(
             sum(root) for root, _ in rs.positive_roots))
-        count, n = max_length + 1, 0
+        count, n, levels = max_length + 1, 0, [1]
         while count <= MAX_BFS_ELEMENTS and n < max_length:
             n = min(max(2 * n, 64), max_length)
-            count = max(count, sum(expand(num, n, den)))
+            levels = expand(num, n, den)
+            count = max(count, sum(levels))
         if count > MAX_BFS_ELEMENTS:
             raise ValueError(f"length {max_length} covers at least {count} "
                              f"affine {rs.label} elements, over the "
@@ -148,6 +150,10 @@ class AffineWeyl:
                     nxt.append(y)
                     if len(seen) > MAX_BFS_ELEMENTS:
                         raise ValueError("enumeration exceeds element bound")
+            if len(nxt) != levels[depth]:
+                raise AssertionError(f"BFS level {depth} has {len(nxt)} "
+                                     f"elements, Bott's series "
+                                     f"{levels[depth]}")
             frontier = nxt
         return order, seen
 
@@ -232,7 +238,7 @@ class AffineWeyl:
         counts = {j: [0] * size for j in j_masks}
         for profile, h in histograms.items():
             for (j, k), (bins, total) in cosets.items():
-                q = coset_pattern(profile, j, k)
+                q = coset_pattern(self.rs, profile, j, k)
                 if q is not None:
                     bins[q] = list(map(add, bins[q], h))
                     total[:] = map(add, total, h)
@@ -253,18 +259,15 @@ class AffineWeyl:
                                 elements)[1][j_mask]
 
 
-def coset_pattern(profile, j_mask, k_mask):
+def coset_pattern(rs, profile, j_mask, k_mask):
     """Q for x with this profile when x is minimal in its (W_J, W_K)
     double coset: the k in K with x . (alpha_k, 0) = (alpha_j, 0) for
-    some j in J.  None when x is not minimal."""
+    some j in J, read off the image masks of dest.  None when x is not
+    minimal."""
     rasc, lasc, dest, _ = profile
     if rasc & k_mask != k_mask or lasc & j_mask != j_mask:
         return None
-    q = 0
-    for i, d in enumerate(dest):
-        if (k_mask >> i) & 1 and d >= 0 and (j_mask >> d) & 1:
-            q |= 1 << i
-    return q
+    return image_masks(rs, dest)[0][j_mask] & k_mask
 
 
 def normalizes(profile, j_mask):

@@ -10,8 +10,10 @@ w(alpha)^vee = w(alpha^vee) the same permutation acts on the coroots.
 Lengths come from BFS depth.  The Poincare polynomial of W_J is known
 in closed form: a table whose order, its value at 1, is over the bound
 is refused before the BFS, and the BFS lengths are checked against it.
-Ascent sets and simple-root images are index lookups cached per
-element, so the coset sums are linear scans.
+Ascent sets and simple-root images are read off each permutation once.
+A coset scan visits only the minimal representatives, the buckets of
+elements whose left and right ascent sets contain J and K, and reads Q
+and R from lists kept per simple-root image (`image_masks`).
 
 Series computed here:
 
@@ -41,6 +43,7 @@ The finite and affine suites share one implementation of each identity:
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from operator import itemgetter, mul
 
 from .ratfun import IntPoly, pack, pack_bits, poly_exact_div
@@ -121,14 +124,27 @@ class GroupTable:
         self.rasc = []
         self.lasc = []
         self.simple_img = []
+        images = {}  # one tuple per distinct image
         for perm in self.perms:
             img = [perm[s] for s in simple]
             self.rasc.append(sum(1 << i for i, b in enumerate(img)
                                  if b < n_pos))
             self.lasc.append(sum(map(bit, simple_set.intersection(
                 perm[:n_pos]))))
-            self.simple_img.append(tuple([self._simple_pos.get(b, -1)
-                                          for b in img]))
+            img = tuple([self._simple_pos.get(b, -1) for b in img])
+            self.simple_img.append(images.setdefault(img, img))
+
+    @cached_property
+    def _above(self):
+        """_above[J]: (rasc, [(q_of, r_of, length)]) per (lasc, rasc)
+        bucket of elements with lasc containing J, made on the first scan."""
+        buckets = {}
+        for lasc, rasc, img, length in zip(self.lasc, self.rasc,
+                                           self.simple_img, self.lengths):
+            buckets.setdefault((lasc, rasc), (rasc, []))[1].append(
+                (*image_masks(self.rs, img), length))
+        return [[b for (lasc, _), b in buckets.items() if not j & ~lasc]
+                for j in range(1 << self.rs.rank)]
 
     # -- element queries ------------------------------------------------
 
@@ -223,31 +239,35 @@ class GroupTable:
         size = self.lengths[self.longest_idx] + 1
         p_bins = defaultdict(lambda: [0] * size)
         h_bins = defaultdict(lambda: [0] * size)
-        for idx in range(self.order):
-            if self.lasc[idx] & j_mask != j_mask:
-                continue
-            if self.rasc[idx] & k_mask != k_mask:
-                continue
-            img = self.simple_img[idx]
-            q = r = 0
-            k = k_mask
-            while k:
-                i = (k & -k).bit_length() - 1
-                j = img[i]
-                if j < 0:
-                    r = None
-                else:
-                    if (j_mask >> j) & 1:
-                        q |= 1 << i
-                    if r is not None:
-                        r |= 1 << j
-                k &= k - 1
-            length = self.lengths[idx]
-            p_bins[q][length] += 1
-            if r is not None:
-                h_bins[r][length] += 1
+        for rasc, bucket in self._above[j_mask]:
+            if rasc & k_mask == k_mask:
+                for q_of, r_of, length in bucket:
+                    p_bins[q_of[j_mask] & k_mask][length] += 1
+                    r = r_of[k_mask]
+                    if r >= 0:
+                        h_bins[r][length] += 1
         return ({q: IntPoly(c) for q, c in p_bins.items()},
                 {r: IntPoly(c) for r, c in h_bins.items()})
+
+
+def image_masks(rs, img):
+    """For img[i] = j when x alpha_i = alpha_j (else -1), the lists over
+    all masks M of q_of[M] = {i : img[i] in M} and r_of[M] = img(M), or -1
+    when some i in M has no simple image, each entry from that of M less
+    its lowest bit; made once per image and kept on the root system."""
+    def build():
+        pre = [0] * len(img)
+        for i, j in enumerate(img):
+            if j >= 0:
+                pre[j] |= 1 << i
+        q_of, r_of = [0], [0]
+        for m in range(1, 1 << len(img)):
+            rest, i = m & (m - 1), (m & -m).bit_length() - 1
+            q_of.append(q_of[rest] | pre[i])
+            r_of.append(-1 if r_of[rest] < 0 or img[i] < 0
+                        else r_of[rest] | 1 << img[i])
+        return q_of, r_of
+    return rs.cached(("images", img), build)
 
 
 ZERO = IntPoly.zero()
@@ -431,18 +451,18 @@ def reduction_targets(table, subsets, names):
 def p_alternating_reduction(table, p, subsets, bits):
     """sum over Q<H<K, Q<R<H of (-1)^{|H|-|Q|} p(R, J, H)
     = t^{l(w(K,Q))} p(Q', J, K), one case per (Q, J, K) with J and K in
-    `subsets`; p gives the finite coset series or the affine numerators,
-    packed at t = 2^bits for a slot width that holds every such sum."""
+    `subsets`; p[J, K] holds the finite coset series or the affine
+    numerators by Q, packed at t = 2^bits for a slot width that holds
+    every such sum, and is read once per (J, H) in a case."""
     rs = table.rs
     for k, q, qp, shift in reduction_targets(table, subsets, "QK"):
-        terms = [(r, h, signed(1, h & ~q))
-                 for h in rs.subsets(k) if not q & ~h
-                 for r in rs.subsets(h) if not q & ~r]
+        terms = [(h, signed(1, h & ~q)) for h in rs.subsets(k) if not q & ~h]
         for j in subsets:
-            lhs = sum(sign * p(r, j, h) for r, h, sign in terms)
+            lhs = sum(sign * sum(v for r, v in p[j, h].items() if not q & ~r)
+                      for h, sign in terms)
             yield ((lambda: f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
                             f"K={rs.ids_of(k)}"),
-                   lhs == p(qp, j, k) << bits * shift)
+                   lhs == p[j, k].get(qp, 0) << bits * shift)
 
 
 def identity_checks_finite(rs, sp_mask=None):
@@ -456,6 +476,8 @@ def identity_checks_finite(rs, sp_mask=None):
     wt = w_poly[sp_mask]
     packed = PackedBins(table)
     bits = packed.bits
+    # the packed (p, h) bins of every (J, K)
+    bins = {(j, k): packed(table, j, k) for j in subsets for k in subsets}
 
     def parabolic_quotient():
         # W(t) = W_J(t) times the series of minimal left representatives
@@ -467,7 +489,7 @@ def identity_checks_finite(rs, sp_mask=None):
         # partition of p_{K,J,K} by conjugation targets
         for j in subsets:
             for k in subsets:
-                p_bins, h_bins = packed(table, j, k)
+                p_bins, h_bins = bins[j, k]
                 total = sum(v for r, v in h_bins.items() if not r & ~j)
                 yield ((lambda: f"J={rs.ids_of(j)}, K={rs.ids_of(k)}"),
                        total == p_bins.get(k, 0))
@@ -479,12 +501,10 @@ def identity_checks_finite(rs, sp_mask=None):
             terms = [(h, signed(1, h & ~r))
                      for h in rs.subsets(j) if not r & ~h]
             for k in subsets:
-                lhs = sum(sign * packed(table, h, k)[1].get(r, 0)
-                          for h, sign in terms)
+                lhs = sum(sign * bins[h, k][1].get(r, 0) for h, sign in terms)
                 yield ((lambda: f"R={rs.ids_of(r)}, J={rs.ids_of(j)}, "
                                 f"K={rs.ids_of(k)}"),
-                       lhs == packed(table, j, k)[1].get(rp, 0)
-                       << bits * shift)
+                       lhs == bins[j, k][1].get(rp, 0) << bits * shift)
 
     def factorization(matrix, detail):
         # factorization of the series matrices along chains K < K' < S'
@@ -504,8 +524,7 @@ def identity_checks_finite(rs, sp_mask=None):
         ("parabolic-quotient", parabolic_quotient()),
         ("pKJK-partition", pkjk_partition()),
         ("p-alternating-reduction", p_alternating_reduction(
-            table, lambda q, j, k: packed(table, j, k)[0].get(q, 0),
-            subsets, bits)),
+            table, {jk: pq[0] for jk, pq in bins.items()}, subsets, bits)),
         ("h-alternating-reduction", h_alternating_reduction()),
         ("M-factorization", factorization(matrix_M, "M chain K={} K'={}")),
         ("N-factorization", factorization(matrix_N, "N chain J={} J'={}")),

@@ -324,12 +324,11 @@ class RootSystem:
         return 2 * sum(m)
 
     def positive_roots_of(self, mask):
-        """Positive roots supported on the generator subset `mask`."""
-        out = []
-        for root, coroot in self.positive_roots:
-            if all(x == 0 or (mask >> i) & 1 for i, x in enumerate(root)):
-                out.append((root, coroot))
-        return out
+        """Positive roots supported on the generator subset `mask`, as a
+        tuple kept in the cache."""
+        return self.cached(("positive_roots", mask), lambda: tuple(
+            (root, coroot) for root, coroot in self.positive_roots
+            if all(x == 0 or (mask >> i) & 1 for i, x in enumerate(root))))
 
     def longest_length(self, mask):
         """l(w_J) = number of positive roots of the parabolic J."""

@@ -223,14 +223,15 @@ class AffinePipeline:
 
         def alternating_reduction():
             # every p_{Q,J,K} packed once, at a width that holds a sum of
-            # 3^n of them
+            # 3^n of them, and kept by Q under its (J, K)
             nums = {(q, j, k): self._full_num(q, j, k) for j in rs.subsets()
                     for k in rs.subsets() for q in rs.subsets(k)}
             bits = pack_bits(3 ** rs.rank * max(map(height, nums.values())))
-            packed = {key: pack(num, bits) for key, num in nums.items()}
-            yield from p_alternating_reduction(
-                self.table, lambda q, j, k: packed[q, j, k], rs.subsets(),
-                bits)
+            packed = {(j, k): {q: pack(nums[q, j, k], bits)
+                               for q in rs.subsets(k)}
+                      for j in rs.subsets() for k in rs.subsets()}
+            yield from p_alternating_reduction(self.table, packed,
+                                               rs.subsets(), bits)
 
         return run_checks([
             ("alternating-sum-zero", alternating_sum_zero()),

@@ -216,7 +216,7 @@ class TestClassification:
                     right_min = all(
                         a2.length(a2.mul_gen(x, i + 1)) > lx
                         for i in range(rs.rank) if (k >> i) & 1)
-                    q = coset_pattern(a2.classify(x), j, k)
+                    q = coset_pattern(a2.rs, a2.classify(x), j, k)
                     assert (q is not None) == (left_min and right_min)
                     if q is not None:
                         assert q & ~k == 0
@@ -229,7 +229,7 @@ class TestClassification:
         j = rs.mask_of([1])
         k = rs.mask_of([2])
         for x in elements:
-            q = coset_pattern(a2.classify(x), j, k)
+            q = coset_pattern(a2.rs, a2.classify(x), j, k)
             if q is None:
                 continue
             s2 = a2.mul_gen(a2.identity(), 2)
@@ -266,7 +266,8 @@ class TestClassification:
                         == reference_normalizes(aff, x, j))
                 for k in subs:
                     ok, q = reference_classify(aff, x, j, k)
-                    assert coset_pattern(profile, j, k) == (q if ok else None)
+                    assert (coset_pattern(aff.rs, profile, j, k)
+                            == (q if ok else None))
 
 
 def reference_classify(aff, x, j_mask, k_mask):
@@ -412,7 +413,7 @@ def reference_scan(aff, max_length, pairs, j_masks, elements, length):
             continue
         profile = reference_profile(aff, x)
         for (j, k), (bins, total) in cosets.items():
-            q = coset_pattern(profile, j, k)
+            q = coset_pattern(aff.rs, profile, j, k)
             if q is not None:
                 bins[q][l] += 1
                 total[l] += 1
@@ -501,6 +502,30 @@ _ACTION_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Sets the first row of the coroot-action matrix of generator 1 of A2 to
+# (0, 1), an action whose walk closes up early with every depth matching
+# the closed-form length, then requires the level-size check to raise.
+# Exit codes as above, and 4 if the row is not (-1, 1).
+_LEVEL_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label
+    from coxgrowth.affine import get_affine
+    if __debug__:
+        sys.exit(3)
+    aff = get_affine(build_label("A2"))
+    row, rest = aff._act[1]
+    if row != (-1, 1):
+        sys.exit(4)
+    aff._act[1] = ((0, 1), rest)
+    try:
+        aff.bfs_enumerate(14)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
 class TestParabolicPoincare:
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3",
                                        "D4", "F4"])
@@ -521,6 +546,10 @@ class TestExplicitChecks:
     def test_action_rows_checked_by_depth(self):
         out = _run_optimized(_ACTION_SCRIPT)
         assert "BFS depth 2 != closed-form length 6" in out
+
+    def test_level_sizes_checked_against_bott(self):
+        out = _run_optimized(_LEVEL_SCRIPT)
+        assert "BFS level 2 has 5 elements, Bott's series 6" in out
 
     def test_proper_subsets_only(self, a2):
         with pytest.raises(ValueError, match="proper subsets only"):

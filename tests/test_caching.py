@@ -51,6 +51,15 @@ class TestInterning:
         assert rootsystem._INTERNED == {}
 
 
+def test_positive_roots_of_kept_per_mask():
+    rs = RootSystem("F", 4)
+    for mask in rs.subsets():
+        roots = rs.positive_roots_of(mask)
+        assert isinstance(roots, tuple)
+        assert rs.positive_roots_of(mask) is roots
+    assert len(rs.positive_roots_of(rs.full_mask)) == 24
+
+
 def test_selftest_constructions(monkeypatch):
     counts = {}
     for cls in (RootSystem, GroupTable, AffinePipeline):

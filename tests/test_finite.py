@@ -1,18 +1,21 @@
 """Finite Weyl group tables and coset-series polynomials."""
 
 import functools
+import itertools
 import json
 import random
 import textwrap
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label
 from coxgrowth import finite
-from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, matrix_M,
-                              matrix_N, identity_checks_finite)
+from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, image_masks,
+                              matrix_M, matrix_N, identity_checks_finite)
 from coxgrowth.ratfun import IntPoly, RatFun, _unpack, pack, pack_bits
+from coxgrowth.rootsystem import RootSystem
 from test_series import _run_optimized, _run_python
 
 
@@ -339,6 +342,99 @@ class TestCosetSeries:
         jp = rs.mask_of([2, 3])
         assert (matrix_N(rs, j, s, packed)
                 == matrix_N(rs, j, jp, packed) @ matrix_N(rs, jp, s, packed))
+
+
+def reference_scan(t, j_mask, k_mask):
+    """GroupTable._scan element by element: every element of the table is
+    tested for minimality, and Q and R are found by a loop over K."""
+    size = t.lengths[t.longest_idx] + 1
+    p_bins = defaultdict(lambda: [0] * size)
+    h_bins = defaultdict(lambda: [0] * size)
+    for idx in range(t.order):
+        if t.lasc[idx] & j_mask != j_mask:
+            continue
+        if t.rasc[idx] & k_mask != k_mask:
+            continue
+        img = t.simple_img[idx]
+        q = r = 0
+        k = k_mask
+        while k:
+            i = (k & -k).bit_length() - 1
+            j = img[i]
+            if j < 0:
+                r = None
+            else:
+                if (j_mask >> j) & 1:
+                    q |= 1 << i
+                if r is not None:
+                    r |= 1 << j
+            k &= k - 1
+        length = t.lengths[idx]
+        p_bins[q][length] += 1
+        if r is not None:
+            h_bins[r][length] += 1
+    return ({q: IntPoly(c) for q, c in p_bins.items()},
+            {r: IntPoly(c) for r, c in h_bins.items()})
+
+
+class TestBucketedScan:
+    @pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "F4"])
+    def test_every_table_and_pair(self, label):
+        rs = build_label(label)
+        for mask in rs.subsets():
+            t = get_table(rs, mask)
+            for j in rs.subsets():
+                for k in rs.subsets():
+                    assert t._scan(j, k) == reference_scan(t, j, k), (
+                        mask, j, k)
+
+    def test_random_pairs_b5(self):
+        t = get_table(build_label("B5"))
+        subs = t.rs.subsets()
+        rng = random.Random(14)
+        for _ in range(100):
+            j, k = rng.choice(subs), rng.choice(subs)
+            assert t._scan(j, k) == reference_scan(t, j, k), (j, k)
+
+    @pytest.mark.parametrize("label, images", [("D4", 37), ("F4", 28)])
+    def test_image_masks_shared_per_root_system(self, label, images):
+        # every table of the root system, sub-tables included, reads one
+        # pair of lists per distinct simple-root image; a table buckets
+        # its elements on its first scan
+        rs = RootSystem(label[0], int(label[1:]))
+        tables = [get_table(rs, mask) for mask in rs.subsets()]
+        assert not any("_above" in t.__dict__ for t in tables)
+        assert not any(key[0] == "images" for key in rs._derived)
+        for t in tables:
+            t.coset_bins(0, 0)
+        keys = {key for key in rs._derived if key[0] == "images"}
+        assert len(keys) == images
+        for t in tables:
+            for idx in range(0, t.order, 7):
+                img = t.simple_img[idx]
+                assert image_masks(rs, img) is rs._derived["images", img]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_image_masks_brute_force(self, n):
+        # every injective partial image of n simple roots, -1 for none
+        rs = RootSystem("A", n)
+        count = 0
+        for img in itertools.product(range(-1, n), repeat=n):
+            hit = [j for j in img if j >= 0]
+            if len(hit) != len(set(hit)):
+                continue
+            count += 1
+            q_of, r_of = image_masks(rs, img)
+            assert len(q_of) == len(r_of) == 1 << n
+            for m in range(1 << n):
+                members = [i for i in range(n) if (m >> i) & 1]
+                assert q_of[m] == sum(1 << i for i in range(n)
+                                      if img[i] >= 0 and (m >> img[i]) & 1)
+                want = (-1 if any(img[i] < 0 for i in members)
+                        else sum(1 << img[i] for i in members))
+                assert r_of[m] == want, (img, m)
+        # sum over k of C(n, k)^2 k! images
+        assert count == {1: 2, 2: 7, 3: 34, 4: 209}[n]
 
 
 def reference_matmul(a, b):

@@ -20,7 +20,9 @@ building the group table.  The D4 finite check digest was recorded at
 commit 0f07b34, before the finite identity suite ran on packed coset
 bins.  The B2 and A3 verify and G2 oracle digests were recorded at
 commit 21c2ada, before the oracle scan classified each distinct profile
-once and read root pairings from precomputed integer rows.  A change
+once and read root pairings from precomputed integer rows.  The D4
+hmatrix and pmatrix digests were recorded at commit fd59f3f, before the
+coset scan visited only the ascent buckets above (J, K).  A change
 that alters any of these bytes must say so and re-record the digest."""
 
 import hashlib
@@ -104,6 +106,10 @@ DIGESTS = [
      "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
     ("oracle --type G2 --J 1 --K 2 --max-length 40 --format json",
      "2b13becf77331a1468041d9cb51e69fbe55aa0eef20dc956d14f0017581148bd"),
+    ("finite --type D4 --what hmatrix --J 1,3,4",
+     "ad665ce75286f337fb42feeed8c612329e15cc3e0ca5a2a4d36e0c3fae19088f"),
+    ("finite --type D4 --what pmatrix --K 2,3",
+     "ccd8cf81cb48fca6db6a43b6f42fa46a91f29bed0846cf763536bf02d454ecc5"),
 ]
 
 
