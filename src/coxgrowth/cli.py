@@ -168,20 +168,20 @@ def cmd_series(args):
     k = rs.mask_of(_parse_ids(args.K))
     if args.Q is not None:
         q = rs.mask_of(_parse_ids(args.Q))
+        if q & ~k:
+            # the Q-strata of (J, K) exist only for Q within K
+            raise ValueError(f"Q={rs.ids_of(q)} is not inside "
+                             f"K={rs.ids_of(k)}")
         r = pl.p_full(q, j, k)
     else:
         r = pl.double_coset_series(j, k)
     out = {"type": rs.label, "J": rs.ids_of(j), "K": rs.ids_of(k),
-           "series": r.to_json()}
+           "series": _fmt(r, args.format)}
     if args.Q is not None:
         out["Q"] = rs.ids_of(q)
     if args.expand is not None:
         out["expansion"] = expand(r, args.expand)
-    if args.format == "json":
-        _emit(out, "json")
-    else:
-        out["series"] = _fmt(r, args.format)
-        _emit(out, args.format)
+    _emit(out, args.format)
     return 0
 
 

@@ -37,7 +37,13 @@ polynomials.  The Solomon sum and the parabolic quotient stay on IntPoly.
 The finite and affine suites share one implementation of each identity:
 `solomon_sum` (the alternating sum of W(t) / W_I(t), by exact division),
 `reduction_targets` (the conjugates Q' of Q by w(K, Q)) and
-`p_alternating_reduction`, which takes the packed p-series as a function.
+`p_alternating_reduction`, which takes the packed p-series as a dict
+{(J, K): {Q: packed}}.
+
+Every conjugation of a subset by a product of two longest elements,
+w(K, Q) = w_K w_Q here and w_0 w_Q' in the affine assembly, is read off
+one table per GroupTable, `flips`: the opposition involution eps_X of
+each parabolic W_X on the subsets of X, checked once as it is built.
 """
 
 from __future__ import annotations
@@ -152,10 +158,6 @@ class GroupTable:
         """Index of the product (as maps: first apply b, then a)."""
         return self.index[itemgetter(*self.perms[b])(self.perms[a])]
 
-    def descents(self, idx):
-        """Right descent set within the table's generators."""
-        return self.mask & ~self.rasc[idx]
-
     def act_coroot(self, idx, vec):
         """w(sum_j vec_j alpha_j^vee) = sum_j vec_j (w alpha_j)^vee."""
         perm, coroots = self.perms[idx], self.rs.coroots
@@ -199,24 +201,26 @@ class GroupTable:
                                  f" has length {self.lengths[idx]}")
         return idx
 
-    def w_hj(self, h_mask, j_mask):
-        """The longest minimal-coset representative in W_H of W_H / W_J:
-        product of the longest elements of H1 and J1, where H1 collects
-        the components of H meeting H minus J."""
-        if j_mask & ~h_mask:
-            raise AssertionError(f"J={self.rs.ids_of(j_mask)} is not inside "
-                                 f"H={self.rs.ids_of(h_mask)}")
-        h1 = 0
-        for comp in self.rs.components(h_mask):
-            if comp & ~j_mask:
-                h1 |= comp
-        j1 = j_mask & h1
-        idx = self.mul(self.longest_element(h1), self.longest_element(j1))
-        if self.descents(idx) & h_mask != h_mask & ~j_mask:
-            raise AssertionError(f"w(H, J) for H={self.rs.ids_of(h_mask)}, "
-                                 f"J={self.rs.ids_of(j_mask)} has the wrong "
-                                 "descents")
-        return idx
+    @cached_property
+    def flips(self):
+        """flips[X][M] for X within the table and M within X: the image of
+        M under the opposition involution eps_X of W_X, where
+        w_X alpha_i = -alpha_eps_X(i) (Humphreys, Reflection Groups and
+        Coxeter Groups, 1.8).  For H within K, w_K w_H then sends alpha_i,
+        i in H, to alpha_eps_K(eps_H(i)).  w_X has no ascent in X, so it
+        sends the simple roots of X to negative roots, which must be
+        minus simple roots of X."""
+        flips = {}
+        for x in self.rs.subsets(self.mask):
+            w = self.longest_element(x)
+            flip = {m: self.conj_subset_signed(w, m)
+                    for m in self.rs.subsets(x)}
+            if flip[x] != x:
+                raise AssertionError(f"w_X does not send the simple roots of "
+                                     f"X={self.rs.ids_of(x)} onto minus "
+                                     "simple roots of X")
+            flips[x] = flip
+        return flips
 
     # -- coset series ----------------------------------------------------
 
@@ -433,19 +437,14 @@ def solomon_sum(num, parabolics, rest):
     yield (lambda: f"sum = {acc}, expected 0"), acc.is_zero()
 
 
-def reduction_targets(table, subsets, names):
+def reduction_targets(table, subsets):
     """(K, Q, Q', l(v)) for K in `subsets` and Q within K, where
-    v = w(K, Q) and Q' is the conjugate of Q by v, which must lie in K.
-    `names` spells Q and K in the message of that check."""
+    v = w(K, Q) = w_K w_Q and Q' is the conjugate of Q by v, eps_K(Q)."""
     rs = table.rs
     for k in subsets:
+        flip, length = table.flips[k], rs.longest_length(k)
         for q in rs.subsets(k):
-            v = table.w_hj(k, q)
-            qp = table.conj_subset_signed(v, q)
-            if qp is None or qp & ~k:
-                raise AssertionError(f"{names[0]}={rs.ids_of(q)} conjugates "
-                                     f"outside {names[1]}={rs.ids_of(k)}")
-            yield k, q, qp, table.lengths[v]
+            yield k, q, flip[q], length - rs.longest_length(q)
 
 
 def p_alternating_reduction(table, p, subsets, bits):
@@ -455,7 +454,7 @@ def p_alternating_reduction(table, p, subsets, bits):
     numerators by Q, packed at t = 2^bits for a slot width that holds
     every such sum, and is read once per (J, H) in a case."""
     rs = table.rs
-    for k, q, qp, shift in reduction_targets(table, subsets, "QK"):
+    for k, q, qp, shift in reduction_targets(table, subsets):
         terms = [(h, signed(1, h & ~q)) for h in rs.subsets(k) if not q & ~h]
         for j in subsets:
             lhs = sum(sign * sum(v for r, v in p[j, h].items() if not q & ~r)
@@ -497,7 +496,7 @@ def identity_checks_finite(rs, sp_mask=None):
     def h_alternating_reduction():
         # sum over R<H<J of (-1)^{|H|-|R|} h_{R,H,K}
         # = t^{l(w(J,R'))} h_{R',J,K}
-        for j, r, rp, shift in reduction_targets(table, subsets, "RJ"):
+        for j, r, rp, shift in reduction_targets(table, subsets):
             terms = [(h, signed(1, h & ~r))
                      for h in rs.subsets(j) if not r & ~h]
             for k in subsets:

@@ -485,8 +485,9 @@ def expand(r, n, den=None):
 def factored_den(den):
     """Factor den as c * prod (1 - t^k) as far as possible.
 
-    Returns (c: IntPoly remainder, [k1, k2, ...]).  All pipeline
-    denominators factor completely into such terms.
+    Returns (c: IntPoly remainder, [k1, k2, ...]).  A reduced pipeline
+    denominator need not factor completely: the B3 series of Q = {2},
+    J = {1}, K = {2} has (1 + t^2 + t^4 + t^6)(1 - t^5)(1 - t^9).
     """
     best = [den, []]
 

@@ -363,27 +363,6 @@ class RootSystem:
     def ids_of(self, mask):
         return [i + 1 for i in range(self.rank) if (mask >> i) & 1]
 
-    def components(self, mask):
-        """Connected components of the Coxeter graph restricted to mask."""
-        nodes = [i for i in range(self.rank) if (mask >> i) & 1]
-        seen = set()
-        comps = []
-        for start in nodes:
-            if start in seen:
-                continue
-            comp = 0
-            stack = [start]
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                comp |= 1 << i
-                for j in nodes:
-                    if j not in seen and self.cartan[i][j] != 0:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(comp)
-        return comps
-
 
 _INTERNED = {}
 

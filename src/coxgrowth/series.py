@@ -12,9 +12,11 @@ over D: sums need no gcd, and each reported series is normalized once.
 General series are assembled two independent ways, with equal numerators:
 
   * a matrix product against the finite M_{K,S} matrix, and
-  * the expanded double sum with explicitly conjugated subsets,
+  * the expanded double sum with explicitly conjugated subsets.
 
-so a silent subset-conjugation slip on either path trips a check.  Every
+Both paths read their subset conjugations from the table's `flips`, so
+comparing them does not catch a conjugation slip (the identity suite and
+the oracle do); it catches memo corruption and arithmetic faults.  Every
 check raises AssertionError explicitly, so it also runs under python -O.
 The identity suite compares numerators in IntPoly, and shares the
 Solomon sum and the alternating reduction with the finite suite; for the
@@ -43,19 +45,6 @@ def _memo(method):
     return memoized
 
 
-class _Conjugates(dict):
-    """w_0 w_Q' Q w_Q' w_0 by (Q, Q'), for each Q within Q'."""
-
-    def __init__(self, rs):
-        super().__init__()
-        self.rs = rs
-
-    def __missing__(self, key):
-        q_mask, qp_mask = key
-        raise AssertionError(f"Q={self.rs.ids_of(q_mask)} is not inside "
-                             f"Q'={self.rs.ids_of(qp_mask)}")
-
-
 class AffinePipeline:
     """Caches one root system's tables and assembled series."""
 
@@ -65,26 +54,8 @@ class AffinePipeline:
         self.aff = get_affine(rs)
         self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
         self.den = IntPoly.one_minus_t(*self.weights)
-        # the conjugate of each mask by w_0, and of each Q within Q' by
-        # w_0 w_Q'
-        table = self.table
-        w0 = table.longest_idx
-        self._by_w0 = {}
-        for mask in rs.subsets():
-            out = table.conj_subset_signed(w0, mask)
-            if out is None:
-                raise AssertionError(
-                    f"w_0 does not permute {rs.ids_of(mask)} up to sign")
-            self._by_w0[mask] = out
-        self._conj = _Conjugates(rs)
-        for qp in rs.subsets():
-            u = table.mul(w0, table.longest_element(qp))
-            for q in rs.subsets(qp):
-                out = table.conj_subset_signed(u, q)
-                if out is None or out & ~self._by_w0[qp]:
-                    raise AssertionError(f"Q={rs.ids_of(q)} conjugates "
-                                         f"outside Q'={rs.ids_of(qp)}")
-                self._conj[q, qp] = out
+        # the conjugate of each mask by w_0: eps_S
+        self._by_w0 = self.table.flips[rs.full_mask]
 
     # -- numerators over D -----------------------------------------------
 
@@ -101,9 +72,13 @@ class AffinePipeline:
             raise AssertionError(f"shift left a genuine pole: {num} / t^{k}")
         return IntPoly(num.coeffs[k:])
 
+    def _conj(self, q_mask, qp_mask):
+        """The conjugate of Q within Q' by w_0 w_Q': eps_S(eps_Q'(Q))."""
+        return self._by_w0[self.table.flips[qp_mask][q_mask]]
+
     def _column(self, qp_mask, j_mask):
         """The finite p-bins of (J, K) for K the conjugate of Q' by w_0:
-        the entry of Q within Q' is at its conjugate _conj[Q, Q']."""
+        the entry of Q within Q' is at its conjugate _conj(Q, Q')."""
         return self.table.coset_bins(j_mask, self._by_w0[qp_mask])[0]
 
     @_memo
@@ -111,7 +86,7 @@ class AffinePipeline:
         """p_{Q,J,S}: sum over Q' containing Q of a finite coset series
         against the K = conjugated Q' column, times p_SS(Q')."""
         return poly_dot(
-            (self._column(qp, j_mask).get(self._conj[q_mask, qp], ZERO),
+            (self._column(qp, j_mask).get(self._conj(q_mask, qp), ZERO),
              self._ss_num(qp))
             for qp in self.rs.subsets() if not q_mask & ~qp)
 
@@ -127,7 +102,7 @@ class AffinePipeline:
         # path 2: the double sum, gathered by Q'' before its p_SS(Q'')
         def gathered(qpp):
             col = self._column(qpp, j_mask)
-            return poly_dot((fin, col.get(self._conj[qp, qpp], ZERO))
+            return poly_dot((fin, col.get(self._conj(qp, qpp), ZERO))
                             for qp, fin in row if not qp & ~qpp)
         acc2 = poly_dot((gathered(qpp), self._ss_num(qpp)) for qpp in subs)
         if acc1 != acc2:

@@ -108,8 +108,8 @@ def test_scan_matches_direct_count():
         for k in rs.subsets():
             # minimal in W_J x W_K: no right descent in K, no left one in J
             reps = [x for x in range(t.order)
-                    if not t.descents(x) & k
-                    and not t.descents(inv_idx[x]) & j]
+                    if not t.mask & ~t.rasc[x] & k
+                    and not t.mask & ~t.rasc[inv_idx[x]] & j]
             p = {}
             h = {}
             for x in reps:

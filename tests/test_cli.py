@@ -43,6 +43,12 @@ class TestExitCodes:
                              "1", "--what", "hmatrix", "--J", "2")
         assert code == 2 and out == "" and "not inside" in err
 
+    def test_usage_error_series_Q_outside_K(self, capsys):
+        code, out, err = run(capsys, "series", "--type", "A2", "--J", "1",
+                             "--K", "1", "--Q", "2")
+        assert code == 2 and out == ""
+        assert "Q=[2] is not inside K=[1]" in err
+
     def test_usage_error_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["bogus"])

@@ -237,12 +237,6 @@ class TestSubsets:
         assert rs.subsets() == [0, 1, 2, 3]
         assert rs.subsets(0b10) == [0, 2]
 
-    def test_components(self):
-        rs = build_label("A4")
-        comps = rs.components(rs.mask_of([1, 2, 4]))
-        assert sorted(comps) == [rs.mask_of([1, 2]), rs.mask_of([4])]
-        assert rs.components(0) == []
-
     def test_two_rho(self):
         rs = build_label("A2")
         assert rs.two_rho == (2, 2)

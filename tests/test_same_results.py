@@ -22,14 +22,22 @@ bins.  The B2 and A3 verify and G2 oracle digests were recorded at
 commit 21c2ada, before the oracle scan classified each distinct profile
 once and read root pairings from precomputed integer rows.  The D4
 hmatrix and pmatrix digests were recorded at commit fd59f3f, before the
-coset scan visited only the ascent buckets above (J, K).  A change
-that alters any of these bytes must say so and re-record the digest."""
+coset scan visited only the ascent buckets above (J, K).  The D5 and E6
+sub-table finite checks, the G2 latex and B3 text matrix and the B3 text
+series digests were recorded at commit b7f8476, before one table of
+opposition involutions replaced the element products of the subset
+conjugations; the text and latex ones also pin the factors that the
+denominators are printed with.  A change that alters any of these bytes
+must say so and re-record the digest.  Every command is also run under
+python -O, in one subprocess, against the same digests."""
 
 import hashlib
+import textwrap
 
 import pytest
 
 from coxgrowth.cli import main
+from test_series import _run_python
 
 DIGESTS = [
     ("matrix --type A2 --format json",
@@ -110,6 +118,16 @@ DIGESTS = [
      "ad665ce75286f337fb42feeed8c612329e15cc3e0ca5a2a4d36e0c3fae19088f"),
     ("finite --type D4 --what pmatrix --K 2,3",
      "ccd8cf81cb48fca6db6a43b6f42fa46a91f29bed0846cf763536bf02d454ecc5"),
+    ("finite --type D5 --subset 2,3,4,5 --what check",
+     "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
+    ("finite --type E6 --subset 1,3,4,5 --what check",
+     "68d5742cc5a54255b1f8722e28b6e0d09ed78f26c85ed7639aa6fa8b4f8673ca"),
+    ("matrix --type G2 --format latex",
+     "3a7ec1593852dc600da9ae8edcb2718873ef611a6d6bfc6489ab19ae10765c43"),
+    ("matrix --type B3",
+     "960a0f05d91d50080f9266f905adee1d575d510b9696980eec1a54d43ab1b90f"),
+    ("series --type B3 --J 1 --K 2 --Q 2",
+     "4efae559eb232be0a8e8f0725d760f7974368fb2def81e448a5bf3ef16308132"),
 ]
 
 
@@ -119,3 +137,26 @@ def test_stdout_digest(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Runs each command given on its command line in turn and prints its exit
+# code and the sha256 of its stdout.  Exit code 3: asserts were not
+# stripped.
+_DIGEST_SCRIPT = textwrap.dedent("""
+    import contextlib, hashlib, io, sys
+    from coxgrowth.cli import main
+    if __debug__:
+        sys.exit(3)
+    for command in sys.argv[1:]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(command.split())
+        print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+""")
+
+
+def test_stdout_digests_under_optimize():
+    proc = _run_python(["-O", "-c", _DIGEST_SCRIPT,
+                        *(command for command, _ in DIGESTS)], timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {digest}" for _, digest in DIGESTS]

@@ -292,17 +292,18 @@ _CHECKS_SCRIPT = textwrap.dedent("""
         else:
             print(f"{name}: no error")
 
-    expect("subset", lambda: pl._conj[rs.full_mask, 0])
-    # w_0 sends every mask to the empty one, so no nonempty Q fits
+    # w_0 sends every mask to the empty one; each pipeline below reads
+    # the flips afresh, with the patch
     table.conj_subset_signed = lambda idx, mask: (
         0 if idx == table.longest_idx else conj(idx, mask))
+    del table.flips
     expect("image", lambda: AffinePipeline(rs))
     table.conj_subset_signed = lambda idx, mask: None
     expect("w0", lambda: AffinePipeline(rs))
     table.conj_subset_signed = conj
     cones.reciprocity_numerator = lambda rs, q: (IntPoly.one(), [])
     expect("pole", lambda: pl.p_ss(0))
-    sys.exit(0 if raised == 4 else 1)
+    sys.exit(0 if raised == 3 else 1)
 """)
 
 
@@ -323,7 +324,8 @@ _SOLOMON_SCRIPT = textwrap.dedent("""
 
 
 # Assembles and caches every A2 numerator, then makes the table's subset
-# conjugation fail and requires the affine alternating reduction to
+# conjugation fail, drops the table's flips so that they are read again
+# with the fault, and requires the affine alternating reduction to
 # raise.  Exit codes: 0 raised, 1 did not raise, 3 asserts were not
 # stripped.
 _REDUCTION_SCRIPT = textwrap.dedent("""
@@ -334,6 +336,7 @@ _REDUCTION_SCRIPT = textwrap.dedent("""
     pl = get_pipeline(build_label("A2"))
     pl.affine_identity_checks()
     pl.table.conj_subset_signed = lambda idx, mask: None
+    del pl.table.flips
     try:
         pl.affine_identity_checks()
     except AssertionError as exc:
@@ -367,9 +370,10 @@ class TestDualPathCheck:
 class TestPipelineChecks:
     def test_checks_raise_under_optimize(self):
         out = _run_optimized(_CHECKS_SCRIPT)
-        assert "subset: Q=[1, 2] is not inside Q'=[]" in out
-        assert "image: Q=[1] conjugates outside Q'=[1]" in out
-        assert "w0: w_0 does not permute" in out
+        assert ("image: w_X does not send the simple roots of X=[1, 2] "
+                "onto minus simple roots of X" in out)
+        assert ("w0: w_X does not send the simple roots of X=[] onto "
+                "minus simple roots of X" in out)
         assert "pole: shift left a genuine pole" in out
 
 
@@ -387,4 +391,5 @@ class TestAffineIdentityFaults:
 
     def test_reduction_conjugation_check_raises_under_optimize(self):
         out = _run_optimized(_REDUCTION_SCRIPT)
-        assert "Q=[] conjugates outside K=[]" in out
+        assert ("w_X does not send the simple roots of X=[] onto minus "
+                "simple roots of X" in out)
