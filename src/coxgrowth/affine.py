@@ -23,26 +23,27 @@ the extra affine reflection, whose (w, v) pair is (reflection in the
 highest root, minus the highest coroot); the reflection is built as a
 root permutation, checked to act alike on roots and coroots.
 
-Every pairing <beta, v> is a dot product of m with an integer row
-precomputed per root, and each generator's finite part acts on m by a
-precomputed integer matrix, so the hot loop does no matrix algebra.
-
-The enumeration oracle reads each element once: `classify` gives the
+The enumeration walk carries each element's pairings P[b] = <beta_b, v>
+with every root: s_i gathers them along its root permutation, s_0 along
+that of s_theta plus the shift -<beta_b, theta^vee>.  (w, P at the
+simple roots) tells elements apart, the closed-form length is a sum over
+P, and the m of each new element, made by `mul_gen`, must pair with the
+simple roots as P does.  `classify` gives the profile of an element: the
 masks of right and left ascents (x . (alpha_i, 0) > 0 and
 x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
 w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
 Minimality in a (W_J, W_K) double coset, Q and normalizing W_J are mask
-tests on that profile.  So one scan, with lengths from the BFS depths,
-keeps a length histogram per distinct profile, and each distinct profile
-is tested once against every (J, K) and every normalizer; a long
-enumeration has far fewer profiles than elements.  Root heights give
-every Poincare series, Bott's W(t) / prod (1 - t^e) included.
+tests on it.  One scan, with lengths from the BFS depths, keeps a length
+histogram per distinct profile, each tested once against every (J, K)
+and every normalizer; a long enumeration has far fewer profiles than
+elements.  Root heights give every Poincare series, Bott's
+W(t) / prod (1 - t^e) included.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .ratfun import IntPoly, expand
 from . import rootsystem
@@ -51,9 +52,9 @@ from .finite import get_table, image_masks
 MAX_BFS_ELEMENTS = 3 * 10 ** 6
 
 
-def affine_root_positive(root_sign, level):
-    """Positivity of (alpha, k) given the sign of alpha and the level."""
-    return level >= (0 if root_sign > 0 else 1)
+def _gather(idx):
+    """p -> tuple(p[i] for i in idx), a tuple also for one index."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda p: (p[idx[0]],)
 
 
 class AffineWeyl:
@@ -70,10 +71,10 @@ class AffineWeyl:
         self.gens = {0: (at_idx, tuple(-c for c in rs.highest_root_coroot))}
         for i in range(n):
             self.gens[i + 1] = (self.table.rmult[0][i], (0,) * n)
-        # right multiplication of a finite index by the highest-root
-        # reflection, precomputed once
-        self._rmul_at = [self.table.mul(idx, at_idx)
-                         for idx in range(self.table.order)]
+        # _next[g][w]: the finite index of w s_g, precomputed once
+        self._next = [[self.table.mul(idx, at_idx)
+                       for idx in range(self.table.order)]]
+        self._next += [[r[i] for r in self.table.rmult] for i in range(n)]
         # support mask of each root, by root index
         self._supp = [sum(1 << p for p, c in enumerate(root) if c)
                       for root in rs.roots]
@@ -87,7 +88,23 @@ class AffineWeyl:
                      for g, (w, _) in self.gens.items()}
         self._pos_pair = self._pair[:len(rs.positive_roots)]
         self._simple_pair = [self._pair[s] for s in rs.simple_idx]
-        self._inv_simple = {}   # finite index -> indices of w^-1 alpha_i
+        # the walk's move by each generator g on P[b] = <beta_b, v>: x s_g
+        # has P[perm[b]], plus _shift[b] = -<beta_b, theta^vee> for g = 0;
+        # a move is (g, _next[g], its map of P, that of P's simple entries)
+        self._shift = tuple(sum(map(mul, row, self.gens[0][1]))
+                            for row in self._pair)
+        self._moves = [(g, self._next[g], itemgetter(*perm),
+                        _gather([perm[s] for s in rs.simple_idx]))
+                       for g, perm in enumerate([self.table.perms[at_idx],
+                                                 *rs.simple_reflections()])]
+        full, at_s = self._moves[0][2:]
+        at_shift = _gather(rs.simple_idx)(self._shift)
+        self._moves[0] = (0, self._next[0],
+                          lambda p: tuple(map(add, full(p), self._shift)),
+                          lambda p: tuple(map(add, at_s(p), at_shift)))
+        # by finite index w: [w beta_b < 0] over beta_b > 0, classify's record
+        self._chi, self._records = {}, {}
+        self._off_walls = (-1,) * n
 
     # -- core group operations -----------------------------------------
 
@@ -97,9 +114,9 @@ class AffineWeyl:
     def mul_gen(self, x, g):
         """x * s_g for a generator id (0 = affine)."""
         w, m = x
-        w2 = self._rmul_at[w] if g == 0 else self.table.rmult[w][g - 1]
-        return (w2, tuple(sum(map(mul, row, m)) + c
-                          for row, c in zip(self._act[g], self.gens[g][1])))
+        rows = zip(self._act[g], self.gens[g][1])
+        return (self._next[g][w],
+                tuple([sum(map(mul, row, m)) + c for row, c in rows]))
 
     def length(self, x):
         w, m = x
@@ -111,10 +128,10 @@ class AffineWeyl:
 
     def bfs_enumerate(self, max_length):
         """(elements in BFS order, {element: length}) up to max_length;
-        each BFS depth is checked against the closed-form length and each
-        level's size against Bott's series.  First refuses a ball of over
-        MAX_BFS_ELEMENTS elements: one per length, the rest counted from
-        Bott's series in doubling steps, the last up to max_length."""
+        each depth is checked against the closed-form length, each m
+        against the root pairings, each level's size against Bott's
+        series.  First refuses a ball of over MAX_BFS_ELEMENTS elements:
+        one per length, the rest from Bott's series in doubling steps."""
         rs = self.rs
         num = rs.poincare(rs.full_mask)
         den = IntPoly.one_minus_t(*rootsystem.exponents(
@@ -131,30 +148,47 @@ class AffineWeyl:
         start = self.identity()
         seen = {start: 0}
         order = [start]
-        frontier = [start]
-        depth = 0
+        frontier = [(start, (0,) * len(rs.roots))]
+        # keys (w, P at the simple roots) of the levels below and at the
+        # frontier: l(x s) = l(x) +- 1, so a new level meets only these
+        below, here, depth = set(), {(0, start[1])}, 0
+        chis, perms, n_pos = self._chi, self.table.perms, len(self._pos_pair)
         while frontier and depth < max_length:
             depth += 1
-            nxt = []
-            for x in frontier:
-                for g in self.gens:
-                    y = self.mul_gen(x, g)
-                    if y in seen:
+            nxt, keys = [], set()
+            frontier.reverse()  # popped in order, to free each P once used
+            while frontier:
+                x, pairs = frontier.pop()
+                for g, after, full, at_s in self._moves:
+                    key = (after[x[0]], at_s(pairs))
+                    if key in below or key in keys:
                         continue
-                    length = self.length(y)
+                    new, w2 = full(pairs), key[0]
+                    chi = chis.get(w2) or chis.setdefault(w2, tuple(
+                        int(b >= n_pos) for b in perms[w2][:n_pos]))
+                    y = self.mul_gen(x, g)
+                    length = sum(map(abs, map(add, new, chi)))
                     if length != depth:     # an explicit raise survives -O
                         raise AssertionError(f"BFS depth {depth} != closed-"
                                              f"form length {length} of {y}")
+                    got = tuple([sum(map(mul, row, y[1]))
+                                 for row in self._simple_pair])
+                    if (y[0], got) != key:
+                        raise AssertionError(
+                            f"BFS element {y} pairs with the simple roots to "
+                            f"{got}, the walk's root pairings at finite index "
+                            f"{w2} to {key[1]}")
                     seen[y] = depth
                     order.append(y)
-                    nxt.append(y)
+                    nxt.append((y, new))
+                    keys.add(key)
                     if len(seen) > MAX_BFS_ELEMENTS:
                         raise ValueError("enumeration exceeds element bound")
             if len(nxt) != levels[depth]:
                 raise AssertionError(f"BFS level {depth} has {len(nxt)} "
                                      f"elements, Bott's series "
                                      f"{levels[depth]}")
-            frontier = nxt
+            frontier, below, here = nxt, here, keys
         return order, seen
 
     def parabolic_poincare(self, gen_ids):
@@ -187,27 +221,28 @@ class AffineWeyl:
         w alpha_i = alpha_j (else -1) and supp[i] is the support of
         w alpha_i; elsewhere dest[i] = -1 and supp[i] = -1 (every bit)."""
         w, m = x
-        table = self.table
-        right, left, perm = table.rasc[w], table.lasc[w], table.perms[w]
-        inv = self._inv_simple.get(w)
-        if inv is None:
-            inv = self._inv_simple[w] = [perm.index(s)
-                                         for s in self.rs.simple_idx]
+        table, perm = self.table, self.table.perms[w]
+        right_cut, left_cut, img, inv_rows, supps = self._records.get(w) or \
+            self._records.setdefault(w, (
+                [(table.rasc[w] >> i) & 1 for i in range(self.n)],
+                [-((table.lasc[w] >> i) & 1) for i in range(self.n)],
+                table.simple_img[w],
+                [self._pair[perm.index(s)] for s in self.rs.simple_idx],
+                [self._supp[perm[s]] for s in self.rs.simple_idx]))
         cm = [sum(map(mul, row, m)) for row in self._simple_pair]
-        cwm = [sum(map(mul, self._pair[b], m)) for b in inv]
         rasc = lasc = 0
-        for i in range(self.n):
-            bit = 1 << i
-            # x . (alpha_i, 0) = (w alpha_i, -<alpha_i, v>)
-            if affine_root_positive(1 if right & bit else -1, -cm[i]):
-                rasc |= bit
-            # x^-1 . (alpha_i, 0) = (w^-1 alpha_i, <alpha_i, w v>)
-            if affine_root_positive(1 if left & bit else -1, cwm[i]):
-                lasc |= bit
-        dest = tuple(-1 if c else d for c, d in zip(cm, table.simple_img[w]))
-        supp = tuple(-1 if c else self._supp[perm[s]]
-                     for s, c in zip(self.rs.simple_idx, cm))
-        return rasc, lasc, dest, supp
+        for i, row in enumerate(inv_rows):
+            # x . (alpha_i, 0) = (w alpha_i, -cm[i]) and x^-1 . (alpha_i, 0)
+            # = (w^-1 alpha_i, k): each > 0 at a level > 0, or 0 on a root > 0
+            k = sum(map(mul, row, m))
+            if cm[i] < right_cut[i]:
+                rasc |= 1 << i
+            if k > left_cut[i]:
+                lasc |= 1 << i
+        if all(cm):     # off every wall: no simple root is sent to (beta, 0)
+            return rasc, lasc, self._off_walls, self._off_walls
+        return (rasc, lasc, tuple(-1 if c else d for c, d in zip(cm, img)),
+                tuple(-1 if c else u for c, u in zip(cm, supps)))
 
     # -- truncated ground-truth series ----------------------------------
 

@@ -18,6 +18,7 @@ from .finite import (check_table_size, get_table, matrix_M, matrix_N,
 from .affine import get_affine
 from .series import get_pipeline
 
+MAX_DEGREE = 1000   # the largest `check --degree` and `series --expand`
 
 def _parse_ids(s):
     if s is None:
@@ -404,6 +405,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("degree", "expand"):
+            if (getattr(args, option, None) or 0) > MAX_DEGREE:
+                raise ValueError(f"--{option} {getattr(args, option)} is "
+                                 f"over the degree bound {MAX_DEGREE}")
         code = args.func(args)
     except (rootsystem.InvalidTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,7 @@ from collections import defaultdict
 import pytest
 
 from coxgrowth import build_label, rootsystem
-from coxgrowth.affine import (affine_root_positive, coset_pattern,
-                              get_affine, normalizes)
+from coxgrowth.affine import coset_pattern, get_affine, normalizes
 from coxgrowth.ratfun import IntPoly
 from test_finite import _is_unit_col, _root_sign, matcol, reference_table
 from test_series import _run_optimized
@@ -45,6 +44,11 @@ def inv(aff, x):
     w, m = x
     return (reference(aff).inv_idx[w],
             tuple(-c for c in aff.table.act_coroot(w, m)))
+
+
+def affine_root_positive(root_sign, level):
+    """Positivity of (alpha, k) given the sign of alpha and the level."""
+    return level >= (0 if root_sign > 0 else 1)
 
 
 def translation(m):
@@ -127,6 +131,29 @@ def closure_poincare(aff, gen_ids):
     return IntPoly(coeffs)
 
 
+def reference_bfs(aff, max_length):
+    """bfs_enumerate by generator products: (elements in BFS order,
+    {element: depth}), each element found by mul_gen, told apart from
+    the others by (w, m) over the whole ball, and checked against the
+    closed-form length."""
+    start = aff.identity()
+    seen = {start: 0}
+    order = [start]
+    frontier = [start]
+    for depth in range(1, max_length + 1):
+        nxt = []
+        for x in frontier:
+            for g in aff.gens:
+                y = aff.mul_gen(x, g)
+                if y not in seen:
+                    assert aff.length(y) == depth, y
+                    seen[y] = depth
+                    order.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return order, seen
+
+
 def random_element(aff, rng, nsteps=12):
     x = aff.identity()
     for _ in range(rng.randrange(nsteps)):
@@ -197,6 +224,20 @@ class TestLengthCoherence:
                 left_longer = aff.length(mul(aff, s, x)) > lx
                 assert left_longer == is_positive(
                     act_affine_root(aff, xi, a))
+
+
+class TestWalk:
+    @pytest.mark.parametrize("label, max_length",
+                             [("A1", 40), ("A2", 14), ("B2", 14), ("G2", 20),
+                              ("A3", 8), ("C3", 7), ("D4", 5)])
+    def test_matches_the_product_walk(self, label, max_length):
+        # the root-pairing walk finds the same elements, in the same
+        # order, at the same depths, with the same dict order
+        aff = get_affine(build_label(label))
+        order, seen = aff.bfs_enumerate(max_length)
+        want_order, want_seen = reference_bfs(aff, max_length)
+        assert order == want_order
+        assert list(seen.items()) == list(want_seen.items())
 
 
 class TestClassification:
@@ -459,19 +500,22 @@ class TestBucketedScan:
                 assert aff.mul_gen(x, g) == mul(aff, x, s)
 
 
-# Makes the closed-form length of one A2 element one too long, then
-# requires the BFS depth check to raise.  Exit codes: 0 raised, 1 did not
-# raise, 3 asserts were not stripped.
+# Flips the first entry of the walk's chi vector ([w beta_b < 0] over the
+# positive roots) of the finite part of s_1 s_2 in A2, so that the
+# closed-form length of the elements with that finite part is off by one,
+# then requires the BFS depth check to raise.  Exit codes: 0 raised, 1 did
+# not raise, 3 asserts were not stripped.
 _DEPTH_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label
-    from coxgrowth.affine import AffineWeyl, get_affine
+    from coxgrowth.affine import get_affine
     if __debug__:
         sys.exit(3)
     aff = get_affine(build_label("A2"))
-    bad = aff.mul_gen(aff.mul_gen(aff.identity(), 1), 2)
-    length = AffineWeyl.length
-    AffineWeyl.length = lambda self, x: length(self, x) + (x == bad)
+    aff.bfs_enumerate(4)
+    w = aff.mul_gen(aff.mul_gen(aff.identity(), 1), 2)[0]
+    chi = aff._chi[w]
+    aff._chi[w] = (1 - chi[0],) + chi[1:]
     try:
         aff.bfs_enumerate(4)
     except AssertionError as exc:
@@ -482,8 +526,9 @@ _DEPTH_SCRIPT = textwrap.dedent("""
 
 
 # Adds 1 to the first entry of the second row of the coroot-action matrix
-# of generator 1 of A2, then requires the BFS depth check to raise.  Exit
-# codes as above.
+# of generator 1 of A2, so that mul_gen returns wrong translations while
+# the walk's root pairings stay right, then requires the check of the one
+# against the other to raise.  Exit codes as above.
 _ACTION_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label
@@ -502,10 +547,12 @@ _ACTION_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Sets the first row of the coroot-action matrix of generator 1 of A2 to
-# (0, 1), an action whose walk closes up early with every depth matching
-# the closed-form length, then requires the level-size check to raise.
-# Exit codes as above, and 4 if the row is not (-1, 1).
+# Makes generator 1 of A2 act on the root pairings, on the finite part and
+# on m as generator 2 does, so that the walk closes up in the finite
+# subgroup generated by s_0 and s_2 with every depth matching the
+# closed-form length and every translation matching its pairings, then
+# requires the level-size check to raise.  Exit codes as above, and 4 if
+# the move replaced is not generator 1's.
 _LEVEL_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label
@@ -513,16 +560,40 @@ _LEVEL_SCRIPT = textwrap.dedent("""
     if __debug__:
         sys.exit(3)
     aff = get_affine(build_label("A2"))
-    row, rest = aff._act[1]
-    if row != (-1, 1):
+    if aff._moves[1][0] != 1:
         sys.exit(4)
-    aff._act[1] = ((0, 1), rest)
+    aff._moves[1] = aff._moves[2]
     try:
         aff.bfs_enumerate(14)
     except AssertionError as exc:
         print(exc)
         sys.exit(0)
     sys.exit(1)
+""")
+
+
+# Adds 1 to each entry of the affine generator's constant shift of the
+# root pairings of A2 in turn, -<beta_b, theta^vee> for the root of index
+# b, and requires a raise for every entry.  Exit codes as above, with 1
+# when some entry did not raise.
+_SHIFT_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label
+    from coxgrowth.affine import get_affine
+    if __debug__:
+        sys.exit(3)
+    aff = get_affine(build_label("A2"))
+    shift = aff._shift
+    missed = []
+    for b in range(len(shift)):
+        aff._shift = shift[:b] + (shift[b] + 1,) + shift[b + 1:]
+        try:
+            aff.bfs_enumerate(8)
+            missed.append(b)
+        except AssertionError as exc:
+            print(b, exc)
+    aff._shift = shift
+    sys.exit(1 if missed else 0)
 """)
 
 
@@ -543,13 +614,19 @@ class TestExplicitChecks:
         out = _run_optimized(_DEPTH_SCRIPT)
         assert "BFS depth 2 != closed-form length 3" in out
 
-    def test_action_rows_checked_by_depth(self):
+    def test_action_rows_checked_against_root_pairings(self):
         out = _run_optimized(_ACTION_SCRIPT)
-        assert "BFS depth 2 != closed-form length 6" in out
+        assert ("BFS element (3, (0, -2)) pairs with the simple roots to "
+                "(2, -4), the walk's root pairings at finite index 3 to "
+                "(1, -2)") in out
 
     def test_level_sizes_checked_against_bott(self):
         out = _run_optimized(_LEVEL_SCRIPT)
-        assert "BFS level 2 has 5 elements, Bott's series 6" in out
+        assert "BFS level 1 has 2 elements, Bott's series 3" in out
+
+    def test_affine_shift_checked(self):
+        out = _run_optimized(_SHIFT_SCRIPT)
+        assert len(out.splitlines()) == 6
 
     def test_proper_subsets_only(self, a2):
         with pytest.raises(ValueError, match="proper subsets only"):

@@ -2,12 +2,13 @@
 
 import json
 import textwrap
+import time
 
 import pytest
 
 from coxgrowth import affine, build_label, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
-from coxgrowth.cli import main, run_selftest
+from coxgrowth.cli import MAX_DEGREE, main, run_selftest
 from coxgrowth.finite import MAX_GROUP_ORDER
 from coxgrowth.ratfun import RatFun, expand
 from test_series import _run_optimized, _run_python
@@ -94,6 +95,27 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "covers at least" in proc.stderr
         assert f"bound {MAX_BFS_ELEMENTS}" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--type", "A2", "--degree"],
+        ["series", "--type", "A2", "--J", "1", "--K", "2", "--expand"],
+    ], ids=["check-degree", "series-expand"])
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10 ** 8])
+    def test_huge_degree_refused_at_once(self, capsys, argv, degree):
+        # refused up front with one line, before any table or expansion
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv, str(degree))
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: {argv[-1]} {degree} is over the degree "
+                       f"bound {MAX_DEGREE}\n")
+
+    def test_degree_bound_admits_the_bound(self, capsys):
+        code, out, _ = run(capsys, "series", "--type", "A2", "--J", "1",
+                           "--K", "2", "--expand", str(MAX_DEGREE),
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["expansion"]) == MAX_DEGREE + 1
 
     @pytest.mark.parametrize("label", ["A1", "G2", "A3"])
     def test_length_refusal_counts_exactly(self, monkeypatch, label):

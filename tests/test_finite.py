@@ -293,6 +293,25 @@ class TestFlips:
             assert list(reduction_targets(t, rs.subsets(mask))) == want
 
 
+class TestBAndC:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_same_coset_bins_and_flips(self, n):
+        # B_n and C_n share their Coxeter matrix and generator numbering
+        # but not their roots, so their tables are built from different
+        # permutations; every coset bin and every opposition involution
+        # depends on the Coxeter group alone
+        b, c = build_label(f"B{n}"), build_label(f"C{n}")
+        assert b.cartan != c.cartan and b.roots != c.roots
+        tb, tc = get_table(b), get_table(c)
+        assert tb.perms != tc.perms and tb.order == tc.order
+        subs = b.subsets()
+        for j in subs:
+            for k in subs:
+                assert tb.coset_bins(j, k) == tc.coset_bins(j, k), (j, k)
+        assert tb.coset_bins(0, 0)[0][0](1) == tb.order   # every element
+        assert tb.flips == tc.flips
+
+
 class TestE6:
     # the degrees of the basic invariants of E6 (Humphreys, Reflection
     # Groups and Coxeter Groups, Table 3.1); W(t) = prod (1 - t^d) / (1 - t)

@@ -27,7 +27,11 @@ sub-table finite checks, the G2 latex and B3 text matrix and the B3 text
 series digests were recorded at commit b7f8476, before one table of
 opposition involutions replaced the element products of the subset
 conjugations; the text and latex ones also pin the factors that the
-denominators are printed with.  A change that alters any of these bytes
+denominators are printed with.  The A1 verify and C3 oracle digests were
+recorded at commit 29b061e, before the enumeration walk carried each
+element's root pairings and moved its generators by root permutations;
+rank 1 and a two-generator J are the cases a gather of the simple-root
+pairings is easiest to get wrong on.  A change that alters any of these bytes
 must say so and re-record the digest.  Every command is also run under
 python -O, in one subprocess, against the same digests."""
 
@@ -128,6 +132,10 @@ DIGESTS = [
      "960a0f05d91d50080f9266f905adee1d575d510b9696980eec1a54d43ab1b90f"),
     ("series --type B3 --J 1 --K 2 --Q 2",
      "4efae559eb232be0a8e8f0725d760f7974368fb2def81e448a5bf3ef16308132"),
+    ("verify --type A1 --max-length 60",
+     "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
+    ("oracle --type C3 --J 1,3 --K 2 --max-length 10 --format json",
+     "4878fba33d9af67e4680d4dc090295fbd1638cd6f68af48128e6054ec6f7553a"),
 ]
 
 
