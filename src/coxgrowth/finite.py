@@ -19,8 +19,8 @@ Series computed here:
 
     p_poly(Q, J, K): sum of t^l(x) over x minimal in its (W_J, W_K)
         double coset with {k in K : x.alpha_k simple and in J} = Q;
-    h_poly(R, J, K): same minimality, with x mapping the simple roots of
-        K exactly onto those of R.
+    the h-series of (R, J, K): same minimality, with x mapping the simple
+        roots of K exactly onto those of R.
 
 Both stratify the same set, so one scan per (J, K) bins every Q and
 every R at once; the bins are cached on the root system.
@@ -227,9 +227,6 @@ class GroupTable:
     def p_poly(self, q_mask, j_mask, k_mask):
         return self.coset_bins(j_mask, k_mask)[0].get(q_mask, ZERO)
 
-    def h_poly(self, r_mask, j_mask, k_mask):
-        return self.coset_bins(j_mask, k_mask)[1].get(r_mask, ZERO)
-
     def coset_bins(self, j_mask, k_mask):
         """The coset bins of (J, K), p by Q and h by R, scanned once per
         table and kept on the root system."""
@@ -238,8 +235,9 @@ class GroupTable:
 
     def _scan(self, j_mask, k_mask):
         """One scan of the minimal (W_J, W_K) double-coset representatives:
-        their length polynomials binned by Q (for p_poly) and by R (for
-        h_poly, only x mapping every simple root of K to a simple root)."""
+        their length polynomials binned by Q (for p_poly) and by R (the
+        h-series, only x mapping every simple root of K to a simple
+        root)."""
         size = self.lengths[self.longest_idx] + 1
         p_bins = defaultdict(lambda: [0] * size)
         h_bins = defaultdict(lambda: [0] * size)

@@ -11,8 +11,8 @@ structural equality coincides with equality of rational functions.  The
 rest of the package computes on IntPoly alone, keeping its sums as
 numerators over one fixed product of factors 1 - t^k
 (`IntPoly.one_minus_t`) and expanding them over it; it builds a RatFun,
-and so runs a gcd, only once per reported series.  RatFun's arithmetic
-operators remain for references and interactive use.
+and so runs a gcd, only once per reported series.  A RatFun is a value
+to compare, print and serialize, and has no arithmetic operators.
 
 Sums of products, the bulk of that IntPoly work, run packed: `poly_dot`
 evaluates every operand at t = 2^B, with the slot width B taken from a
@@ -56,10 +56,6 @@ class IntPoly:
     @classmethod
     def one(cls):
         return cls((1,))
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
 
     @classmethod
     def t_power(cls, k):
@@ -251,12 +247,8 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, int):
-            num = IntPoly.const(num)
         if den is None:
             den = IntPoly.one()
-        elif isinstance(den, int):
-            den = IntPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         num, den = _normalize(num, den)
@@ -266,78 +258,10 @@ class RatFun:
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls(IntPoly.zero())
-
-    @classmethod
-    def one(cls):
-        return cls(IntPoly.one())
-
-    # -- queries ------------------------------------------------------
-
-    def is_zero(self):
-        return self.num.is_zero()
-
     def is_polynomial(self):
         return self.den == IntPoly.one()
 
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, IntPoly):
-            return RatFun(other)
-        if isinstance(other, int):
-            return RatFun(IntPoly.const(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __eq__(self, other):
-        if isinstance(other, (int, IntPoly)):
-            other = self._coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
         # canonical form, but cross-multiplication is the contract

@@ -9,6 +9,8 @@ for the full-group double cosets.  Every f_Q, and so every assembled
 series, has a denominator dividing D = prod_i (1 - t^wt(w_i)), one factor
 per cone generator, so each series is carried as an integer numerator
 over D: sums need no gcd, and each reported series is normalized once.
+The oracle comparison expands the numerators over D directly, so
+`verify` normalizes nothing.
 General series are assembled two independent ways, with equal numerators:
 
   * a matrix product against the finite M_{K,S} matrix, and
@@ -51,7 +53,6 @@ class AffinePipeline:
     def __init__(self, rs):
         self.rs = rs
         self.table = get_table(rs)
-        self.aff = get_affine(rs)
         self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
         self.den = IntPoly.one_minus_t(*self.weights)
         # the conjugate of each mask by w_0: eps_S
@@ -120,11 +121,6 @@ class AffinePipeline:
     # -- reported series: one normalized RatFun each -----------------------
 
     @_memo
-    def p_ss(self, q_mask):
-        """p_SS(Q), the full-group double cosets with pattern Q."""
-        return RatFun(self._ss_num(q_mask), self.den)
-
-    @_memo
     def p_affine_S(self, q_mask, j_mask):
         """p_{Q,J,S}, one entry of the affine series matrix."""
         return RatFun(self._affine_num(q_mask, j_mask), self.den)
@@ -169,9 +165,10 @@ class AffinePipeline:
             full = (1 << (rs.rank + 1)) - 1
             proper = ([g for g in range(rs.rank + 1) if (bits >> g) & 1]
                       for bits in range(full))
+            aff = get_affine(rs)
             return solomon_sum(
-                wt_num, ((ids, self.aff.parabolic_poincare(ids))
-                         for ids in proper), signed(self.den, full))
+                wt_num, ((ids, aff.parabolic_poincare(ids)) for ids in proper),
+                signed(self.den, full))
 
         def pairs(test):
             for j in rs.subsets():
@@ -219,30 +216,33 @@ class AffinePipeline:
     # -- oracle comparison ----------------------------------------------
 
     def verify_against_oracle(self, max_length):
-        """Compare every assembled series against the brute-force group
-        enumeration.  Returns (name, ok, detail) triples."""
+        """Compare every assembled series, expanded from its numerator
+        over D, against the brute-force group enumeration.  Returns
+        (name, ok, detail) triples."""
         rs = self.rs
         subs = rs.subsets()
-        cosets, counts = self.aff.oracle_scan(
+        cosets, counts = get_affine(rs).oracle_scan(
             max_length, [(j, k) for j in subs for k in subs], subs)
 
         def coset_series():
             for (j, k), (bins, total) in cosets.items():
                 for q in rs.subsets(k):
                     want = bins.get(q, [0] * (max_length + 1))
-                    got = expand(self.p_full(q, j, k), max_length)
+                    got = expand(self._full_num(q, j, k), max_length,
+                                 self.den)
                     yield ((lambda: f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
                                     f"K={rs.ids_of(k)}: {got} vs {want}"),
                            got == want)
                 extra = [m for m in bins if m not in rs.subsets(k)]
                 yield (lambda: f"unexpected bins {extra}"), not extra
-                got = expand(self.double_coset_series(j, k), max_length)
+                got = expand(self._double_num(j, k), max_length, self.den)
                 yield ((lambda: f"total J={rs.ids_of(j)}, K={rs.ids_of(k)}"),
                        got == total)
 
         def normalizers():
             for j, want in counts.items():
-                got = expand(self.normalizer_series(j), max_length)
+                got = expand(rs.poincare(j) * self._full_num(j, j, j),
+                             max_length, self.den)
                 yield ((lambda: f"J={rs.ids_of(j)}: {got} vs {want}"),
                        got == want)
 

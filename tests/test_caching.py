@@ -80,6 +80,19 @@ def test_oracle_assembles_no_series(monkeypatch, capsys):
     assert counts == {}
 
 
+def test_assembly_builds_no_affine_group():
+    # a root system of its own, so that no other test has built its
+    # affine group; only verify and the affine identity suite need it
+    rs = RootSystem("A", 2)
+    pl = get_pipeline(rs)
+    pl.matrix_M_affine()
+    pl.p_full(0, rs.mask_of([1]), rs.full_mask)
+    pl.double_coset_series(rs.mask_of([1]), rs.mask_of([2]))
+    assert "affine" not in rs._derived
+    pl.verify_against_oracle(4)
+    assert "affine" in rs._derived
+
+
 def test_one_scan_per_table_j_k(monkeypatch):
     # first visits of each ("cosets", table mask, J, K) key
     scans = []
@@ -123,4 +136,5 @@ def test_scan_matches_direct_count():
                     h.setdefault(r, [0] * size)[t.lengths[x]] += 1
             for m in rs.subsets():
                 assert t.p_poly(m, j, k) == IntPoly(p.get(m, []))
-                assert t.h_poly(m, j, k) == IntPoly(h.get(m, []))
+                assert (t.coset_bins(j, k)[1].get(m, IntPoly.zero())
+                        == IntPoly(h.get(m, [])))

@@ -1,8 +1,8 @@
 """Integer-only arithmetic: no module of the package imports `fractions`
-or `decimal`, none contains a float literal, and true division `/`
-occurs only inside `ratfun.RatFun`, whose quotients are rational
-functions.  Every other quotient in the package is exact, by `//` on
-ints or `poly_exact_div` on polynomials.
+or `decimal`, none contains a float literal, and none uses true division
+`/`, not even `ratfun.RatFun`, which has no arithmetic operators.  Every
+quotient in the package is exact, by `//` on ints or `poly_exact_div` on
+polynomials.
 
 The package is parsed with `ast`, so a `/` inside a string or a comment
 does not count."""
@@ -14,21 +14,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coxgrowth"
 BANNED_MODULES = {"fractions", "decimal"}
 
 
-def _rational_class_nodes(filename, tree):
-    """ids of the nodes inside ratfun.RatFun, where `/` is allowed."""
-    if filename != "ratfun.py":
-        return set()
-    return {id(node) for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and cls.name == "RatFun"
-            for node in ast.walk(cls)}
-
-
 def violations(filename, source):
     """One line per import of a banned module, float literal and true
-    division outside RatFun in the module `filename` with `source`, in
-    source order."""
+    division in the module `filename` with `source`, in source order."""
     tree = ast.parse(source, filename)
-    allowed = _rational_class_nodes(filename, tree)
     out = []
     for node in sorted(ast.walk(tree),
                        key=lambda node: getattr(node, "lineno", 0)):
@@ -45,7 +34,7 @@ def violations(filename, source):
                 and isinstance(node.value, (float, complex))):
             out.append(f"{where} float literal {node.value!r}")
         if (isinstance(node, (ast.BinOp, ast.AugAssign))
-                and isinstance(node.op, ast.Div) and id(node) not in allowed):
+                and isinstance(node.op, ast.Div)):
             out.append(f"{where} true division")
     return out
 
@@ -74,11 +63,13 @@ def test_guard_flags_each_fault():
 
 
 def test_division_allowed_only_in_ratfun_class():
+    # a `/` inside class RatFun is flagged like any other
     source = ("class RatFun:\n"
               "    def __rtruediv__(self, other):\n"
               "        return other / self\n"
               "def quotient(a, b):\n"
               "    return a / b\n")
-    assert violations("ratfun.py", source) == ["ratfun.py:5 true division"]
+    assert violations("ratfun.py", source) == [
+        "ratfun.py:3 true division", "ratfun.py:5 true division"]
     assert violations("finite.py", source) == [
         "finite.py:3 true division", "finite.py:5 true division"]

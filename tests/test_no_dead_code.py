@@ -6,14 +6,15 @@ every constant it assigns at module level.
 The package, the demos and the benchmark harness (its own test files
 excluded) are parsed with `ast`.  A name counts as used when it is read
 as a variable, read as an attribute, or appears as an identifier inside
-a string constant other than a docstring (`__all__` entries, the
-harness's trace targets such as "GroupTable.p_poly").  A docstring that
-mentions a function is not a caller of it.  A method is stricter: it
-counts as used only when it is read as an attribute, or when a string
-constant is, as a whole, a possibly dotted identifier that names it
-("GroupTable.p_poly"); a local variable of the same name, or the word in
-a message, is not a caller.  Dunder methods are called by
-the interpreter, not by name, and are not checked.  An attribute counts
+a string constant of the package or the demos other than a docstring
+(`__all__` entries).  The harness's strings, such as its trace targets
+("GroupTable.p_poly") and metric names, only observe the program and
+are no callers; nor is a docstring that mentions a function.  A method
+is stricter: it counts as used only when it is read as an attribute, or
+when a string constant is, as a whole, a possibly dotted identifier that
+names it; a local variable of the same name, or the word in a message,
+is not a caller.  Dunder methods are called by the interpreter, not by
+name, and are not checked.  An attribute counts
 as read when it appears as an attribute outside an assignment target, or
 as an identifier inside such a string constant; assigning it is not a
 read.  A module-level constant counts as read when it is also read as a
@@ -27,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coxgrowth"
 USERS = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
+HARNESS = ROOT / "perfbench"
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -67,7 +69,8 @@ def used_names():
                         named.add(node.attr)
                 elif (isinstance(node, ast.Constant)
                       and isinstance(node.value, str)
-                      and id(node) not in docstrings):
+                      and id(node) not in docstrings
+                      and directory != HARNESS):
                     found = IDENTIFIER.findall(node.value)
                     used.update(found)
                     read.update(found)

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label, get_pipeline
+from coxgrowth.affine import get_affine
 from coxgrowth.cones import f_q
-from coxgrowth.ratfun import IntPoly, RatFun, expand
+from coxgrowth.ratfun import IntPoly, RatFun, expand, poly_exact_div
 from coxgrowth.rootsystem import exponents
-from test_ratfun import monomial_shift
+from test_ratfun import monomial_shift, rf_add, rf_mul
 
 
 class ReferenceAssembly:
@@ -41,32 +42,33 @@ class ReferenceAssembly:
         return monomial_shift(f_q(rs, q_mask), shift)
 
     def p_affine_S(self, q_mask, j_mask):
-        acc = RatFun.zero()
+        acc = RatFun(IntPoly.zero())
         for qp in self.rs.subsets():
             if q_mask & ~qp:
                 continue
             fin = self.table.p_poly(self.conj_for(q_mask, qp), j_mask,
                                     self.conj_by_w0(qp))
             if not fin.is_zero():
-                acc = acc + RatFun(fin) * self.p_ss(qp)
+                acc = rf_add(acc, rf_mul(RatFun(fin), self.p_ss(qp)))
         return acc
 
     def p_full(self, q_mask, j_mask, k_mask):
         if q_mask & ~k_mask:
-            return RatFun.zero()
-        acc1 = RatFun.zero()
-        acc2 = RatFun.zero()
+            return RatFun(IntPoly.zero())
+        acc1 = acc2 = RatFun(IntPoly.zero())
         for qp in self.rs.subsets():
             fin1 = self.table.p_poly(q_mask, qp, k_mask)
             if fin1.is_zero():
                 continue
-            acc1 = acc1 + RatFun(fin1) * self.p_affine_S(qp, j_mask)
+            acc1 = rf_add(acc1, rf_mul(RatFun(fin1),
+                                       self.p_affine_S(qp, j_mask)))
             for qpp in self.rs.subsets():
                 if qp & ~qpp:
                     continue
                 fin2 = self.table.p_poly(self.conj_for(qp, qpp), j_mask,
                                          self.conj_by_w0(qpp))
-                acc2 = acc2 + RatFun(fin1 * fin2) * self.p_ss(qpp)
+                acc2 = rf_add(acc2, rf_mul(RatFun(fin1 * fin2),
+                                           self.p_ss(qpp)))
         assert acc1 == acc2
         return acc1
 
@@ -107,7 +109,7 @@ class TestKnownSeries:
         # p_{Q,S,S} is the shifted translation series
         rs = pa2.rs
         s = rs.full_mask
-        assert pa2.p_full(s, s, s) == RatFun.one()
+        assert pa2.p_full(s, s, s) == RatFun(IntPoly.one())
         got = pa2.p_full(rs.mask_of([1]), s, s)
         assert got == RatFun(IntPoly.t_power(4), IntPoly.one_minus_t(6))
 
@@ -120,7 +122,7 @@ class TestKnownSeries:
             IntPoly((0, 1, 1, 0, 0, 1)), d)
         assert pa2.p_affine_S(0, s_mask := rs.full_mask) == RatFun(
             IntPoly((0, 1, 0, -1, 0, 1)), d)
-        assert pa2.p_affine_S(rs.mask_of([1]), 0).is_zero()
+        assert pa2.p_affine_S(rs.mask_of([1]), 0).num.is_zero()
         assert pa2.p_affine_S(rs.mask_of([1]), rs.mask_of([1])) == RatFun(
             IntPoly.one_minus_t(2), d)
 
@@ -137,7 +139,8 @@ class TestKnownSeries:
 class TestStructure:
     def test_zero_outside_k(self, pa2):
         rs = pa2.rs
-        assert pa2.p_full(rs.mask_of([1]), 0, rs.mask_of([2])).is_zero()
+        assert pa2.p_full(rs.mask_of([1]), 0,
+                          rs.mask_of([2])).num.is_zero()
 
     def test_symmetry(self, pa2):
         rs = pa2.rs
@@ -152,9 +155,9 @@ class TestStructure:
         rs = pa2.rs
         s = rs.full_mask
         for j in rs.subsets():
-            total = RatFun.zero()
+            total = RatFun(IntPoly.zero())
             for q in rs.subsets():
-                total = total + pa2.p_full(q, j, s)
+                total = rf_add(total, pa2.p_full(q, j, s))
             assert total == pa2.double_coset_series(j, s)
 
     def test_expansion_nonnegative(self, pa2):
@@ -173,7 +176,6 @@ class TestStructure:
             shift = rs.longest_length(q) - rs.longest_length(rs.full_mask)
             assert (RatFun(pa2._ss_num(q), pa2.den)
                     == monomial_shift(f_q(rs, q), shift))
-            assert pa2.p_ss(q) == monomial_shift(f_q(rs, q), shift)
 
 
 class TestReferenceAssembly:
@@ -183,7 +185,7 @@ class TestReferenceAssembly:
         ref = ReferenceAssembly(pl)
         subs = pl.rs.subsets()
         for q in subs:
-            assert pl.p_ss(q) == ref.p_ss(q), (label, q)
+            assert RatFun(pl._ss_num(q), pl.den) == ref.p_ss(q), (label, q)
             for j in subs:
                 assert pl.p_affine_S(q, j) == ref.p_affine_S(q, j)
                 for k in subs:
@@ -199,6 +201,29 @@ class TestReferenceAssembly:
             for j in subs:
                 assert pl.p_affine_S(q, j) == ref.p_affine_S(q, j), (
                     label, q, j)
+
+
+class TestNormalization:
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3"])
+    def test_reported_series_equal_their_numerators(self, label):
+        # every reported series is its numerator over D, and its reduced
+        # denominator divides D exactly
+        pl = get_pipeline(build_label(label))
+        rs = pl.rs
+        subs = rs.subsets()
+        reported = (
+            [(pl.p_affine_S(q, j), pl._affine_num(q, j))
+             for q in subs for j in subs]
+            + [(pl.p_full(q, j, k), pl._full_num(q, j, k))
+               for j in subs for k in subs for q in rs.subsets(k)]
+            + [(pl.double_coset_series(j, k), pl._double_num(j, k))
+               for j in subs for k in subs]
+            + [(pl.normalizer_series(j),
+                rs.poincare(j) * pl._full_num(j, j, j)) for j in subs])
+        assert len(reported) == 4 ** rs.rank * 2 + 6 ** rs.rank + 2 ** rs.rank
+        for r, num in reported:
+            assert r.num * pl.den == num * r.den, (label, r, num)
+            poly_exact_div(pl.den, r.den)       # raises unless it divides
 
 
 class TestOracleAgreement:
@@ -217,7 +242,7 @@ class TestOracleAgreement:
         rs = pl.rs
         j = data.draw(st.integers(0, rs.full_mask))
         k = data.draw(st.integers(0, rs.full_mask))
-        bins, _ = pl.aff.oracle_series(j, k, 8)
+        bins, _ = get_affine(rs).oracle_series(j, k, 8)
         for q in rs.subsets():
             assert (expand(pl.p_full(q, j, k), 8)
                     == bins.get(q, [0] * 9)), (label, q, j, k)
@@ -266,6 +291,27 @@ _FAULT_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Adds t^2 to the cached A2 numerators of p_{Q,J,K} for Q = {}, J = {1},
+# K = {2} and of p_{J,J,J} for J = {2}, then runs `growth verify`, which
+# must report both strata against the enumeration.  Exit codes: those of
+# `growth verify`, or 3 if asserts were not stripped.
+_VERIFY_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label, get_pipeline
+    from coxgrowth.cli import main
+    from coxgrowth.ratfun import IntPoly
+    if __debug__:
+        sys.exit(3)
+    pl = get_pipeline(build_label("A2"))
+    rs = pl.rs
+    for key in [(0, rs.mask_of([1]), rs.mask_of([2])),
+                (rs.mask_of([2]),) * 3]:
+        rs._derived[("_full_num",) + key] = (pl._full_num(*key)
+                                             + IntPoly.t_power(2))
+    sys.exit(main(["verify", "--type", "A2", "--max-length", "8"]))
+""")
+
+
 # Breaks each subset-conjugation and pole check of the A2 pipeline in
 # turn and requires it to raise.  Exit codes: 0 all raised, 1 some did
 # not raise, 3 asserts were not stripped.
@@ -302,7 +348,7 @@ _CHECKS_SCRIPT = textwrap.dedent("""
     expect("w0", lambda: AffinePipeline(rs))
     table.conj_subset_signed = conj
     cones.reciprocity_numerator = lambda rs, q: (IntPoly.one(), [])
-    expect("pole", lambda: pl.p_ss(0))
+    expect("pole", lambda: pl._ss_num(0))
     sys.exit(0 if raised == 3 else 1)
 """)
 
@@ -365,6 +411,17 @@ def _run_optimized(script):
 class TestDualPathCheck:
     def test_disagreement_raises_under_optimize(self):
         assert "reduction paths disagree" in _run_optimized(_FAULT_SCRIPT)
+
+
+class TestVerifyFaults:
+    def test_wrong_numerators_fail_verify_under_optimize(self):
+        proc = _run_python(["-O", "-c", _VERIFY_SCRIPT])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            "FAIL coset-series-vs-enumeration: Q=[], J=[1], K=[2]: "
+            "[1, 1, 3, 3, 3, 5, 5, 6, 8] vs [1, 1, 2, 3, 3, 5, 5, 6, 6]",
+            "FAIL normalizer-vs-enumeration: J=[2]: "
+            "[1, 1, 1, 1, 0, 0, 2, 2, 2] vs [1, 1, 0, 0, 0, 0, 2, 2, 0]"]
 
 
 class TestPipelineChecks:
