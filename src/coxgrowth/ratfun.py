@@ -11,8 +11,11 @@ structural equality coincides with equality of rational functions.  The
 rest of the package computes on IntPoly alone, keeping its sums as
 numerators over one fixed product of factors 1 - t^k
 (`IntPoly.one_minus_t`) and expanding them over it; it builds a RatFun,
-and so runs a gcd, only once per reported series.  A RatFun is a value
-to compare, print and serialize, and has no arithmetic operators.
+and so runs a gcd, only once per distinct reported numerator.  A RatFun
+is a value to compare, print and serialize, and has no arithmetic
+operators.  The gcd is one integer gcd at t = 2^B, checked by exact
+division (`poly_gcd`); exact division and `expand` loop over the nonzero
+terms of the divisor alone, as the products of 1 - t^k are sparse.
 
 Sums of products, the bulk of that IntPoly work, run packed: `poly_dot`
 evaluates every operand at t = 2^B, with the slot width B taken from a
@@ -91,10 +94,7 @@ class IntPoly:
         return iter(self.coeffs)
 
     def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -169,16 +169,16 @@ def poly_str(p, var="t"):
 def poly_exact_div(a, b):
     """a / b for integer polynomials whose quotient lies in Z[t].
 
-    Divides top-down in integers and raises ValueError as soon as a
-    leading coefficient is not divisible by lc(b), or when a nonzero
-    remainder is left.
+    Divides top-down in integers over the nonzero terms of b, and raises
+    ValueError as soon as a leading coefficient is not divisible by
+    lc(b), or when a nonzero remainder is left.
     """
     bc = b.coeffs
     if not bc:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a.coeffs)
-    n = len(bc) - 1
-    lc = bc[-1]
+    n, lc = len(bc) - 1, bc[-1]
+    terms = [(i, c) for i, c in enumerate(bc[:n]) if c]
     q = [0] * max(0, len(r) - n)
     for k in range(len(q) - 1, -1, -1):
         top = r[k + n]
@@ -187,53 +187,48 @@ def poly_exact_div(a, b):
             if m:
                 raise ValueError("non-integer quotient")
             q[k] = f
-            for i in range(n):
-                r[k + i] -= f * bc[i]
+            for i, c in terms:
+                r[k + i] -= f * c
     if any(r[:n]):
         raise ValueError("inexact polynomial division")
     return IntPoly(q)
 
 
 def _primitive(c):
-    """Coefficient list divided by its content (sign kept)."""
+    """Coefficients c over their content, with positive leading one."""
     g = gcd(*c)
-    return c if g <= 1 else [x // g for x in c]
+    return [x // (g if c[-1] > 0 else -g) for x in c]
 
 
 def poly_gcd(a, b):
     """Gcd in Q[t], returned as a primitive integer polynomial with
     positive leading coefficient (zero when both operands are zero).
 
-    Primitive pseudo-remainder sequence in Z[t] (Knuth, TAOCP vol. 2,
-    4.6.1; Collins 1967): each reduction step is
-    r <- (lc/g) r - (top/g) t^k b with g = gcd(lc, top), and every
-    remainder is replaced by its primitive part, so only ints occur.
+    Heuristic gcd (Char, Geddes and Gonnet, GCDHEU, J. Symbolic
+    Computation 7, 1989): the candidate g is the primitive part of the
+    balanced digits (`_unpack`) of gcd(a(2^B), b(2^B)).  B starts with
+    2^B > 2 min(|a|, |b|) + 2, |.| the largest absolute coefficient, where
+    by the CGG theorem a g that divides both operands is their gcd; else
+    B doubles.  The integer gcd is |g(2^B)| times a divisor of
+    content(a) content(b) res(a/g, b/g), so once 2^(B-1) exceeds that
+    bound times |g|, the digits are a multiple of g and the loop ends.
     """
     if a.degree == 0 or b.degree == 0:
         return IntPoly.one()
-    x, y = _primitive(list(a.coeffs)), _primitive(list(b.coeffs))
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        if len(y) == 1:
-            return IntPoly.one()
-        n = len(y) - 1
-        lc = y[-1]
-        while len(x) > n:
-            top = x.pop()
-            k = len(x) - n
-            g = gcd(lc, top)
-            u, v = lc // g, top // g
-            if u != 1:
-                x = [u * c for c in x]
-            for i in range(n):
-                x[k + i] -= v * y[i]
-            while x and not x[-1]:
-                x.pop()
-        x, y = y, _primitive(x)
-    if x and x[-1] < 0:
-        x = [-c for c in x]
-    return IntPoly(x)
+    if not a.coeffs or not b.coeffs:
+        return IntPoly(_primitive(a.coeffs or b.coeffs))
+    bits = (2 * min(height(a), height(b)) + 2).bit_length()
+    while True:
+        g = IntPoly(_primitive(
+            _unpack(gcd(pack(a, bits), pack(b, bits)), bits).coeffs))
+        if g.degree == 0:
+            return g
+        try:
+            poly_exact_div(a, g)
+            poly_exact_div(b, g)
+            return g
+        except ValueError:
+            bits *= 2
 
 
 class RatFun:
@@ -308,8 +303,7 @@ def _normalize(num, den):
     if c > 1:
         num = IntPoly(tuple(x // c for x in num.coeffs))
         den = IntPoly(tuple(x // c for x in den.coeffs))
-    low = next(c for c in den.coeffs if c != 0)
-    if low < 0:
+    if next(c for c in den.coeffs if c) < 0:
         num, den = -num, -den
     return num, den
 
@@ -397,11 +391,14 @@ def expand(r, n, den=None):
     if d0 not in (1, -1):
         raise ValueError(f"expand needs a denominator with constant term "
                          f"+-1, not {d0}")
+    terms = [(i, c) for i, c in enumerate(den) if i and c]
     out = []
     for k in range(n + 1):
         acc = num[k]
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * out[k - i]
+        for i, c in terms:
+            if i > k:
+                break
+            acc -= c * out[k - i]
         out.append(acc * d0)
     return out
 

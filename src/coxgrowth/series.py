@@ -8,7 +8,8 @@ finite Weyl group, and the translation series
 for the full-group double cosets.  Every f_Q, and so every assembled
 series, has a denominator dividing D = prod_i (1 - t^wt(w_i)), one factor
 per cone generator, so each series is carried as an integer numerator
-over D: sums need no gcd, and each reported series is normalized once.
+over D: sums need no gcd, and each distinct numerator is normalized once,
+into one RatFun that every series with that numerator shares.
 The oracle comparison expands the numerators over D directly, so
 `verify` normalizes nothing.
 General series are assembled two independent ways, with equal numerators:
@@ -118,34 +119,35 @@ class AffinePipeline:
         return poly_sum(self._full_num(q, j_mask, k_mask)
                         for q in self.rs.subsets(k_mask))
 
-    # -- reported series: one normalized RatFun each -----------------------
+    # -- reported series: one normalized RatFun per distinct numerator ----
 
-    @_memo
+    def _reported(self, num):
+        """num / D, normalized once per distinct numerator."""
+        return self.rs.cached(("reported", num.coeffs),
+                              lambda: RatFun(num, self.den))
+
     def p_affine_S(self, q_mask, j_mask):
         """p_{Q,J,S}, one entry of the affine series matrix."""
-        return RatFun(self._affine_num(q_mask, j_mask), self.den)
+        return self._reported(self._affine_num(q_mask, j_mask))
 
     def matrix_M_affine(self):
         subs = self.rs.subsets()
         entries = [[self.p_affine_S(q, j) for j in subs] for q in subs]
         return PolyMatrix(subs, subs, entries)
 
-    @_memo
     def p_full(self, q_mask, j_mask, k_mask):
         """p_{Q,J,K}, the Q-stratum of the (W_J, W_K) double cosets."""
-        return RatFun(self._full_num(q_mask, j_mask, k_mask), self.den)
+        return self._reported(self._full_num(q_mask, j_mask, k_mask))
 
-    @_memo
     def double_coset_series(self, j_mask, k_mask):
-        return RatFun(self._double_num(j_mask, k_mask), self.den)
+        return self._reported(self._double_num(j_mask, k_mask))
 
     def group_series(self):
         return self.double_coset_series(0, 0)
 
-    @_memo
     def normalizer_series(self, j_mask):
-        return RatFun(self.rs.poincare(j_mask)
-                      * self._full_num(j_mask, j_mask, j_mask), self.den)
+        return self._reported(self.rs.poincare(j_mask)
+                              * self._full_num(j_mask, j_mask, j_mask))
 
     # -- identity suite -------------------------------------------------
 

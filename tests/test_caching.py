@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from coxgrowth import rootsystem
+from coxgrowth import ratfun, rootsystem
 from coxgrowth.affine import get_affine
 from coxgrowth.cli import main, run_selftest
 from coxgrowth.finite import GroupTable, get_table
@@ -91,6 +91,32 @@ def test_assembly_builds_no_affine_group():
     assert "affine" not in rs._derived
     pl.verify_against_oracle(4)
     assert "affine" in rs._derived
+
+
+@pytest.mark.parametrize("label, distinct", [("A3", 22), ("B3", 32),
+                                              ("C3", 32)])
+def test_one_normalization_per_distinct_numerator(monkeypatch, label,
+                                                  distinct):
+    nums = []
+    real_normalize = ratfun._normalize
+
+    def normalize(num, den):
+        nums.append(num)
+        return real_normalize(num, den)
+
+    monkeypatch.setattr(ratfun, "_normalize", normalize)
+    pl = get_pipeline(RootSystem(label[0], int(label[1])))
+    m = pl.matrix_M_affine()
+    assert len(nums) == len(set(nums)) == distinct
+    if label == "A3":
+        # the entries of Q = {1} and Q = {3} against J = {1, 3} have
+        # equal numerators (the diagram automorphism fixes J) and share
+        # one RatFun
+        rs = pl.rs
+        j = rs.mask_of([1, 3])
+        col = m.cols.index(j)
+        a, b = (m.entries[m.rows.index(rs.mask_of([i]))][col] for i in (1, 3))
+        assert a is b and a == pl.p_affine_S(rs.mask_of([1]), j)
 
 
 def test_one_scan_per_table_j_k(monkeypatch):

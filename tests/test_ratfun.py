@@ -11,6 +11,8 @@ from coxgrowth import ratfun
 from coxgrowth.ratfun import (IntPoly, RatFun, expand,
                               poly_dot, poly_gcd, poly_exact_div,
                               poly_sum, factored_den, poly_str)
+from coxgrowth.rootsystem import build_label
+from coxgrowth.series import get_pipeline
 
 
 def shift(p, k):
@@ -75,6 +77,11 @@ pipeline_polys = st.builds(_product,
 nonzero_pipeline_polys = st.one_of(
     pipeline_polys, pipeline_polys.map(lambda p: -p),
     polys).filter(lambda p: not p.is_zero())
+# Divisors with interior zeros, as D and the trial factors of
+# factored_den have: products of (1 - t^k), shifted by t^j.
+sparse_divisors = st.builds(
+    lambda ks, j: shift(IntPoly.one_minus_t(*ks), j),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3), st.integers(0, 3))
 
 
 def _sympy_gcd(a, b):
@@ -183,6 +190,45 @@ class TestIntPoly:
         if not b.is_zero():
             poly_exact_div(b, g)
 
+    def test_gcd_edges(self):
+        zero, one = IntPoly.zero(), IntPoly.one()
+        # content 2 and a negative leading coefficient
+        b = IntPoly((-6, 4, -2))
+        assert poly_gcd(zero, b) == poly_gcd(b, zero) == IntPoly((3, -2, 1))
+        assert poly_gcd(zero, zero) == zero
+        for c in (IntPoly((5,)), IntPoly((-1,))):
+            assert poly_gcd(c, b) == poly_gcd(b, c) == one
+            assert poly_gcd(c, zero) == poly_gcd(zero, c) == one
+        # coprime, but gcd(a(8), b(8)) = gcd(15, -25) = 5 reads as t - 3
+        assert poly_gcd(IntPoly((-1, 2)), IntPoly((-1, -3))) == one
+
+    def test_gcd_doubles_width(self, monkeypatch):
+        widths = []
+        real_pack = ratfun.pack
+
+        def pack(p, bits):
+            widths.append(bits)
+            return real_pack(p, bits)
+
+        monkeypatch.setattr(ratfun, "pack", pack)
+        # the pair of test_gcd_edges: t - 3 at B = 3 divides neither
+        assert poly_gcd(IntPoly((-1, 2)), IntPoly((-1, -3))) == IntPoly.one()
+        assert widths == [3, 3, 6, 6]
+        # every distinct numerator of A4 and F4 against D, as RatFun
+        # normalization meets them; some need a doubled width
+        doubled = 0
+        for label in ("A4", "F4"):
+            pl = get_pipeline(build_label(label))
+            subs = pl.rs.subsets()
+            nums = {pl._affine_num(q, j) for q in subs for j in subs}
+            for num in nums - {IntPoly.zero()}:
+                widths.clear()
+                g = poly_gcd(num, pl.den)
+                assert g == _sympy_gcd(num, pl.den)
+                assert g == _euclid_gcd(num, pl.den)
+                doubled += widths[-1] > widths[0]
+        assert doubled
+
     def test_exact_div_raises(self):
         with pytest.raises(ValueError):
             poly_exact_div(IntPoly((1, 1)), IntPoly((0, 1)))
@@ -196,8 +242,8 @@ class TestIntPoly:
             assert g == _sympy_gcd(x, y)
             assert g == _euclid_gcd(x, y)
 
-    @given(pipeline_polys, nonzero_pipeline_polys, polys,
-           st.sampled_from([1, -1, 2, 3, -6]))
+    @given(pipeline_polys, st.one_of(nonzero_pipeline_polys, sparse_divisors),
+           polys, st.sampled_from([1, -1, 2, 3, -6]))
     @settings(max_examples=200, deadline=None)
     def test_exact_div_matches_divmod(self, q, b, e, s):
         # a / (s b) with a = b q + e: an exact integer quotient when

@@ -31,7 +31,10 @@ denominators are printed with.  The A1 verify and C3 oracle digests were
 recorded at commit 29b061e, before the enumeration walk carried each
 element's root pairings and moved its generators by root permutations;
 rank 1 and a two-generator J are the cases a gather of the simple-root
-pairings is easiest to get wrong on.  A change that alters any of these bytes
+pairings is easiest to get wrong on.  The F4 text matrix digest was
+recorded at commit 0e8b50f, before the heuristic gcd and the exact
+division over the divisor's nonzero terms; every trial division of the
+denominator factor search runs through that division.  A change that alters any of these bytes
 must say so and re-record the digest.  Every command is also run under
 python -O, in one subprocess, against the same digests."""
 
@@ -136,6 +139,8 @@ DIGESTS = [
      "fdf76f13c8ed76ab8655b4fcbd060524f5deddd41f85768ac53d4f25faad2b80"),
     ("oracle --type C3 --J 1,3 --K 2 --max-length 10 --format json",
      "4878fba33d9af67e4680d4dc090295fbd1638cd6f68af48128e6054ec6f7553a"),
+    ("matrix --type F4",
+     "33c44ccd0d1d0bfcdfd417df0e29074605d1255c21e421e07969cf4fbb96af4a"),
 ]
 
 
