@@ -70,11 +70,12 @@ class AffineWeyl:
         # gens[g] = (finite index, translation coords); g = 0 is affine
         self.gens = {0: (at_idx, tuple(-c for c in rs.highest_root_coroot))}
         for i in range(n):
-            self.gens[i + 1] = (self.table.rmult[0][i], (0,) * n)
-        # _next[g][w]: the finite index of w s_g, precomputed once
+            self.gens[i + 1] = (self.table.succ[i][0], (0,) * n)
+        # _next[g][w]: the finite index of w s_g, the table's successor
+        # columns for g > 0 and one column precomputed here for g = 0
         self._next = [[self.table.mul(idx, at_idx)
-                       for idx in range(self.table.order)]]
-        self._next += [[r[i] for r in self.table.rmult] for i in range(n)]
+                       for idx in range(self.table.order)],
+                      *self.table.succ]
         # support mask of each root, by root index
         self._supp = [sum(1 << p for p, c in enumerate(root) if c)
                       for root in rs.roots]

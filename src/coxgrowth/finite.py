@@ -6,6 +6,7 @@ roots of the root system, positives first: perm[b] is the index of
 x(beta_b), so x sends beta_b to a negative root when perm[b] >= N.  The
 product x*s_i is perm composed with the permutation of s_i, and since
 w(alpha)^vee = w(alpha^vee) the same permutation acts on the coroots.
+A table keeps one successor column per generator: succ[i][x] indexes x s_i.
 
 Lengths come from BFS depth.  The Poincare polynomial of W_J is known
 in closed form: a table whose order, its value at 1, is over the bound
@@ -71,7 +72,9 @@ def check_table_size(rs, mask):
 
 
 class GroupTable:
-    """Complete enumeration of the parabolic W_mask by BFS."""
+    """Complete enumeration of the parabolic W_mask by BFS: perms,
+    lengths and index by element, and succ[i][x], the index of x s_i, in
+    one list per generator i of the mask (None for the others)."""
 
     def __init__(self, rs, mask=None):
         if mask is None:
@@ -81,22 +84,23 @@ class GroupTable:
         poincare = check_table_size(rs, mask)
         # x*s_i sends beta_b to x(s_i beta_b), so its permutation is
         # x's composed with that of s_i
-        gens = {i: itemgetter(*perm)
+        self.succ = [[] if (mask >> i) & 1 else None for i in range(rs.rank)]
+        gens = [(itemgetter(*perm), self.succ[i])
                 for i, perm in enumerate(rs.simple_reflections())
-                if (mask >> i) & 1}
+                if (mask >> i) & 1]
         ident = tuple(range(len(rs.roots)))
         self.perms = [ident]
         self.lengths = [0]
         self.index = {ident: 0}
-        self.rmult = [dict()]
         histogram = []  # the size of each BFS level
         frontier = [0]
         while frontier:
             histogram.append(len(frontier))
             nxt = []
+            # idx runs 0, 1, 2, ..., so x s_i lands at position idx
             for idx in frontier:
                 perm = self.perms[idx]
-                for i, compose in gens.items():
+                for compose, column in gens:
                     new = compose(perm)
                     pos = self.index.get(new)
                     if pos is None:
@@ -104,9 +108,8 @@ class GroupTable:
                         self.perms.append(new)
                         self.lengths.append(self.lengths[idx] + 1)
                         self.index[new] = pos
-                        self.rmult.append(dict())
                         nxt.append(pos)
-                    self.rmult[idx][i] = pos
+                    column.append(pos)
             frontier = nxt
 
         self.order = len(self.perms)
@@ -195,7 +198,7 @@ class GroupTable:
             if not asc:
                 break
             i = (asc & -asc).bit_length() - 1
-            idx = self.rmult[idx][i]
+            idx = self.succ[i][idx]
         if self.lengths[idx] != self.rs.longest_length(mask):
             raise AssertionError(f"longest element of {self.rs.ids_of(mask)}"
                                  f" has length {self.lengths[idx]}")

@@ -99,13 +99,7 @@ class IntPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return poly_sum((self, other))
 
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))

@@ -9,7 +9,8 @@ import pytest
 from coxgrowth import build_label, rootsystem
 from coxgrowth.affine import coset_pattern, get_affine, normalizes
 from coxgrowth.ratfun import IntPoly
-from test_finite import _is_unit_col, _root_sign, matcol, reference_table
+from test_finite import (_is_unit_col, _root_sign, matcol, reference_columns,
+                         reference_table)
 from test_series import _run_optimized
 
 
@@ -29,7 +30,7 @@ def b2():
 def reference(aff):
     """The matrix reference of aff's finite table, numbered alike."""
     ref = reference_table(aff.rs)
-    assert ref.rmult == aff.table.rmult
+    assert reference_columns(ref) == aff.table.succ
     return ref
 
 
@@ -364,7 +365,7 @@ def _parabolic_indices(table, mask):
         nxt = []
         for x in frontier:
             for i in gens:
-                y = table.rmult[x][i]
+                y = table.succ[i][x]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

@@ -6,12 +6,14 @@ import json
 import random
 import textwrap
 from collections import defaultdict
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxgrowth import build_label
 from coxgrowth import finite
+from coxgrowth.affine import get_affine
 from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, image_masks,
                               matrix_M, matrix_N, identity_checks_finite,
                               reduction_targets)
@@ -38,7 +40,7 @@ def parabolic_elements(t, mask):
         nxt = []
         for x in frontier:
             for i in gens:
-                y = t.rmult[x][i]
+                y = t.succ[i][x]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -170,6 +172,12 @@ def reference_table(rs):
     return MatrixTable(rs)
 
 
+def reference_columns(ref):
+    """The reference's right multiplication as successor columns:
+    column i lists the index of x s_i for each x in turn."""
+    return [[r[i] for r in ref.rmult] for i in range(ref.rs.rank)]
+
+
 def inversion_count(ref, idx):
     """The number of positive roots the element sends to negative roots."""
     return sum(1 for root, _ in ref.rs.positive_roots
@@ -184,7 +192,7 @@ class TestAgainstMatrixReference:
         n = rs.rank
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         assert t.order == len(ref.rmats)
-        assert t.rmult == ref.rmult
+        assert t.succ == reference_columns(ref)
         for idx in range(t.order):
             assert t.lengths[idx] == inversion_count(ref, idx)
             assert t.rasc[idx] == ref.rasc(idx)
@@ -199,6 +207,36 @@ class TestAgainstMatrixReference:
         for _ in range(200):
             a, b = rng.randrange(t.order), rng.randrange(t.order)
             assert t.mul(a, b) == ref.mul(a, b)
+
+
+def column_cases():
+    """The full tables of A3, B3, D4 and F4, and every parabolic table of
+    F4, as (label, mask) pairs."""
+    yield from ((label, None) for label in ["A3", "B3", "D4", "F4"])
+    yield from (("F4", mask) for mask in build_label("F4").subsets())
+
+
+class TestSuccessorColumns:
+    @pytest.mark.parametrize("label,mask", list(column_cases()))
+    def test_columns_compose_the_generators(self, label, mask):
+        rs = build_label(label)
+        t = get_table(rs, mask)
+        for i, perm in enumerate(rs.simple_reflections()):
+            column = t.succ[i]
+            if not (t.mask >> i) & 1:
+                assert column is None
+                continue
+            assert len(column) == t.order
+            compose = itemgetter(*perm)
+            for x, y in enumerate(column):
+                assert t.perms[y] == compose(t.perms[x])
+
+    @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4"])
+    def test_affine_walk_reads_the_same_lists(self, label):
+        rs = build_label(label)
+        aff, t = get_affine(rs), get_table(rs)
+        for i in range(rs.rank):
+            assert aff._next[i + 1] is t.succ[i]
 
 
 class TestGroupTable:
@@ -237,7 +275,7 @@ class TestGroupTable:
         t = tables["B2"]
         for idx in range(t.order):
             for i in range(t.rs.rank):
-                longer = t.lengths[t.rmult[idx][i]] > t.lengths[idx]
+                longer = t.lengths[t.succ[i][idx]] > t.lengths[idx]
                 assert longer == bool(((t.mask & t.rasc[idx]) >> i) & 1)
 
     def test_poincare_palindromic(self, tables):
@@ -809,7 +847,7 @@ _FLIP_SCRIPT = textwrap.dedent("""
     if __debug__:
         sys.exit(3)
     t = GroupTable(RootSystem("A", 2))
-    s1, conj = t.rmult[0][0], t.conj_subset_signed
+    s1, conj = t.succ[0][0], t.conj_subset_signed
     t.conj_subset_signed = lambda idx, mask: (
         mask & ~1 | (mask & 1) << 1 if idx == s1 else conj(idx, mask))
     try:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -122,19 +122,33 @@ def poly_divmod(a, b):
     return q, r
 
 
-def _euclid_gcd(a, b):
-    """Euclid in Q[t] on the remainders of poly_divmod, each scaled to a
-    primitive integer polynomial."""
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        m = lcm(*(c.denominator for c in r))
-        r = IntPoly(tuple(int(c * m) for c in r))
-        a, b = b, (r if r.is_zero() else
-                   IntPoly(tuple(x // r.content() for x in r.coeffs)))
-    if a.is_zero():
-        return a
-    c = a.content() if a.coeffs[-1] > 0 else -a.content()
-    return IntPoly(tuple(x // c for x in a.coeffs))
+def _primitive_part(c):
+    """A nonzero coefficient list divided by its content, with a
+    positive leading coefficient."""
+    g = gcd(*c) if c[-1] > 0 else -gcd(*c)
+    return [x // g for x in c]
+
+
+def _prs_gcd(a, b):
+    """Gcd in Z[t] by the primitive pseudo-remainder sequence (Knuth,
+    TAOCP vol. 2, 4.6.1), in integers only: each step replaces (x, y) by
+    (y, the primitive part of lc(y)^k x mod y).  Returned primitive with
+    a positive leading coefficient; zero when both operands are zero."""
+    x, y = ([] if p.is_zero() else _primitive_part(list(p.coeffs))
+            for p in (a, b))
+    while y:
+        n, lc = len(y) - 1, y[-1]
+        while len(x) > n:
+            # x <- lc x - top t^k y cancels the leading term top t^(k+n)
+            top = x.pop()
+            x = [lc * c for c in x]
+            k = len(x) - n
+            for i in range(n):
+                x[k + i] -= top * y[i]
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, (_primitive_part(x) if x else [])
+    return IntPoly(x)
 
 
 class TestIntPoly:
@@ -225,7 +239,7 @@ class TestIntPoly:
                 widths.clear()
                 g = poly_gcd(num, pl.den)
                 assert g == _sympy_gcd(num, pl.den)
-                assert g == _euclid_gcd(num, pl.den)
+                assert g == _prs_gcd(num, pl.den)
                 doubled += widths[-1] > widths[0]
         assert doubled
 
@@ -240,7 +254,7 @@ class TestIntPoly:
         for x, y in [(a * c, b * c), (a, b), (a * c, c)]:
             g = poly_gcd(x, y)
             assert g == _sympy_gcd(x, y)
-            assert g == _euclid_gcd(x, y)
+            assert g == _prs_gcd(x, y)
 
     @given(pipeline_polys, st.one_of(nonzero_pipeline_polys, sparse_divisors),
            polys, st.sampled_from([1, -1, 2, 3, -6]))
