@@ -17,10 +17,13 @@ parallelepiped is W - Pi) gives
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .ratfun import IntPoly, RatFun
 from . import rootsystem
+
+
+MAX_BOX_POINTS = 10 ** 6  # A7's largest box has 131 072, A8's 4 782 969
 
 
 def indices_outside(rs, q_mask):
@@ -33,6 +36,9 @@ def parallelepiped_points(rs, indices):
     {w_i : i in indices}, in lexicographic order."""
     idx = sorted(set(indices))
     depths = [rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i] for i in idx]
+    if prod(depths) > MAX_BOX_POINTS:
+        raise ValueError(f"{rs.label}: a residue box of {prod(depths)} "
+                         f"points, over the bound {MAX_BOX_POINTS}")
     # m = sum (y_i / d_i) w_i, scaled by L = lcm(d_i) to stay in integers
     big = lcm(*depths)
     gens = [tuple(big // d * x for x in rs.cone_gens[i])

@@ -43,8 +43,9 @@ The finite and affine suites share one implementation of each identity:
 
 Every conjugation of a subset by a product of two longest elements,
 w(K, Q) = w_K w_Q here and w_0 w_Q' in the affine assembly, is read off
-one table per GroupTable, `flips`: the opposition involution eps_X of
-each parabolic W_X on the subsets of X, checked once as it is built.
+the root system's `flips()`: the opposition involution eps_X of each
+parabolic W_X on the subsets of X, walked from the root permutations
+once per root system and checked as it is built.  No table is needed.
 """
 
 from __future__ import annotations
@@ -113,12 +114,9 @@ class GroupTable:
             frontier = nxt
 
         self.order = len(self.perms)
-        # the closed form is monic, so the longest element is unique
         if IntPoly(histogram) != poincare:
             raise AssertionError(f"BFS length histogram {histogram} is not "
                                  f"the closed form {poincare}")
-        self.longest_idx = self.lengths.index(poincare.degree)
-        self._simple_pos = {s: i for i, s in enumerate(rs.simple_idx)}
         self._profiles()
 
     def _profiles(self):
@@ -129,7 +127,8 @@ class GroupTable:
         n_pos = len(self.rs.positive_roots)
         simple = self.rs.simple_idx
         simple_set = frozenset(simple)
-        bit = {s: 1 << i for i, s in enumerate(simple)}.__getitem__
+        pos = {s: i for i, s in enumerate(simple)}
+        bit = {s: 1 << i for s, i in pos.items()}.__getitem__
         self.rasc = []
         self.lasc = []
         self.simple_img = []
@@ -140,7 +139,7 @@ class GroupTable:
                                  if b < n_pos))
             self.lasc.append(sum(map(bit, simple_set.intersection(
                 perm[:n_pos]))))
-            img = tuple([self._simple_pos.get(b, -1) for b in img])
+            img = tuple([pos.get(b, -1) for b in img])
             self.simple_img.append(images.setdefault(img, img))
 
     @cached_property
@@ -168,63 +167,6 @@ class GroupTable:
         return tuple(sum(m * col[k] for m, col in zip(vec, cols))
                      for k in range(len(vec)))
 
-    def conj_subset_signed(self, idx, k_mask):
-        """{j : x maps alpha_k to plus or minus alpha_j, k in k_mask}
-        (conjugation by longest elements), or None if some image is not
-        a simple root up to sign."""
-        n_pos = len(self.rs.positive_roots)
-        perm = self.perms[idx]
-        out = 0
-        k = k_mask
-        while k:
-            i = (k & -k).bit_length() - 1
-            j = self._simple_pos.get(perm[self.rs.simple_idx[i]] % n_pos)
-            if j is None:
-                return None
-            out |= 1 << j
-            k &= k - 1
-        return out
-
-    # -- distinguished elements -----------------------------------------
-
-    def longest_element(self, mask):
-        """Index of the longest element of W_mask (mask within the table)."""
-        if mask & ~self.mask:
-            raise AssertionError(f"{self.rs.ids_of(mask)} is not inside "
-                                 f"the table's {self.rs.ids_of(self.mask)}")
-        idx = 0
-        while True:
-            asc = self.rasc[idx] & mask
-            if not asc:
-                break
-            i = (asc & -asc).bit_length() - 1
-            idx = self.succ[i][idx]
-        if self.lengths[idx] != self.rs.longest_length(mask):
-            raise AssertionError(f"longest element of {self.rs.ids_of(mask)}"
-                                 f" has length {self.lengths[idx]}")
-        return idx
-
-    @cached_property
-    def flips(self):
-        """flips[X][M] for X within the table and M within X: the image of
-        M under the opposition involution eps_X of W_X, where
-        w_X alpha_i = -alpha_eps_X(i) (Humphreys, Reflection Groups and
-        Coxeter Groups, 1.8).  For H within K, w_K w_H then sends alpha_i,
-        i in H, to alpha_eps_K(eps_H(i)).  w_X has no ascent in X, so it
-        sends the simple roots of X to negative roots, which must be
-        minus simple roots of X."""
-        flips = {}
-        for x in self.rs.subsets(self.mask):
-            w = self.longest_element(x)
-            flip = {m: self.conj_subset_signed(w, m)
-                    for m in self.rs.subsets(x)}
-            if flip[x] != x:
-                raise AssertionError(f"w_X does not send the simple roots of "
-                                     f"X={self.rs.ids_of(x)} onto minus "
-                                     "simple roots of X")
-            flips[x] = flip
-        return flips
-
     # -- coset series ----------------------------------------------------
 
     def p_poly(self, q_mask, j_mask, k_mask):
@@ -241,7 +183,7 @@ class GroupTable:
         their length polynomials binned by Q (for p_poly) and by R (the
         h-series, only x mapping every simple root of K to a simple
         root)."""
-        size = self.lengths[self.longest_idx] + 1
+        size = self.rs.longest_length(self.mask) + 1
         p_bins = defaultdict(lambda: [0] * size)
         h_bins = defaultdict(lambda: [0] * size)
         for rasc, bucket in self._above[j_mask]:
@@ -300,7 +242,7 @@ class PackedBins:
     def __init__(self, table):
         self.rs = table.rs
         self.order = table.order
-        self.size = table.lengths[table.longest_idx] + 1
+        self.size = self.rs.longest_length(table.mask) + 1
         self.bits = pack_bits(len(self.rs.subsets(table.mask)) * self.size
                               * self.order ** 2)
         self._bins = {}
@@ -438,24 +380,22 @@ def solomon_sum(num, parabolics, rest):
     yield (lambda: f"sum = {acc}, expected 0"), acc.is_zero()
 
 
-def reduction_targets(table, subsets):
+def reduction_targets(rs, subsets):
     """(K, Q, Q', l(v)) for K in `subsets` and Q within K, where
     v = w(K, Q) = w_K w_Q and Q' is the conjugate of Q by v, eps_K(Q)."""
-    rs = table.rs
     for k in subsets:
-        flip, length = table.flips[k], rs.longest_length(k)
+        flip, length = rs.flips()[k], rs.longest_length(k)
         for q in rs.subsets(k):
             yield k, q, flip[q], length - rs.longest_length(q)
 
 
-def p_alternating_reduction(table, p, subsets, bits):
+def p_alternating_reduction(rs, p, subsets, bits):
     """sum over Q<H<K, Q<R<H of (-1)^{|H|-|Q|} p(R, J, H)
     = t^{l(w(K,Q))} p(Q', J, K), one case per (Q, J, K) with J and K in
     `subsets`; p[J, K] holds the finite coset series or the affine
     numerators by Q, packed at t = 2^bits for a slot width that holds
     every such sum, and is read once per (J, H) in a case."""
-    rs = table.rs
-    for k, q, qp, shift in reduction_targets(table, subsets):
+    for k, q, qp, shift in reduction_targets(rs, subsets):
         terms = [(h, signed(1, h & ~q)) for h in rs.subsets(k) if not q & ~h]
         for j in subsets:
             lhs = sum(sign * sum(v for r, v in p[j, h].items() if not q & ~r)
@@ -497,7 +437,7 @@ def identity_checks_finite(rs, sp_mask=None):
     def h_alternating_reduction():
         # sum over R<H<J of (-1)^{|H|-|R|} h_{R,H,K}
         # = t^{l(w(J,R'))} h_{R',J,K}
-        for j, r, rp, shift in reduction_targets(table, subsets):
+        for j, r, rp, shift in reduction_targets(rs, subsets):
             terms = [(h, signed(1, h & ~r))
                      for h in rs.subsets(j) if not r & ~h]
             for k in subsets:
@@ -524,7 +464,7 @@ def identity_checks_finite(rs, sp_mask=None):
         ("parabolic-quotient", parabolic_quotient()),
         ("pKJK-partition", pkjk_partition()),
         ("p-alternating-reduction", p_alternating_reduction(
-            table, {jk: pq[0] for jk, pq in bins.items()}, subsets, bits)),
+            rs, {jk: pq[0] for jk, pq in bins.items()}, subsets, bits)),
         ("h-alternating-reduction", h_alternating_reduction()),
         ("M-factorization", factorization(matrix_M, "M chain K={} K'={}")),
         ("N-factorization", factorization(matrix_N, "N chain J={} J'={}")),

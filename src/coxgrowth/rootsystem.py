@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd
+from operator import itemgetter
 
 from .ratfun import IntPoly
 
 VALID_TYPES = "ABCDEFG"
+MAX_RANK = 20  # building a root system costs about rank^4
 
 
 class InvalidTypeError(ValueError):
@@ -52,6 +54,8 @@ def cartan_matrix(family, rank):
     }.get(family)
     if not ok:
         raise InvalidTypeError(f"invalid type {family}{rank}")
+    if n > MAX_RANK:
+        raise InvalidTypeError(f"rank {rank} is over the bound {MAX_RANK}")
     c = _chain(n)
     if family == "B":
         c[n - 2][n - 1] = -2
@@ -301,6 +305,43 @@ class RootSystem:
         return self.cached("simple_reflections", lambda: tuple(
             self.reflection(self.roots[s], self.coroots[s])
             for s in self.simple_idx))
+
+    def flips(self):
+        """flips[X][M] for M within X within S: the image of M under the
+        opposition involution eps_X of W_X, w_X alpha_i = -alpha_eps_X(i)
+        (Humphreys, Reflection Groups and Coxeter Groups, 1.8); for H
+        within K, w_K w_H sends alpha_i, i in H, to alpha_eps_K(eps_H(i)).
+        w_X is walked up from the identity by composing the permutation of
+        an ascent in X, which must take l(w_X) steps and end on minus the
+        simple roots of X.  Made once and kept in the cache."""
+        return self.cached("flips", self._walk_flips)
+
+    def _walk_flips(self):
+        n_pos, simple = len(self.positive_roots), self.simple_idx
+        gens = [itemgetter(*perm) for perm in self.simple_reflections()]
+        neg_simple = {s + n_pos: i for i, s in enumerate(simple)}
+        flips = {}
+        for x in self.subsets():
+            ids, length = self.ids_of(x), self.longest_length(x)
+            perm, steps = tuple(range(len(self.roots))), 0
+            while steps <= length:
+                asc = [i - 1 for i in ids if perm[simple[i - 1]] < n_pos]
+                if not asc:
+                    break
+                perm, steps = gens[asc[0]](perm), steps + 1
+            if steps != length:
+                raise AssertionError(f"the walk to w_X for X={ids} stopped "
+                                     f"after {steps} steps, not {length}")
+            # each entry from that of M less its lowest bit
+            flips[x] = flip = {0: 0}
+            for m in self.subsets(x)[1:]:
+                j = neg_simple.get(perm[simple[(m & -m).bit_length() - 1]])
+                if j is None or not (x >> j) & 1:
+                    raise AssertionError(f"w_X does not send the simple roots "
+                                         f"of X={ids} onto minus simple roots "
+                                         "of X")
+                flip[m] = flip[m & (m - 1)] | 1 << j
+        return flips
 
     def cached(self, key, make):
         """The object derived from this root system under `key` (a group

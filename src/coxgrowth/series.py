@@ -17,10 +17,11 @@ General series are assembled two independent ways, with equal numerators:
   * a matrix product against the finite M_{K,S} matrix, and
   * the expanded double sum with explicitly conjugated subsets.
 
-Both paths read their subset conjugations from the table's `flips`, so
-comparing them does not catch a conjugation slip (the identity suite and
-the oracle do); it catches memo corruption and arithmetic faults.  Every
-check raises AssertionError explicitly, so it also runs under python -O.
+Both paths read their subset conjugations from the root system's
+`flips()`, so comparing them does not catch a conjugation slip (the
+identity suite and the oracle do); it catches memo corruption and
+arithmetic faults.  Every check raises AssertionError explicitly, so it
+also runs under python -O.
 The identity suite compares numerators in IntPoly, and shares the
 Solomon sum and the alternating reduction with the finite suite; for the
 reduction it packs each numerator once, at a width above the measured
@@ -56,8 +57,9 @@ class AffinePipeline:
         self.table = get_table(rs)
         self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
         self.den = IntPoly.one_minus_t(*self.weights)
+        self.flips = rs.flips()
         # the conjugate of each mask by w_0: eps_S
-        self._by_w0 = self.table.flips[rs.full_mask]
+        self._by_w0 = self.flips[rs.full_mask]
 
     # -- numerators over D -----------------------------------------------
 
@@ -76,7 +78,7 @@ class AffinePipeline:
 
     def _conj(self, q_mask, qp_mask):
         """The conjugate of Q within Q' by w_0 w_Q': eps_S(eps_Q'(Q))."""
-        return self._by_w0[self.table.flips[qp_mask][q_mask]]
+        return self._by_w0[self.flips[qp_mask][q_mask]]
 
     def _column(self, qp_mask, j_mask):
         """The finite p-bins of (J, K) for K the conjugate of Q' by w_0:
@@ -204,8 +206,7 @@ class AffinePipeline:
             packed = {(j, k): {q: pack(nums[q, j, k], bits)
                                for q in rs.subsets(k)}
                       for j in rs.subsets() for k in rs.subsets()}
-            yield from p_alternating_reduction(self.table, packed,
-                                               rs.subsets(), bits)
+            yield from p_alternating_reduction(rs, packed, rs.subsets(), bits)
 
         return run_checks([
             ("alternating-sum-zero", alternating_sum_zero()),

@@ -9,7 +9,9 @@ import pytest
 from coxgrowth import affine, build_label, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
 from coxgrowth.cli import MAX_DEGREE, main, run_selftest
+from coxgrowth.cones import MAX_BOX_POINTS
 from coxgrowth.finite import MAX_GROUP_ORDER
+from coxgrowth.rootsystem import MAX_RANK
 from coxgrowth.ratfun import RatFun, expand
 from test_series import _run_optimized, _run_python
 
@@ -109,6 +111,32 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == (f"error: {argv[-1]} {degree} is over the degree "
                        f"bound {MAX_DEGREE}\n")
+
+    @pytest.mark.parametrize("label", ["A1000", "B21", "D10000000"])
+    def test_huge_rank_refused_at_once(self, capsys, label):
+        # building the root system costs about rank^4, so the rank is
+        # refused before any of it
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "cartan", label)
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: rank {label[1:]} is over the bound "
+                       f"{MAX_RANK}\n")
+
+    def test_rank_bound_admits_the_bound(self, capsys):
+        code, out, _ = run(capsys, "cartan", f"A{MAX_RANK}", "--format",
+                           "json")
+        assert code == 0 and json.loads(out)["rank"] == MAX_RANK
+
+    def test_huge_parallelepiped_refused_at_once(self, capsys):
+        # A8's full residue box has 9^6 * 3^2 points; refused before its
+        # enumeration, which took minutes
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "fq", "--type", "A8")
+        assert time.monotonic() - t0 < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: A8: a residue box of 4782969 points, over "
+                       f"the bound {MAX_BOX_POINTS}\n")
 
     def test_degree_bound_admits_the_bound(self, capsys):
         code, out, _ = run(capsys, "series", "--type", "A2", "--J", "1",

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from coxgrowth import build_label
+from coxgrowth import build_label, cones
 from coxgrowth.cones import (parallelepiped_points, indices_outside, f_q,
                              f_q_closed_form, all_parallelepipeds_trivial,
                              lattice_walk_counts)
@@ -111,6 +111,19 @@ class TestParallelepiped:
         rs = build_label("A3")
         assert parallelepiped_points(rs, [0, 2]) == [
             (0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)]
+
+    def test_box_bound_counts_exactly(self, monkeypatch):
+        # the full residue box of A3 has 4 * 2 * 4 = 32 points: a bound of
+        # 32 admits it, and 31 refuses it before enumerating
+        rs = build_label("A3")
+        want = parallelepiped_points(rs, [0, 1, 2])
+        monkeypatch.setattr(cones, "MAX_BOX_POINTS", 32)
+        assert parallelepiped_points(rs, [0, 1, 2]) == want
+        monkeypatch.setattr(cones, "MAX_BOX_POINTS", 31)
+        with pytest.raises(ValueError, match="box of 32 points, over the "
+                                             "bound 31"):
+            parallelepiped_points(rs, [0, 1, 2])
+        assert len(parallelepiped_points(rs, [0, 2])) == 4
 
 
 class TestSeries:

@@ -19,7 +19,7 @@ from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, image_masks,
                               reduction_targets)
 from coxgrowth.ratfun import IntPoly, RatFun, _unpack, pack, pack_bits
 from coxgrowth.rootsystem import RootSystem
-from test_series import _run_optimized, _run_python
+from test_series import _BREAK_WALK, _run_optimized, _run_python
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
@@ -46,6 +46,43 @@ def parabolic_elements(t, mask):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+# -- table reference of the opposition involutions ----------------------
+# The longest element of W_X walked up the table's successor columns along
+# its ascents in X, and a subset conjugated by a table element through its
+# root permutation.
+
+
+def table_longest(t, mask):
+    """Index of the longest element of W_mask (mask within the table)."""
+    idx = 0
+    while t.rasc[idx] & mask:
+        asc = t.rasc[idx] & mask
+        idx = t.succ[(asc & -asc).bit_length() - 1][idx]
+    return idx
+
+
+def table_conj(t, idx, k_mask):
+    """{j : x maps alpha_k to plus or minus alpha_j, k in k_mask}, or None
+    if some image is not a simple root up to sign."""
+    rs = t.rs
+    pos = {s: j for j, s in enumerate(rs.simple_idx)}
+    out = 0
+    n_pos, perm = len(rs.positive_roots), t.perms[idx]
+    for i in rs.ids_of(k_mask):
+        j = pos.get(perm[rs.simple_idx[i - 1]] % n_pos)
+        if j is None:
+            return None
+        out |= 1 << j
+    return out
+
+
+def table_flips(t):
+    """The table reference of rs.flips(), on the subsets of the table."""
+    rs = t.rs
+    return {x: {m: table_conj(t, table_longest(t, x), m)
+                for m in rs.subsets(x)} for x in rs.subsets(t.mask)}
 
 
 # -- matrix reference table --------------------------------------------
@@ -201,7 +238,7 @@ class TestAgainstMatrixReference:
             assert ([t.act_coroot(idx, e) for e in units]
                     == [matcol(ref.cmats[idx], i) for i in range(n)])
             for mask in rs.subsets():
-                assert (t.conj_subset_signed(idx, mask)
+                assert (table_conj(t, idx, mask)
                         == ref.conj_subset_signed(idx, mask))
         rng = random.Random(11)
         for _ in range(200):
@@ -265,11 +302,12 @@ class TestGroupTable:
         for label in ["A3", "B3", "G2"]:
             t = tables[label]
             rs = t.rs
-            w0 = t.longest_idx
+            w0 = table_longest(t, rs.full_mask)
             assert t.lengths[w0] == rs.longest_length(rs.full_mask)
+            assert w0 == t.lengths.index(max(t.lengths))
             # w0 is an involution and conjugates simples to minus simples
             assert t.mul(w0, w0) == 0
-            assert t.conj_subset_signed(w0, rs.full_mask) == rs.full_mask
+            assert table_conj(t, w0, rs.full_mask) == rs.full_mask
 
     def test_descents_vs_length(self, tables):
         t = tables["B2"]
@@ -303,16 +341,26 @@ class TestFlips:
     def test_against_matrix_reference(self, label):
         rs = build_label(label)
         ref = reference_table(rs)
-        flips = get_table(rs).flips
+        flips = rs.flips()
         assert sorted(flips) == rs.subsets()
         for x in rs.subsets():
             w = reference_longest(ref, x)
             assert flips[x] == {m: ref.conj_subset_signed(w, m)
                                 for m in rs.subsets(x)}
-        # a sub-table holds the same involutions
+        # the table reference agrees on every parabolic table
         for mask in rs.subsets():
-            assert get_table(rs, mask).flips == {
+            assert table_flips(get_table(rs, mask)) == {
                 x: flips[x] for x in rs.subsets(mask)}
+
+    # the types where some eps_X is not the identity beyond rank 4: the
+    # components A_m (m >= 2), D_m (m odd) and E6 are flipped
+    @pytest.mark.parametrize("label", ["A4", "D5", "E6"])
+    def test_against_table_reference(self, label):
+        rs = build_label(label)
+        flips = rs.flips()
+        assert flips == table_flips(get_table(rs))
+        assert any(flips[rs.full_mask][m] != m for m in rs.subsets())
+        assert flips is rs.flips()
 
     @pytest.mark.parametrize("label", FLIP_TYPES)
     def test_reduction_targets_against_element_products(self, label):
@@ -322,13 +370,12 @@ class TestFlips:
             want = []
             for k in rs.subsets(mask):
                 for q in rs.subsets(k):
-                    v = t.mul(t.longest_element(k), t.longest_element(q))
+                    v = t.mul(table_longest(t, k), table_longest(t, q))
                     # w_K w_Q is the longest minimal representative of
                     # W_K / W_Q: its ascents in K are Q
                     assert t.rasc[v] & k == q
-                    want.append((k, q, t.conj_subset_signed(v, q),
-                                 t.lengths[v]))
-            assert list(reduction_targets(t, rs.subsets(mask))) == want
+                    want.append((k, q, table_conj(t, v, q), t.lengths[v]))
+            assert list(reduction_targets(rs, rs.subsets(mask))) == want
 
 
 class TestBAndC:
@@ -347,7 +394,7 @@ class TestBAndC:
             for k in subs:
                 assert tb.coset_bins(j, k) == tc.coset_bins(j, k), (j, k)
         assert tb.coset_bins(0, 0)[0][0](1) == tb.order   # every element
-        assert tb.flips == tc.flips
+        assert b.flips() == c.flips()
 
 
 class TestE6:
@@ -452,7 +499,7 @@ class TestCosetSeries:
 def reference_scan(t, j_mask, k_mask):
     """GroupTable._scan element by element: every element of the table is
     tested for minimality, and Q and R are found by a loop over K."""
-    size = t.lengths[t.longest_idx] + 1
+    size = max(t.lengths) + 1
     p_bins = defaultdict(lambda: [0] * size)
     h_bins = defaultdict(lambda: [0] * size)
     for idx in range(t.order):
@@ -625,7 +672,7 @@ class TestPackedMatmul:
             rs = build_label(label)
             table = get_table(rs)
             packed = PackedBins(table)
-            size = table.lengths[table.longest_idx] + 1
+            size = max(table.lengths) + 1
             cols = rs.subsets()
             # the sign -1 reaches the negative end of the signed range
             a = PolyMatrix([0], cols,
@@ -761,10 +808,11 @@ class TestPackedSuiteFaults:
                 "outside [0, 192]" in proc.stderr)
 
 
-# Breaks each check of the finite tables and of their closed form in turn,
-# on fresh A2 tables, and requires it to raise.  Exit codes: 0 all raised,
-# 1 some did not raise, 3 asserts were not stripped.
-_CHECKS_SCRIPT = textwrap.dedent("""
+# Breaks each check of the finite tables, of their closed form and of the
+# walk of the flips that the identity suite reads in turn, on a fresh A2
+# root system, and requires it to raise.  Exit codes: 0 all raised, 1 some
+# did not raise, 3 asserts were not stripped.
+_CHECKS_SCRIPT = _BREAK_WALK + textwrap.dedent("""
     import sys
     from coxgrowth import finite
     from coxgrowth.finite import (GroupTable, PolyMatrix, get_table,
@@ -795,23 +843,19 @@ _CHECKS_SCRIPT = textwrap.dedent("""
     expect("exponents", lambda: exponents([1, 3]))
 
     rs = RootSystem("A", 2)
-    one, full = rs.mask_of([1]), rs.full_mask
-    expect("outside", lambda: get_table(rs, one).longest_element(full))
-    m = PolyMatrix([0], [0, one], [[1, 1]])
+    m = PolyMatrix([0], [0, rs.mask_of([1])], [[1, 1]])
     expect("matmul", lambda: m @ m)
-    t = get_table(rs)
-    t.lengths[t.longest_idx] += 1
-    expect("longest", lambda: t.longest_element(full))
-    t.lengths[t.longest_idx] -= 1
+    get_table(rs)
 
-    # no flips read yet, so the suites build them with the patch
-    t.conj_subset_signed = lambda idx, mask: None
+    # no flips walked yet, so the suites walk them with the fault
+    break_walk(rs, "image")
     expect("p-conj", lambda: identity_checks_finite(rs))
     run_checks = finite.run_checks
     finite.run_checks = lambda checks: run_checks(
         [c for c in checks if c[0] != "p-alternating-reduction"])
+    break_walk(rs, "steps")
     expect("h-conj", lambda: identity_checks_finite(rs))
-    sys.exit(0 if raised == 8 else 1)
+    sys.exit(0 if raised == 6 else 1)
 """)
 
 
@@ -837,21 +881,18 @@ _SOLOMON_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Makes s_1 send alpha_1 to alpha_2, outside X = {1}, on a fresh A2
-# table, and requires reading its flips to raise.  Exit codes: 0 raised,
+# Breaks the walk of the flips of a fresh A2 root system with FAULT (see
+# break_walk) and requires walking them to raise.  Exit codes: 0 raised,
 # 1 did not raise, 3 asserts were not stripped.
-_FLIP_SCRIPT = textwrap.dedent("""
+_FLIP_SCRIPT = _BREAK_WALK + textwrap.dedent("""
     import sys
-    from coxgrowth.finite import GroupTable
     from coxgrowth.rootsystem import RootSystem
     if __debug__:
         sys.exit(3)
-    t = GroupTable(RootSystem("A", 2))
-    s1, conj = t.succ[0][0], t.conj_subset_signed
-    t.conj_subset_signed = lambda idx, mask: (
-        mask & ~1 | (mask & 1) << 1 if idx == s1 else conj(idx, mask))
+    rs = RootSystem("A", 2)
+    break_walk(rs, FAULT)
     try:
-        t.flips
+        rs.flips()
     except AssertionError as exc:
         print(exc)
         sys.exit(0)
@@ -874,15 +915,18 @@ class TestExplicitChecks:
         assert ("degree: BFS length histogram [1, 2, 2, 1] is not the "
                 "closed form 1 + 2*t + t^2 + t^3 + t^4" in out)
         assert "exponents: 1 roots of height 3 but 0 of height 2" in out
-        assert "outside: [1, 2] is not inside the table's [1]" in out
         assert "matmul: matrix product: columns and rows differ" in out
-        assert "longest: longest element of [1, 2] has length 4" in out
-        assert ("p-conj: w_X does not send the simple roots of X=[] onto "
+        assert ("p-conj: w_X does not send the simple roots of X=[1] onto "
                 "minus simple roots of X" in out)
-        assert ("h-conj: w_X does not send the simple roots of X=[] onto "
-                "minus simple roots of X" in out)
+        assert ("h-conj: the walk to w_X for X=[2] stopped after 2 steps, "
+                "not 1" in out)
 
     def test_flip_outside_its_parabolic_raises_under_optimize(self):
-        out = _run_optimized(_FLIP_SCRIPT)
+        out = _run_optimized(_FLIP_SCRIPT.replace("FAULT", '"image"'))
         assert ("w_X does not send the simple roots of X=[1] onto minus "
                 "simple roots of X" in out)
+
+    def test_walk_past_the_longest_length_raises_under_optimize(self):
+        out = _run_optimized(_FLIP_SCRIPT.replace("FAULT", '"steps"'))
+        assert ("the walk to w_X for X=[2] stopped after 2 steps, not 1"
+                in out)

@@ -1,5 +1,6 @@
 """Assembled affine double-coset series."""
 
+import functools
 import json
 import os
 import subprocess
@@ -20,21 +21,26 @@ from test_ratfun import monomial_shift, rf_add, rf_mul
 
 class ReferenceAssembly:
     """The assembly as sums of normalized RatFuns, every `+` running a
-    gcd, with the subset conjugations recomputed from the table on each
-    use: p_SS(Q) by a monomial shift of f_Q, p_{Q,J,S} and both
-    reduction paths of p_{Q,J,K} term by term.  The pipeline carries the
-    same sums as integer numerators over one fixed denominator."""
+    gcd, with the subset conjugations recomputed on each use from the
+    matrix reference of the group, not from the root system's flips:
+    p_SS(Q) by a monomial shift of f_Q, p_{Q,J,S} and both reduction
+    paths of p_{Q,J,K} term by term.  The pipeline carries the same sums
+    as integer numerators over one fixed denominator."""
 
     def __init__(self, pl):
+        # imported here, since test_finite imports this module
+        from test_finite import reference_longest, reference_table
         self.rs, self.table = pl.rs, pl.table
-        self.w0 = self.table.longest_idx
+        self.ref = reference_table(pl.rs)
+        self.longest = functools.partial(reference_longest, self.ref)
+        self.w0 = self.longest(self.rs.full_mask)
 
     def conj_by_w0(self, mask):
-        return self.table.conj_subset_signed(self.w0, mask)
+        return self.ref.conj_subset_signed(self.w0, mask)
 
     def conj_for(self, q_mask, qp_mask):
-        u = self.table.mul(self.w0, self.table.longest_element(qp_mask))
-        return self.table.conj_subset_signed(u, q_mask)
+        u = self.ref.mul(self.w0, self.longest(qp_mask))
+        return self.ref.conj_subset_signed(u, q_mask)
 
     def p_ss(self, q_mask):
         rs = self.rs
@@ -312,10 +318,31 @@ _VERIFY_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Defines break_walk(rs, fault) for the scripts below.  It gives rs
+# faulty simple reflections and drops its cached flips, so that the next
+# rs.flips() walks again with the fault: "image" makes s_1 send alpha_1
+# to -alpha_2, outside X = {1}, and "steps" makes s_2 a copy of s_1, so
+# that the walk for X = {2} overshoots l(w_X); None restores the true
+# reflections.  Tables built afterwards would read the fault too, so the
+# scripts build theirs first.
+_BREAK_WALK = textwrap.dedent("""
+    def break_walk(rs, fault):
+        vars(rs).pop("simple_reflections", None)
+        rs._derived.pop("flips", None)
+        perms = [list(perm) for perm in rs.simple_reflections()]
+        if fault == "image":
+            perms[0][rs.simple_idx[0]] = (rs.simple_idx[1]
+                                          + len(rs.positive_roots))
+        elif fault == "steps":
+            perms[1] = perms[0]
+        rs.simple_reflections = lambda: perms
+""")
+
+
 # Breaks each subset-conjugation and pole check of the A2 pipeline in
 # turn and requires it to raise.  Exit codes: 0 all raised, 1 some did
 # not raise, 3 asserts were not stripped.
-_CHECKS_SCRIPT = textwrap.dedent("""
+_CHECKS_SCRIPT = _BREAK_WALK + textwrap.dedent("""
     import sys
     from coxgrowth import build_label, cones, get_pipeline
     from coxgrowth.ratfun import IntPoly
@@ -324,8 +351,6 @@ _CHECKS_SCRIPT = textwrap.dedent("""
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
     rs = pl.rs
-    table = pl.table
-    conj = table.conj_subset_signed
     raised = 0
 
     def expect(name, call):
@@ -338,15 +363,12 @@ _CHECKS_SCRIPT = textwrap.dedent("""
         else:
             print(f"{name}: no error")
 
-    # w_0 sends every mask to the empty one; each pipeline below reads
-    # the flips afresh, with the patch
-    table.conj_subset_signed = lambda idx, mask: (
-        0 if idx == table.longest_idx else conj(idx, mask))
-    del table.flips
+    # each pipeline below walks the flips afresh, with the fault
+    break_walk(rs, "image")
     expect("image", lambda: AffinePipeline(rs))
-    table.conj_subset_signed = lambda idx, mask: None
-    expect("w0", lambda: AffinePipeline(rs))
-    table.conj_subset_signed = conj
+    break_walk(rs, "steps")
+    expect("steps", lambda: AffinePipeline(rs))
+    break_walk(rs, None)
     cones.reciprocity_numerator = lambda rs, q: (IntPoly.one(), [])
     expect("pole", lambda: pl._ss_num(0))
     sys.exit(0 if raised == 3 else 1)
@@ -369,20 +391,18 @@ _SOLOMON_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Assembles and caches every A2 numerator, then makes the table's subset
-# conjugation fail, drops the table's flips so that they are read again
-# with the fault, and requires the affine alternating reduction to
-# raise.  Exit codes: 0 raised, 1 did not raise, 3 asserts were not
-# stripped.
-_REDUCTION_SCRIPT = textwrap.dedent("""
+# Assembles and caches every A2 numerator, then breaks the walk of the
+# flips, so that they are walked again with the fault, and requires the
+# affine alternating reduction to raise.  Exit codes: 0 raised, 1 did
+# not raise, 3 asserts were not stripped.
+_REDUCTION_SCRIPT = _BREAK_WALK + textwrap.dedent("""
     import sys
     from coxgrowth import build_label, get_pipeline
     if __debug__:
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
     pl.affine_identity_checks()
-    pl.table.conj_subset_signed = lambda idx, mask: None
-    del pl.table.flips
+    break_walk(pl.rs, "image")
     try:
         pl.affine_identity_checks()
     except AssertionError as exc:
@@ -427,10 +447,10 @@ class TestVerifyFaults:
 class TestPipelineChecks:
     def test_checks_raise_under_optimize(self):
         out = _run_optimized(_CHECKS_SCRIPT)
-        assert ("image: w_X does not send the simple roots of X=[1, 2] "
+        assert ("image: w_X does not send the simple roots of X=[1] "
                 "onto minus simple roots of X" in out)
-        assert ("w0: w_X does not send the simple roots of X=[] onto "
-                "minus simple roots of X" in out)
+        assert ("steps: the walk to w_X for X=[2] stopped after 2 steps, "
+                "not 1" in out)
         assert "pole: shift left a genuine pole" in out
 
 
@@ -448,5 +468,5 @@ class TestAffineIdentityFaults:
 
     def test_reduction_conjugation_check_raises_under_optimize(self):
         out = _run_optimized(_REDUCTION_SCRIPT)
-        assert ("w_X does not send the simple roots of X=[] onto minus "
+        assert ("w_X does not send the simple roots of X=[1] onto minus "
                 "simple roots of X" in out)
