@@ -81,8 +81,9 @@ def table_conj(t, idx, k_mask):
 def table_flips(t):
     """The table reference of rs.flips(), on the subsets of the table."""
     rs = t.rs
-    return {x: {m: table_conj(t, table_longest(t, x), m)
-                for m in rs.subsets(x)} for x in rs.subsets(t.mask)}
+    longest = {x: table_longest(t, x) for x in rs.subsets(t.mask)}
+    return {x: {m: table_conj(t, w, m) for m in rs.subsets(x)}
+            for x, w in longest.items()}
 
 
 # -- matrix reference table --------------------------------------------
