@@ -145,10 +145,9 @@ def cmd_finite(args):
 
 def cmd_fq(args):
     rs = rootsystem.build_label(args.type)
-    if args.Q is None:
-        masks = rs.subsets()
-    else:
-        masks = [rs.mask_of(_parse_ids(args.Q))]
+    masks = (rs.subsets() if args.Q is None
+             else [rs.mask_of(_parse_ids(args.Q))])
+    cones.check_boxes(rs, masks)
     out = {"type": rs.label, "w": [list(w) for w in rs.cone_gens],
            "f": {}}
     for q in masks:

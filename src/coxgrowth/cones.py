@@ -23,7 +23,7 @@ from .ratfun import IntPoly, RatFun
 from . import rootsystem
 
 
-MAX_BOX_POINTS = 10 ** 6  # A7's largest box has 131 072, A8's 4 782 969
+MAX_BOX_POINTS = 10 ** 6  # A7's boxes hold 492 075 points in all, A8's 16e6
 
 
 def indices_outside(rs, q_mask):
@@ -31,14 +31,22 @@ def indices_outside(rs, q_mask):
     return [i for i in range(rs.rank) if not (q_mask >> i) & 1]
 
 
+def check_boxes(rs, q_masks):
+    """Refuse to enumerate the residue boxes of the given Q when their
+    points, prod d_i for i in I(Q) each, number over MAX_BOX_POINTS."""
+    total = sum(prod(rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i]
+                     for i in indices_outside(rs, q)) for q in q_masks)
+    if total > MAX_BOX_POINTS:
+        raise ValueError(f"{rs.label}: residue boxes of {total} points, "
+                         f"over the bound {MAX_BOX_POINTS}")
+
+
 def parallelepiped_points(rs, indices):
     """Integer points of the fundamental parallelepiped of the cone on
     {w_i : i in indices}, in lexicographic order."""
     idx = sorted(set(indices))
+    check_boxes(rs, [rs.full_mask & ~sum(1 << i for i in idx)])
     depths = [rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i] for i in idx]
-    if prod(depths) > MAX_BOX_POINTS:
-        raise ValueError(f"{rs.label}: a residue box of {prod(depths)} "
-                         f"points, over the bound {MAX_BOX_POINTS}")
     # m = sum (y_i / d_i) w_i, scaled by L = lcm(d_i) to stay in integers
     big = lcm(*depths)
     gens = [tuple(big // d * x for x in rs.cone_gens[i])

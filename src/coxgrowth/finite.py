@@ -43,9 +43,9 @@ The finite and affine suites share one implementation of each identity:
 
 Every conjugation of a subset by a product of two longest elements,
 w(K, Q) = w_K w_Q here and w_0 w_Q' in the affine assembly, is read off
-the root system's `flips()`: the opposition involution eps_X of each
-parabolic W_X on the subsets of X, walked from the root permutations
-once per root system and checked as it is built.  No table is needed.
+the root system's `flips(X)`: the opposition involution eps_X of the
+parabolic W_X on the subsets of X, walked from the root permutations on
+first use of X and checked as it is built.  No table is needed.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def reduction_targets(rs, subsets):
     """(K, Q, Q', l(v)) for K in `subsets` and Q within K, where
     v = w(K, Q) = w_K w_Q and Q' is the conjugate of Q by v, eps_K(Q)."""
     for k in subsets:
-        flip, length = rs.flips()[k], rs.longest_length(k)
+        flip, length = rs.flips(k), rs.longest_length(k)
         for q in rs.subsets(k):
             yield k, q, flip[q], length - rs.longest_length(q)
 

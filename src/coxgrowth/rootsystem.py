@@ -306,42 +306,38 @@ class RootSystem:
             self.reflection(self.roots[s], self.coroots[s])
             for s in self.simple_idx))
 
-    def flips(self):
-        """flips[X][M] for M within X within S: the image of M under the
-        opposition involution eps_X of W_X, w_X alpha_i = -alpha_eps_X(i)
-        (Humphreys, Reflection Groups and Coxeter Groups, 1.8); for H
+    def flips(self, x):
+        """flips(X)[M] = eps_X(M) for M within X, where the opposition
+        involution eps_X of W_X has w_X alpha_i = -alpha_eps_X(i); for H
         within K, w_K w_H sends alpha_i, i in H, to alpha_eps_K(eps_H(i)).
-        w_X is walked up from the identity by composing the permutation of
-        an ascent in X, which must take l(w_X) steps and end on minus the
-        simple roots of X.  Made once and kept in the cache."""
-        return self.cached("flips", self._walk_flips)
+        w_X is walked up from the identity by ascents in X on first use of
+        X, and kept; the walk must take l(w_X) steps and end on minus the
+        simple roots of X."""
+        return self.cached(("flips", x), lambda: self._walk_flip(x))
 
-    def _walk_flips(self):
+    def _walk_flip(self, x):
         n_pos, simple = len(self.positive_roots), self.simple_idx
-        gens = [itemgetter(*perm) for perm in self.simple_reflections()]
+        ids, length = self.ids_of(x), self.longest_length(x)
+        gens = {i: itemgetter(*self.simple_reflections()[i - 1]) for i in ids}
+        perm, steps = tuple(range(len(self.roots))), 0
+        while steps <= length:
+            asc = [i for i in ids if perm[simple[i - 1]] < n_pos]
+            if not asc:
+                break
+            perm, steps = gens[asc[0]](perm), steps + 1
+        if steps != length:
+            raise AssertionError(f"the walk to w_X for X={ids} stopped "
+                                 f"after {steps} steps, not {length}")
+        # each entry from that of M less its lowest bit
         neg_simple = {s + n_pos: i for i, s in enumerate(simple)}
-        flips = {}
-        for x in self.subsets():
-            ids, length = self.ids_of(x), self.longest_length(x)
-            perm, steps = tuple(range(len(self.roots))), 0
-            while steps <= length:
-                asc = [i - 1 for i in ids if perm[simple[i - 1]] < n_pos]
-                if not asc:
-                    break
-                perm, steps = gens[asc[0]](perm), steps + 1
-            if steps != length:
-                raise AssertionError(f"the walk to w_X for X={ids} stopped "
-                                     f"after {steps} steps, not {length}")
-            # each entry from that of M less its lowest bit
-            flips[x] = flip = {0: 0}
-            for m in self.subsets(x)[1:]:
-                j = neg_simple.get(perm[simple[(m & -m).bit_length() - 1]])
-                if j is None or not (x >> j) & 1:
-                    raise AssertionError(f"w_X does not send the simple roots "
-                                         f"of X={ids} onto minus simple roots "
-                                         "of X")
-                flip[m] = flip[m & (m - 1)] | 1 << j
-        return flips
+        flip = {0: 0}
+        for m in self.subsets(x)[1:]:
+            j = neg_simple.get(perm[simple[(m & -m).bit_length() - 1]])
+            if j is None or not (x >> j) & 1:
+                raise AssertionError(f"w_X does not send the simple roots of "
+                                     f"X={ids} onto minus simple roots of X")
+            flip[m] = flip[m & (m - 1)] | 1 << j
+        return flip
 
     def cached(self, key, make):
         """The object derived from this root system under `key` (a group
@@ -383,12 +379,9 @@ class RootSystem:
         """All subsets of `mask` (default: all generators), ascending."""
         if mask is None:
             mask = self.full_mask
-        sub = mask
-        out = []
-        while True:
+        out, sub = [0], mask
+        while sub:
             out.append(sub)
-            if sub == 0:
-                break
             sub = (sub - 1) & mask
         return sorted(out)
 

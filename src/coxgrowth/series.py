@@ -18,7 +18,7 @@ General series are assembled two independent ways, with equal numerators:
   * the expanded double sum with explicitly conjugated subsets.
 
 Both paths read their subset conjugations from the root system's
-`flips()`, so comparing them does not catch a conjugation slip (the
+`flips(X)`, so comparing them does not catch a conjugation slip (the
 identity suite and the oracle do); it catches memo corruption and
 arithmetic faults.  Every check raises AssertionError explicitly, so it
 also runs under python -O.
@@ -57,9 +57,8 @@ class AffinePipeline:
         self.table = get_table(rs)
         self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
         self.den = IntPoly.one_minus_t(*self.weights)
-        self.flips = rs.flips()
         # the conjugate of each mask by w_0: eps_S
-        self._by_w0 = self.flips[rs.full_mask]
+        self._by_w0 = rs.flips(rs.full_mask)
 
     # -- numerators over D -----------------------------------------------
 
@@ -78,7 +77,7 @@ class AffinePipeline:
 
     def _conj(self, q_mask, qp_mask):
         """The conjugate of Q within Q' by w_0 w_Q': eps_S(eps_Q'(Q))."""
-        return self._by_w0[self.flips[qp_mask][q_mask]]
+        return self._by_w0[self.rs.flips(qp_mask)[q_mask]]
 
     def _column(self, qp_mask, j_mask):
         """The finite p-bins of (J, K) for K the conjugate of Q' by w_0:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from coxgrowth import affine, build_label, get_affine
+from coxgrowth import affine, build_label, cones, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
 from coxgrowth.cli import MAX_DEGREE, main, run_selftest
 from coxgrowth.cones import MAX_BOX_POINTS
@@ -129,14 +129,42 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["rank"] == MAX_RANK
 
     def test_huge_parallelepiped_refused_at_once(self, capsys):
-        # A8's full residue box has 9^6 * 3^2 points; refused before its
-        # enumeration, which took minutes
+        # A8's 2^8 residue boxes hold 16 * 10^6 points in all, the full
+        # one 9^6 * 3^2; refused before any is enumerated, which took
+        # minutes
         t0 = time.monotonic()
         code, out, err = run(capsys, "fq", "--type", "A8")
         assert time.monotonic() - t0 < 1
         assert code == 2 and out == ""
-        assert err == (f"error: A8: a residue box of 4782969 points, over "
+        assert err == (f"error: A8: residue boxes of 16000000 points, over "
                        f"the bound {MAX_BOX_POINTS}\n")
+        # one small box of A8 is admitted
+        code, out, _ = run(capsys, "fq", "--type", "A8", "--Q",
+                           "1,2,3,4,5,6,7", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["f"]["1,2,3,4,5,6,7"]["parallelepiped"] == [
+            [0] * 8]
+
+    def test_box_bound_counts_every_box_scanned(self, capsys, monkeypatch):
+        # the 2^3 residue boxes of A3 hold 75 points in all, the box of
+        # Q = {2} 4 of them: the bound is on the boxes the command scans
+        monkeypatch.setattr(cones, "MAX_BOX_POINTS", 75)
+        assert run(capsys, "fq", "--type", "A3")[0] == 0
+        monkeypatch.setattr(cones, "MAX_BOX_POINTS", 74)
+        code, out, err = run(capsys, "fq", "--type", "A3")
+        assert code == 2 and out == ""
+        assert err == ("error: A3: residue boxes of 75 points, over the "
+                       "bound 74\n")
+        assert run(capsys, "fq", "--type", "A3", "--Q", "2")[0] == 0
+
+    def test_subset_check_walks_only_its_parabolic(self, capsys):
+        # the flips of the 4 subsets of {1, 2} are walked, not those of
+        # all 2^14 subsets of A14's generators, which took seconds
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "finite", "--type", "A14", "--subset",
+                           "1,2", "--what", "check")
+        assert time.monotonic() - t0 < 2
+        assert code == 0 and "FAIL" not in out
 
     def test_degree_bound_admits_the_bound(self, capsys):
         code, out, _ = run(capsys, "series", "--type", "A2", "--J", "1",

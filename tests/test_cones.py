@@ -120,8 +120,8 @@ class TestParallelepiped:
         monkeypatch.setattr(cones, "MAX_BOX_POINTS", 32)
         assert parallelepiped_points(rs, [0, 1, 2]) == want
         monkeypatch.setattr(cones, "MAX_BOX_POINTS", 31)
-        with pytest.raises(ValueError, match="box of 32 points, over the "
-                                             "bound 31"):
+        with pytest.raises(ValueError, match="boxes of 32 points, over "
+                                             "the bound 31"):
             parallelepiped_points(rs, [0, 1, 2])
         assert len(parallelepiped_points(rs, [0, 2])) == 4
 

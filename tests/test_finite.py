@@ -19,6 +19,7 @@ from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, image_masks,
                               reduction_targets)
 from coxgrowth.ratfun import IntPoly, RatFun, _unpack, pack, pack_bits
 from coxgrowth.rootsystem import RootSystem
+from coxgrowth.series import AffinePipeline
 from test_series import _BREAK_WALK, _run_optimized, _run_python
 
 
@@ -79,7 +80,8 @@ def table_conj(t, idx, k_mask):
 
 
 def table_flips(t):
-    """The table reference of rs.flips(), on the subsets of the table."""
+    """The table reference of rs.flips(X), for X within the table's
+    mask."""
     rs = t.rs
     longest = {x: table_longest(t, x) for x in rs.subsets(t.mask)}
     return {x: {m: table_conj(t, w, m) for m in rs.subsets(x)}
@@ -342,26 +344,37 @@ class TestFlips:
     def test_against_matrix_reference(self, label):
         rs = build_label(label)
         ref = reference_table(rs)
-        flips = rs.flips()
-        assert sorted(flips) == rs.subsets()
         for x in rs.subsets():
             w = reference_longest(ref, x)
-            assert flips[x] == {m: ref.conj_subset_signed(w, m)
-                                for m in rs.subsets(x)}
+            assert rs.flips(x) == {m: ref.conj_subset_signed(w, m)
+                                   for m in rs.subsets(x)}
         # the table reference agrees on every parabolic table
         for mask in rs.subsets():
             assert table_flips(get_table(rs, mask)) == {
-                x: flips[x] for x in rs.subsets(mask)}
+                x: rs.flips(x) for x in rs.subsets(mask)}
 
     # the types where some eps_X is not the identity beyond rank 4: the
     # components A_m (m >= 2), D_m (m odd) and E6 are flipped
     @pytest.mark.parametrize("label", ["A4", "D5", "E6"])
     def test_against_table_reference(self, label):
         rs = build_label(label)
-        flips = rs.flips()
+        flips = {x: rs.flips(x) for x in rs.subsets()}
         assert flips == table_flips(get_table(rs))
         assert any(flips[rs.full_mask][m] != m for m in rs.subsets())
-        assert flips is rs.flips()
+        assert all(flips[x] is rs.flips(x) for x in rs.subsets())
+
+    def test_walked_only_for_the_subsets_in_use(self):
+        # the identity suite on W_{1,2} walks the flips of the subsets of
+        # {1, 2}, and the pipeline eps_S alone as it is built
+        rs = RootSystem("A", 4)
+        sp = rs.mask_of([1, 2])
+        identity_checks_finite(rs, sp)
+        walked = {key[1] for key in rs._derived if key[0] == "flips"}
+        assert walked == set(rs.subsets(sp))
+        rs = RootSystem("A", 4)
+        AffinePipeline(rs)
+        walked = {key[1] for key in rs._derived if key[0] == "flips"}
+        assert walked == {rs.full_mask}
 
     @pytest.mark.parametrize("label", FLIP_TYPES)
     def test_reduction_targets_against_element_products(self, label):
@@ -395,7 +408,7 @@ class TestBAndC:
             for k in subs:
                 assert tb.coset_bins(j, k) == tc.coset_bins(j, k), (j, k)
         assert tb.coset_bins(0, 0)[0][0](1) == tb.order   # every element
-        assert b.flips() == c.flips()
+        assert all(b.flips(x) == c.flips(x) for x in subs)
 
 
 class TestE6:
@@ -893,7 +906,8 @@ _FLIP_SCRIPT = _BREAK_WALK + textwrap.dedent("""
     rs = RootSystem("A", 2)
     break_walk(rs, FAULT)
     try:
-        rs.flips()
+        for x in rs.subsets():
+            rs.flips(x)
     except AssertionError as exc:
         print(exc)
         sys.exit(0)

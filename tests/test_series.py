@@ -320,7 +320,7 @@ _VERIFY_SCRIPT = textwrap.dedent("""
 
 # Defines break_walk(rs, fault) for the scripts below.  It gives rs
 # faulty simple reflections and drops its cached flips, so that the next
-# rs.flips() walks again with the fault: "image" makes s_1 send alpha_1
+# rs.flips(X) walks X again with the fault: "image" makes s_1 send alpha_1
 # to -alpha_2, outside X = {1}, and "steps" makes s_2 a copy of s_1, so
 # that the walk for X = {2} overshoots l(w_X); None restores the true
 # reflections.  Tables built afterwards would read the fault too, so the
@@ -328,7 +328,8 @@ _VERIFY_SCRIPT = textwrap.dedent("""
 _BREAK_WALK = textwrap.dedent("""
     def break_walk(rs, fault):
         vars(rs).pop("simple_reflections", None)
-        rs._derived.pop("flips", None)
+        for x in rs.subsets():
+            rs._derived.pop(("flips", x), None)
         perms = [list(perm) for perm in rs.simple_reflections()]
         if fault == "image":
             perms[0][rs.simple_idx[0]] = (rs.simple_idx[1]
@@ -447,10 +448,11 @@ class TestVerifyFaults:
 class TestPipelineChecks:
     def test_checks_raise_under_optimize(self):
         out = _run_optimized(_CHECKS_SCRIPT)
-        assert ("image: w_X does not send the simple roots of X=[1] "
-                "onto minus simple roots of X" in out)
-        assert ("steps: the walk to w_X for X=[2] stopped after 2 steps, "
-                "not 1" in out)
+        # the pipeline walks eps_S as it is built, and each fault
+        # throws the walk to w_S off its length
+        for fault in ("image", "steps"):
+            assert (f"{fault}: the walk to w_X for X=[1, 2] stopped after "
+                    "4 steps, not 3" in out)
         assert "pole: shift left a genuine pole" in out
 
 
