@@ -147,7 +147,7 @@ def cmd_fq(args):
     rs = rootsystem.build_label(args.type)
     masks = (rs.subsets() if args.Q is None
              else [rs.mask_of(_parse_ids(args.Q))])
-    cones.check_boxes(rs, masks)
+    cones.check_boxes(rs, [cones.indices_outside(rs, q) for q in masks])
     out = {"type": rs.label, "w": [list(w) for w in rs.cone_gens],
            "f": {}}
     for q in masks:

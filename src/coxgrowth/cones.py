@@ -31,11 +31,12 @@ def indices_outside(rs, q_mask):
     return [i for i in range(rs.rank) if not (q_mask >> i) & 1]
 
 
-def check_boxes(rs, q_masks):
-    """Refuse to enumerate the residue boxes of the given Q when their
-    points, prod d_i for i in I(Q) each, number over MAX_BOX_POINTS."""
+def check_boxes(rs, boxes):
+    """Refuse to enumerate the residue boxes of the cones on
+    {w_i : i in I}, for each index list I in `boxes`, when their points,
+    prod_{i in I} d_i each, number over MAX_BOX_POINTS in all."""
     total = sum(prod(rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i]
-                     for i in indices_outside(rs, q)) for q in q_masks)
+                     for i in idx) for idx in boxes)
     if total > MAX_BOX_POINTS:
         raise ValueError(f"{rs.label}: residue boxes of {total} points, "
                          f"over the bound {MAX_BOX_POINTS}")
@@ -45,7 +46,7 @@ def parallelepiped_points(rs, indices):
     """Integer points of the fundamental parallelepiped of the cone on
     {w_i : i in indices}, in lexicographic order."""
     idx = sorted(set(indices))
-    check_boxes(rs, [rs.full_mask & ~sum(1 << i for i in idx)])
+    check_boxes(rs, [idx])
     depths = [rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i] for i in idx]
     # m = sum (y_i / d_i) w_i, scaled by L = lcm(d_i) to stay in integers
     big = lcm(*depths)
