@@ -21,7 +21,12 @@ the closure of a parabolic are reference implementations in the tests.
 Generators are numbered 1..n for the finite simple reflections and 0 for
 the extra affine reflection, whose (w, v) pair is (reflection in the
 highest root, minus the highest coroot); the reflection is built as a
-root permutation, checked to act alike on roots and coroots.
+root permutation, checked to act alike on roots and coroots.  By the
+reflection formula s_a(v) = v - <a, v> a^vee (Humphreys, Reflection Groups
+and Coxeter Groups, 4.1), x s_g = (w s_g, v - (<a_g, v> + c_g) a_g^vee),
+a_0 = theta with c_0 = 1 and a_g = alpha_g with c_g = 0: w s_g is read
+from the table's successor columns, or for g = 0 from one column composed
+with s_theta, so no table product is taken.
 
 The enumeration walk carries each element's pairings P[b] = <beta_b, v>
 with every root: s_i gathers them along its root permutation, s_0 along
@@ -65,44 +70,37 @@ class AffineWeyl:
         self.table = get_table(rs)
         n = rs.rank
         self.n = n
-        at_idx = self.table.index[rs.reflection(rs.highest_root,
-                                                rs.highest_root_coroot)]
-        # gens[g] = (finite index, translation coords); g = 0 is affine
-        self.gens = {0: (at_idx, tuple(-c for c in rs.highest_root_coroot))}
-        for i in range(n):
-            self.gens[i + 1] = (self.table.succ[i][0], (0,) * n)
+        theta = rs.reflection(rs.highest_root, rs.highest_root_coroot)
+        compose = itemgetter(*theta)
         # _next[g][w]: the finite index of w s_g, the table's successor
-        # columns for g > 0 and one column precomputed here for g = 0
-        self._next = [[self.table.mul(idx, at_idx)
-                       for idx in range(self.table.order)],
-                      *self.table.succ]
+        # columns for g > 0 and one column composed here for g = 0
+        self._next = [[self.table.index[compose(p)]
+                       for p in self.table.perms], *self.table.succ]
         # support mask of each root, by root index
         self._supp = [sum(1 << p for p, c in enumerate(root) if c)
                       for root in rs.roots]
-        # <beta, v> = _pair[b] . m for the root of index b, and the rows
-        # of the matrix by which each generator's finite part acts on m
+        # <beta, v> = _pair[b] . m for the root of index b
         self._pair = [tuple(sum(b * a for b, a in zip(root, col))
                             for col in zip(*rs.cartan)) for root in rs.roots]
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        self._act = {g: tuple(zip(*(self.table.act_coroot(w, e)
-                                    for e in units)))
-                     for g, (w, _) in self.gens.items()}
         self._pos_pair = self._pair[:len(rs.positive_roots)]
         self._simple_pair = [self._pair[s] for s in rs.simple_idx]
+        # mul_gen's (pairing row, coroot coords, c_g) of each a_g
+        roots = [rs.root_index[rs.highest_root], *rs.simple_idx]
+        self._refl = [(self._pair[b], rs.coroots[b], int(g == 0))
+                      for g, b in enumerate(roots)]
         # the walk's move by each generator g on P[b] = <beta_b, v>: x s_g
         # has P[perm[b]], plus _shift[b] = -<beta_b, theta^vee> for g = 0;
         # a move is (g, _next[g], its map of P, that of P's simple entries)
-        self._shift = tuple(sum(map(mul, row, self.gens[0][1]))
+        self._shift = tuple(-sum(map(mul, row, rs.highest_root_coroot))
                             for row in self._pair)
-        self._moves = [(g, self._next[g], itemgetter(*perm),
-                        _gather([perm[s] for s in rs.simple_idx]))
-                       for g, perm in enumerate([self.table.perms[at_idx],
-                                                 *rs.simple_reflections()])]
-        full, at_s = self._moves[0][2:]
+        at_s = _gather([theta[s] for s in rs.simple_idx])
         at_shift = _gather(rs.simple_idx)(self._shift)
-        self._moves[0] = (0, self._next[0],
-                          lambda p: tuple(map(add, full(p), self._shift)),
-                          lambda p: tuple(map(add, at_s(p), at_shift)))
+        self._moves = [(0, self._next[0],
+                        lambda p: tuple(map(add, compose(p), self._shift)),
+                        lambda p: tuple(map(add, at_s(p), at_shift)))]
+        self._moves += [(g, self._next[g], itemgetter(*perm),
+                         _gather([perm[s] for s in rs.simple_idx]))
+                        for g, perm in enumerate(rs.simple_reflections(), 1)]
         # by finite index w: [w beta_b < 0] over beta_b > 0, classify's record
         self._chi, self._records = {}, {}
         self._off_walls = (-1,) * n
@@ -115,9 +113,10 @@ class AffineWeyl:
     def mul_gen(self, x, g):
         """x * s_g for a generator id (0 = affine)."""
         w, m = x
-        rows = zip(self._act[g], self.gens[g][1])
+        row, coroot, c = self._refl[g]
+        k = sum(map(mul, row, m)) + c
         return (self._next[g][w],
-                tuple([sum(map(mul, row, m)) + c for row, c in rows]))
+                tuple([a - k * b for a, b in zip(m, coroot)]))
 
     def length(self, x):
         w, m = x

@@ -35,8 +35,7 @@ def check_boxes(rs, boxes):
     """Refuse to enumerate the residue boxes of the cones on
     {w_i : i in I}, for each index list I in `boxes`, when their points,
     prod_{i in I} d_i each, number over MAX_BOX_POINTS in all."""
-    total = sum(prod(rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i]
-                     for i in idx) for idx in boxes)
+    total = sum(prod(rs.cone_depths[i] for i in idx) for idx in boxes)
     if total > MAX_BOX_POINTS:
         raise ValueError(f"{rs.label}: residue boxes of {total} points, "
                          f"over the bound {MAX_BOX_POINTS}")
@@ -47,7 +46,7 @@ def parallelepiped_points(rs, indices):
     {w_i : i in indices}, in lexicographic order."""
     idx = sorted(set(indices))
     check_boxes(rs, [idx])
-    depths = [rootsystem.mat_vec(rs.cartan, rs.cone_gens[i])[i] for i in idx]
+    depths = [rs.cone_depths[i] for i in idx]
     # m = sum (y_i / d_i) w_i, scaled by L = lcm(d_i) to stay in integers
     big = lcm(*depths)
     gens = [tuple(big // d * x for x in rs.cone_gens[i])

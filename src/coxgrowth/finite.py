@@ -11,10 +11,12 @@ A table keeps one successor column per generator: succ[i][x] indexes x s_i.
 Lengths come from BFS depth.  The Poincare polynomial of W_J is known
 in closed form: a table whose order, its value at 1, is over the bound
 is refused before the BFS, and the BFS lengths are checked against it.
-Ascent sets and simple-root images are read off each permutation once.
-A coset scan visits only the minimal representatives, the buckets of
-elements whose left and right ascent sets contain J and K, and reads Q
-and R from lists kept per simple-root image (`image_masks`).
+Ascent sets and simple-root images are read off each permutation once,
+and sorted into one flat list of (lasc, rasc) buckets on the first scan.
+A coset scan of (J, K), both within the table's mask X (else ValueError),
+visits only the buckets of minimal representatives, and reads Q and R
+from lists kept per simple-root image (`image_masks`), cut after X's top
+generator: 2^b entries, b the bit length of X, not 2^rank.
 
 Series computed here:
 
@@ -143,29 +145,17 @@ class GroupTable:
             self.simple_img.append(images.setdefault(img, img))
 
     @cached_property
-    def _above(self):
-        """_above[J]: (rasc, [(q_of, r_of, length)]) per (lasc, rasc)
-        bucket of elements with lasc containing J, made on the first scan."""
+    def _buckets(self):
+        """(lasc, rasc, [(q_of, r_of, length)]) per bucket, made on the
+        first scan.  For x in W_X, img[i] is i or -1 for i outside X, so
+        the image cut after X's top generator answers every J, K in X."""
+        cut = self.mask.bit_length()
         buckets = {}
         for lasc, rasc, img, length in zip(self.lasc, self.rasc,
                                            self.simple_img, self.lengths):
-            buckets.setdefault((lasc, rasc), (rasc, []))[1].append(
-                (*image_masks(self.rs, img), length))
-        return [[b for (lasc, _), b in buckets.items() if not j & ~lasc]
-                for j in range(1 << self.rs.rank)]
-
-    # -- element queries ------------------------------------------------
-
-    def mul(self, a, b):
-        """Index of the product (as maps: first apply b, then a)."""
-        return self.index[itemgetter(*self.perms[b])(self.perms[a])]
-
-    def act_coroot(self, idx, vec):
-        """w(sum_j vec_j alpha_j^vee) = sum_j vec_j (w alpha_j)^vee."""
-        perm, coroots = self.perms[idx], self.rs.coroots
-        cols = [coroots[perm[s]] for s in self.rs.simple_idx]
-        return tuple(sum(m * col[k] for m, col in zip(vec, cols))
-                     for k in range(len(vec)))
+            buckets.setdefault((lasc, rasc), []).append(
+                (*image_masks(self.rs, img[:cut]), length))
+        return [(lasc, rasc, b) for (lasc, rasc), b in buckets.items()]
 
     # -- coset series ----------------------------------------------------
 
@@ -173,8 +163,8 @@ class GroupTable:
         return self.coset_bins(j_mask, k_mask)[0].get(q_mask, ZERO)
 
     def coset_bins(self, j_mask, k_mask):
-        """The coset bins of (J, K), p by Q and h by R, scanned once per
-        table and kept on the root system."""
+        """The coset bins of (J, K), J and K within the mask, p by Q and h
+        by R, scanned once per table and kept on the root system."""
         return self.rs.cached(("cosets", self.mask, j_mask, k_mask),
                               lambda: self._scan(j_mask, k_mask))
 
@@ -183,11 +173,13 @@ class GroupTable:
         their length polynomials binned by Q (for p_poly) and by R (the
         h-series, only x mapping every simple root of K to a simple
         root)."""
+        _check_inside(self.rs, "J", j_mask, self.mask)
+        _check_inside(self.rs, "K", k_mask, self.mask)
         size = self.rs.longest_length(self.mask) + 1
         p_bins = defaultdict(lambda: [0] * size)
         h_bins = defaultdict(lambda: [0] * size)
-        for rasc, bucket in self._above[j_mask]:
-            if rasc & k_mask == k_mask:
+        for lasc, rasc, bucket in self._buckets:
+            if lasc & j_mask == j_mask and rasc & k_mask == k_mask:
                 for q_of, r_of, length in bucket:
                     p_bins[q_of[j_mask] & k_mask][length] += 1
                     r = r_of[k_mask]
@@ -199,9 +191,10 @@ class GroupTable:
 
 def image_masks(rs, img):
     """For img[i] = j when x alpha_i = alpha_j (else -1), the lists over
-    all masks M of q_of[M] = {i : img[i] in M} and r_of[M] = img(M), or -1
-    when some i in M has no simple image, each entry from that of M less
-    its lowest bit; made once per image and kept on the root system."""
+    all masks M of len(img) bits of q_of[M] = {i : img[i] in M} and
+    r_of[M] = img(M), or -1 when some i in M has no simple image, each
+    entry from that of M less its lowest bit; made once per image and
+    kept on the root system."""
     def build():
         pre = [0] * len(img)
         for i, j in enumerate(img):

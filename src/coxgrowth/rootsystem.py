@@ -87,11 +87,15 @@ def cartan_matrix(family, rank):
 
 
 def parse_label(label):
-    """'B3' / 'b_3' -> ('B', 3)."""
+    """'B3' / 'b_3' -> ('B', 3), refusing a rank of more digits than
+    MAX_RANK before int() reads it."""
     s = label.strip().upper().replace("_", "")
-    if len(s) < 2 or s[0] not in VALID_TYPES or not s[1:].isdigit():
+    if len(s) < 2 or s[0] not in VALID_TYPES or not s[1:].isdecimal():
         raise InvalidTypeError(f"cannot parse type label {label!r}")
-    return s[0], int(s[1:])
+    digits = s[1:].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_RANK)):
+        raise InvalidTypeError(f"rank {digits} is over the bound {MAX_RANK}")
+    return s[0], int(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +259,10 @@ class RootSystem:
         lambda -> sum_beta <beta, lambda> beta^vee commutes with W, which
         acts irreducibly, so it is a positive multiple of the identity and
         the sum is a positive multiple of the i-th fundamental coweight;
-        the two checks below test this at run time."""
+        the two checks below test this at run time.  cone_depths[i] is the
+        d_i of C w_i = d_i e_i."""
         n = self.rank
-        gens = []
+        gens, depths = [], []
         for i in range(n):
             v = [0] * n
             for root, coroot in self.positive_roots:
@@ -273,7 +278,9 @@ class RootSystem:
             if any(cw[j] != 0 for j in range(n) if j != i) or cw[i] <= 0:
                 raise AssertionError("C w_i is not a positive multiple of e_i")
             gens.append(w)
+            depths.append(cw[i])
         self.cone_gens = tuple(gens)
+        self.cone_depths = tuple(depths)
 
     # -- queries --------------------------------------------------------
 

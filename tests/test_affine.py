@@ -9,7 +9,8 @@ import pytest
 from coxgrowth import build_label, rootsystem
 from coxgrowth.affine import coset_pattern, get_affine, normalizes
 from coxgrowth.ratfun import IntPoly
-from test_finite import (_is_unit_col, _root_sign, matcol, reference_columns,
+from test_finite import (_is_unit_col, _root_sign, act_coroot, matcol,
+                         mul as table_mul, reference_columns,
                          reference_table)
 from test_series import _run_optimized
 
@@ -37,14 +38,37 @@ def reference(aff):
 def mul(aff, x, y):
     (w1, m1), (w2, m2) = x, y
     w2i = reference(aff).inv_idx[w2]
-    m1r = aff.table.act_coroot(w2i, m1)
-    return (aff.table.mul(w1, w2), tuple(a + b for a, b in zip(m2, m1r)))
+    m1r = act_coroot(aff.table, w2i, m1)
+    return (table_mul(aff.table, w1, w2),
+            tuple(a + b for a, b in zip(m2, m1r)))
 
 
 def inv(aff, x):
     w, m = x
     return (reference(aff).inv_idx[w],
-            tuple(-c for c in aff.table.act_coroot(w, m)))
+            tuple(-c for c in act_coroot(aff.table, w, m)))
+
+
+def theta_index(aff):
+    """The index of s_theta, theta the highest root, in the matrix
+    reference: column j of its matrix on root coordinates is
+    alpha_j - <alpha_j, theta^vee> theta."""
+    rs, n = aff.rs, aff.n
+    # <alpha_j, theta^vee>
+    pair = rootsystem.mat_vec(rs.cartan, rs.highest_root_coroot)
+    rmat = tuple(tuple(int(k == j) - pair[j] * rs.highest_root[k]
+                       for j in range(n)) for k in range(n))
+    return reference(aff).index[rmat]
+
+
+def generators(aff):
+    """Generator id -> (w, m): s_0 = (s_theta, -theta^vee) and
+    s_i = (s_i, 0), each finite part from the matrix reference."""
+    rs, n = aff.rs, aff.n
+    gens = {0: (theta_index(aff), tuple(-c for c in rs.highest_root_coroot))}
+    for i in range(n):
+        gens[i + 1] = (reference(aff).rmult[0][i], (0,) * n)
+    return gens
 
 
 def affine_root_positive(root_sign, level):
@@ -144,7 +168,7 @@ def reference_bfs(aff, max_length):
     for depth in range(1, max_length + 1):
         nxt = []
         for x in frontier:
-            for g in aff.gens:
+            for g in range(aff.n + 1):
                 y = aff.mul_gen(x, g)
                 if y not in seen:
                     assert aff.length(y) == depth, y
@@ -165,10 +189,23 @@ def random_element(aff, rng, nsteps=12):
 class TestGroupStructure:
     def test_generators_are_involutions(self, a2, b2):
         for aff in (a2, b2):
-            for g in aff.gens:
+            for g, gen in generators(aff).items():
                 s = aff.mul_gen(aff.identity(), g)
+                assert s == gen
                 assert mul(aff, s, s) == aff.identity()
                 assert aff.length(s) == 1
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3", "D4",
+                                       "F4"])
+    def test_affine_column_composes_s_theta(self, label):
+        # the walk's column for generator 0 lists the index of w s_theta
+        # for each finite w, s_theta found in the matrix reference
+        aff = get_affine(build_label(label))
+        t, at = aff.table, theta_index(aff)
+        assert aff._next[0] == [table_mul(t, w, at)
+                                for w in range(t.order)]
+        assert aff._next[0] == [reference(aff).mul(w, at)
+                                for w in range(t.order)]
 
     def test_axioms_sampled(self, a2, b2):
         rng = random.Random(3)
@@ -318,7 +355,7 @@ def reference_classify(aff, x, j_mask, k_mask):
     in K with x . (alpha_k, 0) = (alpha_j, 0) for some j in J."""
     w, m = x
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
-    wm = aff.table.act_coroot(w, m)
+    wm = act_coroot(aff.table, w, m)
     cwm = rootsystem.mat_vec(aff.rs.cartan, wm)
     ref = reference(aff)
     rmat, rinv = ref.rmats[w], ref.rinvs[w]
@@ -417,7 +454,7 @@ def reference_profile(aff, x):
     w, m = x
     table = aff.table
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
-    cwm = rootsystem.mat_vec(aff.rs.cartan, table.act_coroot(w, m))
+    cwm = rootsystem.mat_vec(aff.rs.cartan, act_coroot(table, w, m))
     right, left, perm = table.rasc[w], table.lasc[w], table.perms[w]
     rasc = lasc = 0
     for i in range(aff.n):
@@ -497,7 +534,7 @@ class TestBucketedScan:
         for x in elements:
             assert aff.classify(x) == reference_profile(aff, x)
             assert aff.length(x) == reference_length(aff, x)
-            for g, s in aff.gens.items():
+            for g, s in generators(aff).items():
                 assert aff.mul_gen(x, g) == mul(aff, x, s)
 
 
@@ -526,10 +563,10 @@ _DEPTH_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Adds 1 to the first entry of the second row of the coroot-action matrix
-# of generator 1 of A2, so that mul_gen returns wrong translations while
-# the walk's root pairings stay right, then requires the check of the one
-# against the other to raise.  Exit codes as above.
+# Adds 1 to the second entry of the coroot by which generator 1 of A2
+# moves m, so that mul_gen returns wrong translations while the walk's
+# root pairings stay right, then requires the check of the one against
+# the other to raise.  Exit codes as above.
 _ACTION_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label
@@ -537,8 +574,8 @@ _ACTION_SCRIPT = textwrap.dedent("""
     if __debug__:
         sys.exit(3)
     aff = get_affine(build_label("A2"))
-    row, (a, b) = aff._act[1]
-    aff._act[1] = (row, (a + 1, b))
+    row, (a, b), c = aff._refl[1]
+    aff._refl[1] = (row, (a, b + 1), c)
     try:
         aff.bfs_enumerate(6)
     except AssertionError as exc:
@@ -617,8 +654,8 @@ class TestExplicitChecks:
 
     def test_action_rows_checked_against_root_pairings(self):
         out = _run_optimized(_ACTION_SCRIPT)
-        assert ("BFS element (3, (0, -2)) pairs with the simple roots to "
-                "(2, -4), the walk's root pairings at finite index 3 to "
+        assert ("BFS element (3, (0, 0)) pairs with the simple roots to "
+                "(0, 0), the walk's root pairings at finite index 3 to "
                 "(1, -2)") in out
 
     def test_level_sizes_checked_against_bott(self):

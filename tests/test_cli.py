@@ -166,6 +166,43 @@ class TestExitCodes:
         assert time.monotonic() - t0 < 2
         assert code == 0 and "FAIL" not in out
 
+    def test_subset_check_sizes_its_lists_by_the_subset(self, capsys):
+        # the 6-element table of W_{1,2} in A20 reads image lists of 4
+        # entries, not of 2^20; those took seconds to build
+        t0 = time.monotonic()
+        code, out, _ = run(capsys, "finite", "--type", "A20", "--subset",
+                           "1,2", "--what", "check")
+        assert time.monotonic() - t0 < 2
+        assert code == 0
+        assert out.splitlines() == [f"PASS {name}" for name in [
+            "alternating-sum", "parabolic-quotient", "pKJK-partition",
+            "p-alternating-reduction", "h-alternating-reduction",
+            "M-factorization", "N-factorization"]]
+        rs = build_label("A20")
+        tables = [v for k, v in rs._derived.items() if k[0] == "table"]
+        assert tables
+        for t in tables:
+            cut = t.mask.bit_length()
+            assert cut <= 2
+            for img in t.simple_img:
+                q_of, r_of = rs._derived["images", img[:cut]]
+                assert len(q_of) == len(r_of) == 1 << cut
+
+    def test_long_rank_refused_before_int(self, capsys):
+        # int() refuses over 4300 digits with a message of its own; the
+        # digit count is checked first
+        label = "A" + "9" * 5000
+        code, out, err = run(capsys, "cartan", label)
+        assert code == 2 and out == ""
+        assert err == f"error: rank {label[1:]} is over the bound {MAX_RANK}\n"
+        # leading zeros count for neither
+        code, out, _ = run(capsys, "cartan", "A" + "0" * 5000 + "2")
+        assert code == 0 and "rank: 2" in out
+        # a digit that int() cannot read is no rank
+        code, out, err = run(capsys, "cartan", "A\u00b2")
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse type label 'A\u00b2'\n"
+
     def test_degree_bound_admits_the_bound(self, capsys):
         code, out, _ = run(capsys, "series", "--type", "A2", "--J", "1",
                            "--K", "2", "--expand", str(MAX_DEGREE),

@@ -49,6 +49,25 @@ def parabolic_elements(t, mask):
     return seen
 
 
+# -- table products ------------------------------------------------------
+# The package multiplies only by generators; the general product and the
+# coroot action of an element are read here off the root permutations.
+
+
+def mul(t, a, b):
+    """Index of the product of two table elements (as maps: first apply
+    b, then a)."""
+    return t.index[itemgetter(*t.perms[b])(t.perms[a])]
+
+
+def act_coroot(t, idx, vec):
+    """w(sum_j vec_j alpha_j^vee) = sum_j vec_j (w alpha_j)^vee."""
+    perm, coroots = t.perms[idx], t.rs.coroots
+    cols = [coroots[perm[s]] for s in t.rs.simple_idx]
+    return tuple(sum(m * col[k] for m, col in zip(vec, cols))
+                 for k in range(len(vec)))
+
+
 # -- table reference of the opposition involutions ----------------------
 # The longest element of W_X walked up the table's successor columns along
 # its ascents in X, and a subset conjugated by a table element through its
@@ -238,7 +257,7 @@ class TestAgainstMatrixReference:
             assert t.rasc[idx] == ref.rasc(idx)
             assert t.lasc[idx] == ref.lasc(idx)
             assert t.simple_img[idx] == ref.simple_img(idx)
-            assert ([t.act_coroot(idx, e) for e in units]
+            assert ([act_coroot(t, idx, e) for e in units]
                     == [matcol(ref.cmats[idx], i) for i in range(n)])
             for mask in rs.subsets():
                 assert (table_conj(t, idx, mask)
@@ -246,7 +265,7 @@ class TestAgainstMatrixReference:
         rng = random.Random(11)
         for _ in range(200):
             a, b = rng.randrange(t.order), rng.randrange(t.order)
-            assert t.mul(a, b) == ref.mul(a, b)
+            assert mul(t, a, b) == ref.mul(a, b)
 
 
 def column_cases():
@@ -297,9 +316,9 @@ class TestGroupTable:
         rng = random.Random(7)
         for _ in range(200):
             a, b, c = (rng.randrange(t.order) for _ in range(3))
-            assert t.mul(t.mul(a, b), c) == t.mul(a, t.mul(b, c))
-            assert t.mul(a, inv_idx[a]) == 0
-            assert t.mul(inv_idx[a], a) == 0
+            assert mul(t, mul(t, a, b), c) == mul(t, a, mul(t, b, c))
+            assert mul(t, a, inv_idx[a]) == 0
+            assert mul(t, inv_idx[a], a) == 0
 
     def test_longest_element(self, tables):
         for label in ["A3", "B3", "G2"]:
@@ -309,7 +328,7 @@ class TestGroupTable:
             assert t.lengths[w0] == rs.longest_length(rs.full_mask)
             assert w0 == t.lengths.index(max(t.lengths))
             # w0 is an involution and conjugates simples to minus simples
-            assert t.mul(w0, w0) == 0
+            assert mul(t, w0, w0) == 0
             assert table_conj(t, w0, rs.full_mask) == rs.full_mask
 
     def test_descents_vs_length(self, tables):
@@ -384,7 +403,7 @@ class TestFlips:
             want = []
             for k in rs.subsets(mask):
                 for q in rs.subsets(k):
-                    v = t.mul(table_longest(t, k), table_longest(t, q))
+                    v = mul(t, table_longest(t, k), table_longest(t, q))
                     # w_K w_Q is the longest minimal representative of
                     # W_K / W_Q: its ascents in K are Q
                     assert t.rasc[v] & k == q
@@ -451,7 +470,7 @@ class TestCosetSeries:
             for k in rs.subsets():
                 wj = parabolic_elements(t, j)
                 wk = parabolic_elements(t, k)
-                orbits = {frozenset(t.mul(t.mul(u, x), v)
+                orbits = {frozenset(mul(t, mul(t, u, x), v)
                                     for u in wj for v in wk)
                           for x in range(t.order)}
                 total = sum(t.p_poly(q, j, k)(1) for q in rs.subsets(k))
@@ -492,7 +511,7 @@ class TestCosetSeries:
         for j in rs.subsets():
             wj = parabolic_elements(t, j)
             count = sum(1 for x in range(t.order)
-                        if {t.mul(t.mul(x, u), inv_idx[x])
+                        if {mul(t, mul(t, x, u), inv_idx[x])
                             for u in wj} == wj)
             assert count == len(wj) * t.p_poly(j, j, j)(1)
 
@@ -549,10 +568,15 @@ class TestBucketedScan:
         rs = build_label(label)
         for mask in rs.subsets():
             t = get_table(rs, mask)
-            for j in rs.subsets():
-                for k in rs.subsets():
+            for j in rs.subsets(mask):
+                for k in rs.subsets(mask):
                     assert t._scan(j, k) == reference_scan(t, j, k), (
                         mask, j, k)
+            # a J or K outside the table's mask is refused
+            outside = rs.full_mask & ~mask
+            for j, k in [(outside, 0), (0, outside)] if outside else []:
+                with pytest.raises(ValueError, match="is not inside"):
+                    t.coset_bins(j, k)
 
     def test_random_pairs_b5(self):
         t = get_table(build_label("B5"))
@@ -562,23 +586,30 @@ class TestBucketedScan:
             j, k = rng.choice(subs), rng.choice(subs)
             assert t._scan(j, k) == reference_scan(t, j, k), (j, k)
 
-    @pytest.mark.parametrize("label, images", [("D4", 37), ("F4", 28)])
+    @pytest.mark.parametrize("label, images", [("D4", 58), ("F4", 45)])
     def test_image_masks_shared_per_root_system(self, label, images):
         # every table of the root system, sub-tables included, reads one
-        # pair of lists per distinct simple-root image; a table buckets
-        # its elements on its first scan
+        # pair of lists per distinct simple-root image cut after its
+        # mask's top generator, 2^b entries each for b that bit length;
+        # a table buckets its elements on its first scan
         rs = RootSystem(label[0], int(label[1:]))
         tables = [get_table(rs, mask) for mask in rs.subsets()]
-        assert not any("_above" in t.__dict__ for t in tables)
+        assert not any("_buckets" in t.__dict__ for t in tables)
         assert not any(key[0] == "images" for key in rs._derived)
         for t in tables:
             t.coset_bins(0, 0)
+        assert all("_buckets" in t.__dict__ for t in tables)
         keys = {key for key in rs._derived if key[0] == "images"}
+        assert keys == {("images", img[:t.mask.bit_length()])
+                        for t in tables for img in t.simple_img}
         assert len(keys) == images
         for t in tables:
+            cut = t.mask.bit_length()
             for idx in range(0, t.order, 7):
-                img = t.simple_img[idx]
-                assert image_masks(rs, img) is rs._derived["images", img]
+                img = t.simple_img[idx][:cut]
+                lists = image_masks(rs, img)
+                assert lists is rs._derived["images", img]
+                assert [len(x) for x in lists] == [1 << cut] * 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_image_masks_brute_force(self, n):
