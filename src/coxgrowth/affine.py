@@ -24,9 +24,10 @@ highest root, minus the highest coroot); the reflection is built as a
 root permutation, checked to act alike on roots and coroots.  By the
 reflection formula s_a(v) = v - <a, v> a^vee (Humphreys, Reflection Groups
 and Coxeter Groups, 4.1), x s_g = (w s_g, v - (<a_g, v> + c_g) a_g^vee),
-a_0 = theta with c_0 = 1 and a_g = alpha_g with c_g = 0: w s_g is read
-from the table's successor columns, or for g = 0 from one column composed
-with s_theta, so no table product is taken.
+a_0 = theta with c_0 = 1 and a_g = alpha_g with c_g = 0.  The finite
+parts are numbered in the order of the finite walk, identity first, and
+the index of w s_g is looked up once per w and g when the group is built,
+so no product of two finite elements is taken.
 
 The enumeration walk carries each element's pairings P[b] = <beta_b, v>
 with every root: s_i gathers them along its root permutation, s_0 along
@@ -52,7 +53,7 @@ from operator import add, itemgetter, mul
 
 from .ratfun import IntPoly, expand
 from . import rootsystem
-from .finite import get_table, image_masks
+from .finite import image_masks, walk
 
 MAX_BFS_ELEMENTS = 3 * 10 ** 6
 
@@ -63,19 +64,20 @@ def _gather(idx):
 
 
 class AffineWeyl:
-    """The affine group of a root system, with the finite table cached."""
+    """The affine group of a root system: perms, the finite group's root
+    permutations in walk order (identity at index 0), and _next[g][w],
+    the index of w s_g for each of the n + 1 generators."""
 
     def __init__(self, rs):
         self.rs = rs
-        self.table = get_table(rs)
         n = rs.rank
         self.n = n
         theta = rs.reflection(rs.highest_root, rs.highest_root_coroot)
         compose = itemgetter(*theta)
-        # _next[g][w]: the finite index of w s_g, the table's successor
-        # columns for g > 0 and one column composed here for g = 0
-        self._next = [[self.table.index[compose(p)]
-                       for p in self.table.perms], *self.table.succ]
+        self.perms = [perm for perm, _ in walk(rs, rs.full_mask)]
+        index = {perm: w for w, perm in enumerate(self.perms)}
+        self._next = [[index[c(p)] for p in self.perms] for c in [
+            compose, *(itemgetter(*r) for r in rs.simple_reflections())]]
         # support mask of each root, by root index
         self._supp = [sum(1 << p for p, c in enumerate(root) if c)
                       for root in rs.roots]
@@ -122,7 +124,7 @@ class AffineWeyl:
         w, m = x
         n_pos = len(self._pos_pair)
         return sum(abs(sum(map(mul, row, m)) + (p >= n_pos))
-                   for row, p in zip(self._pos_pair, self.table.perms[w]))
+                   for row, p in zip(self._pos_pair, self.perms[w]))
 
     # -- enumeration ----------------------------------------------------
 
@@ -152,7 +154,7 @@ class AffineWeyl:
         # keys (w, P at the simple roots) of the levels below and at the
         # frontier: l(x s) = l(x) +- 1, so a new level meets only these
         below, here, depth = set(), {(0, start[1])}, 0
-        chis, perms, n_pos = self._chi, self.table.perms, len(self._pos_pair)
+        chis, perms, n_pos = self._chi, self.perms, len(self._pos_pair)
         while frontier and depth < max_length:
             depth += 1
             nxt, keys = [], set()
@@ -221,14 +223,20 @@ class AffineWeyl:
         w alpha_i = alpha_j (else -1) and supp[i] is the support of
         w alpha_i; elsewhere dest[i] = -1 and supp[i] = -1 (every bit)."""
         w, m = x
-        table, perm = self.table, self.table.perms[w]
-        right_cut, left_cut, img, inv_rows, supps = self._records.get(w) or \
-            self._records.setdefault(w, (
-                [(table.rasc[w] >> i) & 1 for i in range(self.n)],
-                [-((table.lasc[w] >> i) & 1) for i in range(self.n)],
-                table.simple_img[w],
-                [self._pair[perm.index(s)] for s in self.rs.simple_idx],
-                [self._supp[perm[s]] for s in self.rs.simple_idx]))
+        record = self._records.get(w)
+        if record is None:
+            # per alpha_i: [w alpha_i > 0], -[w^-1 alpha_i > 0], the j with
+            # w alpha_i = alpha_j (else -1), the pairing row of w^-1 alpha_i
+            # and the support of w alpha_i
+            perm, simple = self.perms[w], self.rs.simple_idx
+            n_pos = len(self._pos_pair)
+            img = [perm[s] for s in simple]
+            inv = [perm.index(s) for s in simple]
+            record = self._records[w] = (
+                [int(b < n_pos) for b in img], [-int(b < n_pos) for b in inv],
+                tuple([simple.index(b) if b in simple else -1 for b in img]),
+                [self._pair[b] for b in inv], [self._supp[b] for b in img])
+        right_cut, left_cut, img, inv_rows, supps = record
         cm = [sum(map(mul, row, m)) for row in self._simple_pair]
         rasc = lasc = 0
         for i, row in enumerate(inv_rows):

@@ -23,10 +23,13 @@ MAX_DEGREE = 1000   # the largest `check --degree` and `series --expand`
 def _parse_ids(s):
     if s is None:
         return None
-    s = s.replace(",", " ").strip()
-    if not s:
-        return []
-    return [int(x) for x in s.split()]
+    ids = []
+    for x in s.replace(",", " ").split():
+        try:
+            ids.append(int(x))
+        except ValueError:
+            raise ValueError(f"generator id {x!r} is not an integer") from None
+    return ids
 
 
 def _subset_key(rs, mask):

@@ -1,18 +1,19 @@
 """Finite Weyl groups as permutations of the roots, and their coset-series
 polynomials.
 
-An element x is stored as the tuple perm of root indices over the 2N
-roots of the root system, positives first: perm[b] is the index of
-x(beta_b), so x sends beta_b to a negative root when perm[b] >= N.  The
-product x*s_i is perm composed with the permutation of s_i, and since
+An element x is the tuple perm of root indices over the 2N roots of the
+root system, positives first: perm[b] is the index of x(beta_b), so x
+sends beta_b to a negative root when perm[b] >= N.  The product x*s_i is
+perm composed with the permutation of s_i, and since
 w(alpha)^vee = w(alpha^vee) the same permutation acts on the coroots.
-A table keeps one successor column per generator: succ[i][x] indexes x s_i.
 
-Lengths come from BFS depth.  The Poincare polynomial of W_J is known
-in closed form: a table whose order, its value at 1, is over the bound
-is refused before the BFS, and the BFS lengths are checked against it.
-Ascent sets and simple-root images are read off each permutation once,
-and sorted into one flat list of (lasc, rasc) buckets on the first scan.
+`walk` yields each element once with its length, level by level, each
+from its one parent by its lowest right descent.  The Poincare
+polynomial of W_J is known in closed form: a group whose order, its
+value at 1, is over the bound is refused before the walk, and each
+level's size is checked against it.  A table stores no elements: their
+ascent sets and simple-root images are read off each permutation as it
+is walked, and sorted into one flat list of (lasc, rasc) buckets.
 A coset scan of (J, K), both within the table's mask X (else ValueError),
 visits only the buckets of minimal representatives, and reads Q and R
 from lists kept per simple-root image (`image_masks`), cut after X's top
@@ -53,7 +54,6 @@ first use of X and checked as it is built.  No table is needed.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from operator import itemgetter, mul
 
 from .ratfun import IntPoly, pack, pack_bits, poly_exact_div
@@ -74,88 +74,72 @@ def check_table_size(rs, mask):
     return poincare
 
 
+def walk(rs, mask):
+    """Each element of W_mask once, as (perm, length), level by level from
+    the identity.  y = x s_g is kept when g is an ascent of x and no lower
+    generator of the mask is a descent of y: every y != e has exactly one
+    parent, y s_g for g its lowest right descent (the reverse-lexicographic
+    normal form; Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    ch. 3), so no element is looked up.  A group of over MAX_GROUP_ORDER
+    elements is refused first, a level larger than its coefficient in
+    W_mask(t) raises at once, and the length histogram must be W_mask(t)."""
+    poincare = check_table_size(rs, mask)
+    n_pos, coeffs = len(rs.positive_roots), poincare.coeffs
+    # (simple root of g, x -> x s_g, simple roots of the lower generators)
+    gens, lower = [], []
+    for i, (s, perm) in enumerate(zip(rs.simple_idx, rs.simple_reflections())):
+        if (mask >> i) & 1:
+            gens.append((s, itemgetter(*perm), tuple(lower)))
+            lower.append(s)
+    level, histogram = [tuple(range(len(rs.roots)))], []
+    while level:
+        length = len(histogram)
+        if len(level) > (coeffs[length] if length < len(coeffs) else 0):
+            raise AssertionError(f"walk level {length} has {len(level)} "
+                                 f"elements, over the closed form {poincare}")
+        histogram.append(len(level))
+        nxt = []
+        for perm in level:
+            yield perm, length
+            for s, compose, below in gens:
+                if perm[s] < n_pos:
+                    y = compose(perm)
+                    if all(y[b] < n_pos for b in below):
+                        nxt.append(y)
+        level = nxt
+    if IntPoly(histogram) != poincare:
+        raise AssertionError(f"walk length histogram {histogram} is not the "
+                             f"closed form {poincare}")
+
+
 class GroupTable:
-    """Complete enumeration of the parabolic W_mask by BFS: perms,
-    lengths and index by element, and succ[i][x], the index of x s_i, in
-    one list per generator i of the mask (None for the others)."""
+    """The coset buckets of the parabolic W_mask, made from one walk: the
+    elements with right and left ascent masks (lasc, rasc) in one flat list
+    of (lasc, rasc, [(q_of, r_of, length)]).  x alpha_i > 0 when x sends
+    alpha_i to an index below N, and x^-1 alpha_i > 0 when alpha_i is the
+    image of a positive root, among the first N entries.  For x in W_X,
+    the simple-root image img[i] is i or -1 for i outside X, so the image
+    cut after X's top generator answers every J, K in X."""
 
     def __init__(self, rs, mask=None):
         if mask is None:
             mask = rs.full_mask
         self.rs = rs
         self.mask = mask
-        poincare = check_table_size(rs, mask)
-        # x*s_i sends beta_b to x(s_i beta_b), so its permutation is
-        # x's composed with that of s_i
-        self.succ = [[] if (mask >> i) & 1 else None for i in range(rs.rank)]
-        gens = [(itemgetter(*perm), self.succ[i])
-                for i, perm in enumerate(rs.simple_reflections())
-                if (mask >> i) & 1]
-        ident = tuple(range(len(rs.roots)))
-        self.perms = [ident]
-        self.lengths = [0]
-        self.index = {ident: 0}
-        histogram = []  # the size of each BFS level
-        frontier = [0]
-        while frontier:
-            histogram.append(len(frontier))
-            nxt = []
-            # idx runs 0, 1, 2, ..., so x s_i lands at position idx
-            for idx in frontier:
-                perm = self.perms[idx]
-                for compose, column in gens:
-                    new = compose(perm)
-                    pos = self.index.get(new)
-                    if pos is None:
-                        pos = len(self.perms)
-                        self.perms.append(new)
-                        self.lengths.append(self.lengths[idx] + 1)
-                        self.index[new] = pos
-                        nxt.append(pos)
-                    column.append(pos)
-            frontier = nxt
-
-        self.order = len(self.perms)
-        if IntPoly(histogram) != poincare:
-            raise AssertionError(f"BFS length histogram {histogram} is not "
-                                 f"the closed form {poincare}")
-        self._profiles()
-
-    def _profiles(self):
-        """Right and left ascent masks and simple-root images, read off
-        the permutations: x alpha_i > 0 when x sends alpha_i to an index
-        below N, and x^-1 alpha_i > 0 when alpha_i is the image of a
-        positive root, that is, among the first N entries."""
-        n_pos = len(self.rs.positive_roots)
-        simple = self.rs.simple_idx
-        simple_set = frozenset(simple)
+        n_pos, simple = len(rs.positive_roots), rs.simple_idx
         pos = {s: i for i, s in enumerate(simple)}
         bit = {s: 1 << i for s, i in pos.items()}.__getitem__
-        self.rasc = []
-        self.lasc = []
-        self.simple_img = []
-        images = {}  # one tuple per distinct image
-        for perm in self.perms:
-            img = [perm[s] for s in simple]
-            self.rasc.append(sum(1 << i for i, b in enumerate(img)
-                                 if b < n_pos))
-            self.lasc.append(sum(map(bit, simple_set.intersection(
-                perm[:n_pos]))))
-            img = tuple([pos.get(b, -1) for b in img])
-            self.simple_img.append(images.setdefault(img, img))
-
-    @cached_property
-    def _buckets(self):
-        """(lasc, rasc, [(q_of, r_of, length)]) per bucket, made on the
-        first scan.  For x in W_X, img[i] is i or -1 for i outside X, so
-        the image cut after X's top generator answers every J, K in X."""
-        cut = self.mask.bit_length()
+        simple_set, cut = frozenset(simple), simple[:mask.bit_length()]
         buckets = {}
-        for lasc, rasc, img, length in zip(self.lasc, self.rasc,
-                                           self.simple_img, self.lengths):
+        for perm, length in walk(rs, mask):
+            rasc = sum(1 << i for i, s in enumerate(simple)
+                       if perm[s] < n_pos)
+            lasc = sum(map(bit, simple_set.intersection(perm[:n_pos])))
+            img = tuple([pos.get(perm[s], -1) for s in cut])
             buckets.setdefault((lasc, rasc), []).append(
-                (*image_masks(self.rs, img[:cut]), length))
-        return [(lasc, rasc, b) for (lasc, rasc), b in buckets.items()]
+                (*image_masks(rs, img), length))
+        self.order = sum(map(len, buckets.values()))
+        self._buckets = [(*key, b) for key, b in buckets.items()]
 
     # -- coset series ----------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Affine Weyl group arithmetic, lengths and classification."""
 
+import functools
 import random
 import textwrap
 from collections import defaultdict
+from operator import itemgetter
 
 import pytest
 
@@ -10,8 +12,8 @@ from coxgrowth import build_label, rootsystem
 from coxgrowth.affine import coset_pattern, get_affine, normalizes
 from coxgrowth.ratfun import IntPoly
 from test_finite import (_is_unit_col, _root_sign, act_coroot, matcol,
-                         mul as table_mul, reference_columns,
-                         reference_table)
+                         mul as table_mul, reference_table, renumbered,
+                         walk_order, walk_table)
 from test_series import _run_optimized
 
 
@@ -28,25 +30,24 @@ def b2():
 # -- reference group operations, affine roots and inversion sets ---------
 
 
+@functools.lru_cache(maxsize=8)
 def reference(aff):
-    """The matrix reference of aff's finite table, numbered alike."""
-    ref = reference_table(aff.rs)
-    assert reference_columns(ref) == aff.table.succ
-    return ref
+    """The matrix reference of aff's finite group, numbered as aff.perms."""
+    return renumbered(reference_table(aff.rs), walk_order(aff))
 
 
 def mul(aff, x, y):
     (w1, m1), (w2, m2) = x, y
     w2i = reference(aff).inv_idx[w2]
-    m1r = act_coroot(aff.table, w2i, m1)
-    return (table_mul(aff.table, w1, w2),
+    m1r = act_coroot(walk_table(aff), w2i, m1)
+    return (table_mul(walk_table(aff), w1, w2),
             tuple(a + b for a, b in zip(m2, m1r)))
 
 
 def inv(aff, x):
     w, m = x
     return (reference(aff).inv_idx[w],
-            tuple(-c for c in act_coroot(aff.table, w, m)))
+            tuple(-c for c in act_coroot(walk_table(aff), w, m)))
 
 
 def theta_index(aff):
@@ -201,11 +202,23 @@ class TestGroupStructure:
         # the walk's column for generator 0 lists the index of w s_theta
         # for each finite w, s_theta found in the matrix reference
         aff = get_affine(build_label(label))
-        t, at = aff.table, theta_index(aff)
+        t, at = walk_table(aff), theta_index(aff)
         assert aff._next[0] == [table_mul(t, w, at)
                                 for w in range(t.order)]
         assert aff._next[0] == [reference(aff).mul(w, at)
                                 for w in range(t.order)]
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3", "D4",
+                                       "F4"])
+    def test_next_composes_the_generators(self, label):
+        # perms[_next[g][w]] is perms[w] composed with s_g, each s_g from
+        # the matrix reference
+        aff = get_affine(build_label(label))
+        assert aff.perms[0] == tuple(range(len(aff.rs.roots)))
+        for g, (s, _) in generators(aff).items():
+            compose = itemgetter(*walk_table(aff).perms[s])
+            assert [aff.perms[y] for y in aff._next[g]] == [
+                compose(p) for p in aff.perms]
 
     def test_axioms_sampled(self, a2, b2):
         rng = random.Random(3)
@@ -303,7 +316,6 @@ class TestClassification:
     def test_q_pattern_by_conjugation(self, a2):
         # k lands in Q exactly when x s_k x^-1 is a generator of W_J
         rs = a2.rs
-        table = a2.table
         elements, _ = a2.bfs_enumerate(6)
         j = rs.mask_of([1])
         k = rs.mask_of([2])
@@ -323,7 +335,7 @@ class TestClassification:
         elements, _ = b2.bfs_enumerate(6)
         for j in rs.subsets():
             members = {(w, (0,) * rs.rank)
-                       for w in _parabolic_indices(b2.table, j)}
+                       for w in _parabolic_indices(walk_table(b2), j)}
             gens = [b2.mul_gen(b2.identity(), i + 1)
                     for i in range(rs.rank) if (j >> i) & 1]
             for x in elements:
@@ -355,7 +367,7 @@ def reference_classify(aff, x, j_mask, k_mask):
     in K with x . (alpha_k, 0) = (alpha_j, 0) for some j in J."""
     w, m = x
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
-    wm = act_coroot(aff.table, w, m)
+    wm = act_coroot(walk_table(aff), w, m)
     cwm = rootsystem.mat_vec(aff.rs.cartan, wm)
     ref = reference(aff)
     rmat, rinv = ref.rmats[w], ref.rinvs[w]
@@ -452,7 +464,7 @@ def reference_profile(aff, x):
     """classify by matrix algebra: <alpha_i, v> and <alpha_i, w v> from
     the Cartan matrix and the coroot action of w."""
     w, m = x
-    table = aff.table
+    table = walk_table(aff)
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     cwm = rootsystem.mat_vec(aff.rs.cartan, act_coroot(table, w, m))
     right, left, perm = table.rasc[w], table.lasc[w], table.perms[w]
@@ -475,7 +487,7 @@ def reference_length(aff, x):
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     n_pos = len(aff.rs.positive_roots)
     return sum(abs(sum(a * b for a, b in zip(root, cm))
-                   + (aff.table.perms[w][r] >= n_pos))
+                   + (walk_table(aff).perms[w][r] >= n_pos))
                for r, (root, _) in enumerate(aff.rs.positive_roots))
 
 

@@ -184,9 +184,11 @@ class TestExitCodes:
         for t in tables:
             cut = t.mask.bit_length()
             assert cut <= 2
-            for img in t.simple_img:
-                q_of, r_of = rs._derived["images", img[:cut]]
-                assert len(q_of) == len(r_of) == 1 << cut
+            for _, _, bucket in t._buckets:
+                for q_of, r_of, _ in bucket:
+                    assert len(q_of) == len(r_of) == 1 << cut
+        images = [k[1] for k in rs._derived if k[0] == "images"]
+        assert images and all(len(img) <= 2 for img in images)
 
     def test_long_rank_refused_before_int(self, capsys):
         # int() refuses over 4300 digits with a message of its own; the
@@ -202,6 +204,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "cartan", "A\u00b2")
         assert code == 2 and out == ""
         assert err == "error: cannot parse type label 'A\u00b2'\n"
+
+    def test_non_integer_generator_id_named(self, capsys):
+        code, out, err = run(capsys, "finite", "--type", "A3", "--subset",
+                             "1.5")
+        assert code == 2 and out == ""
+        assert err == "error: generator id '1.5' is not an integer\n"
+        code, out, err = run(capsys, "series", "--type", "A3", "--J", "1",
+                             "--K", "2,x")
+        assert code == 2 and out == ""
+        assert err == "error: generator id 'x' is not an integer\n"
 
     def test_degree_bound_admits_the_bound(self, capsys):
         code, out, _ = run(capsys, "series", "--type", "A2", "--J", "1",
@@ -231,6 +243,47 @@ class TestExitCodes:
     def test_check_success(self, capsys):
         code, out, _ = run(capsys, "check", "--type", "A1", "--degree", "10")
         assert code == 0
+
+
+# Runs `growth` with the arguments given in a child of this small
+# interpreter and prints the child's exit code and peak RSS in MB.  A
+# child's peak includes that of the process it was started from, so the
+# command is not started from the test process itself.
+_PEAK_SCRIPT = textwrap.dedent("""
+    import os, subprocess, sys
+    proc = subprocess.Popen([sys.executable, "-m", "coxgrowth.cli",
+                             *sys.argv[1:]], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    scale = 1 if sys.platform == "darwin" else 1024
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss * scale / 2**20)
+""")
+
+
+def _peak_rss_mb(*argv):
+    """(exit code, peak RSS in MB) of `growth ARGV` in a fresh child."""
+    proc = _run_python(["-c", _PEAK_SCRIPT, *argv])
+    assert proc.returncode == 0, proc.stderr
+    code, peak = proc.stdout.split()
+    return int(code), float(peak)
+
+
+class TestFootprint:
+    def test_e6_series_stores_no_elements(self):
+        # a table keeps its coset buckets, not its elements: this peaked
+        # at 60 MB while every table kept its root permutations
+        code, peak = _peak_rss_mb("series", "--type", "E6", "--J", "1",
+                                  "--K", "2")
+        assert code == 0
+        assert peak < 40
+
+    def test_series_builds_no_affine_group(self, capsys):
+        code, out, _ = run(capsys, "series", "--type", "D4", "--J", "1",
+                           "--K", "2")
+        assert code == 0 and out
+        rs = build_label("D4")
+        assert ("table", rs.full_mask) in rs._derived
+        assert "affine" not in rs._derived
 
 
 class TestJsonOutput:

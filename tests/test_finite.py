@@ -1,10 +1,12 @@
 """Finite Weyl group tables and coset-series polynomials."""
 
+import copy
 import functools
 import itertools
 import json
 import random
 import textwrap
+import time
 from collections import defaultdict
 from operator import itemgetter
 
@@ -30,6 +32,96 @@ ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12,
 @pytest.fixture(scope="module")
 def tables():
     return {label: get_table(build_label(label)) for label in ORDERS}
+
+
+# -- BFS reference table -------------------------------------------------
+# The elements of W_mask by breadth-first search over root permutations,
+# each new one found by a lookup in the index of those seen: perms,
+# lengths and index by element, succ[i][x], the index of x s_i, in one
+# list per generator i of the mask (None for the others), and the ascent
+# masks and simple-root images of each element.
+
+
+class BFSTable:
+    def __init__(self, rs, mask=None):
+        if mask is None:
+            mask = rs.full_mask
+        self.rs = rs
+        self.mask = mask
+        self.succ = [[] if (mask >> i) & 1 else None for i in range(rs.rank)]
+        gens = [(itemgetter(*perm), self.succ[i])
+                for i, perm in enumerate(rs.simple_reflections())
+                if (mask >> i) & 1]
+        ident = tuple(range(len(rs.roots)))
+        self.perms = [ident]
+        self.lengths = [0]
+        self.index = {ident: 0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for idx in frontier:
+                for compose, column in gens:
+                    new = compose(self.perms[idx])
+                    pos = self.index.get(new)
+                    if pos is None:
+                        pos = len(self.perms)
+                        self.perms.append(new)
+                        self.lengths.append(self.lengths[idx] + 1)
+                        self.index[new] = pos
+                        nxt.append(pos)
+                    column.append(pos)
+            frontier = nxt
+        self.order = len(self.perms)
+        # x alpha_i > 0 when x sends alpha_i to an index below N, and
+        # x^-1 alpha_i > 0 when alpha_i is among the first N entries
+        n_pos, simple = len(rs.positive_roots), rs.simple_idx
+        pos = {s: i for i, s in enumerate(simple)}
+        self.rasc = [sum(1 << i for i, s in enumerate(simple)
+                         if perm[s] < n_pos) for perm in self.perms]
+        self.lasc = [sum(1 << pos[s] for s in pos.keys() & perm[:n_pos])
+                     for perm in self.perms]
+        self.simple_img = [tuple(pos.get(perm[s], -1) for s in simple)
+                           for perm in self.perms]
+
+
+@functools.lru_cache(maxsize=16)
+def bfs_table(rs, mask=None):
+    return BFSTable(rs, mask)
+
+
+def renumbered(t, old):
+    """A copy of the reference table t (a BFSTable or a MatrixTable) whose
+    element w is t's element old[w]."""
+    new = {o: w for w, o in enumerate(old)}
+    out = copy.copy(t)
+    for name, value in vars(t).items():
+        if name == "index":
+            out.index = {key: new[v] for key, v in value.items()}
+        elif name == "succ":
+            out.succ = [c and [new[c[o]] for o in old] for c in value]
+        elif name == "rmult":
+            out.rmult = [{i: new[y] for i, y in value[o].items()}
+                         for o in old]
+        elif name == "inv_idx":
+            out.inv_idx = [new[value[o]] for o in old]
+        elif isinstance(value, list):
+            setattr(out, name, [value[o] for o in old])
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def walk_order(aff):
+    """The BFS index of each finite element of aff, in aff's walk order;
+    the matrix reference numbers its elements as the BFS does."""
+    t = bfs_table(aff.rs)
+    assert reference_columns(reference_table(aff.rs)) == t.succ
+    return tuple(t.index[p] for p in aff.perms)
+
+
+@functools.lru_cache(maxsize=8)
+def walk_table(aff):
+    """The BFS reference of aff's finite group, numbered as aff.perms."""
+    return renumbered(bfs_table(aff.rs), walk_order(aff))
 
 
 def parabolic_elements(t, mask):
@@ -112,7 +204,7 @@ def table_flips(t):
 # root coordinates (column j is the image of alpha_j), rinv is the rmat
 # of the inverse and cmat acts on coroot coordinates.  The BFS composes
 # rmats, x*s_i = x.rmat @ S_i, and visits the generators in the same
-# order as GroupTable, so both number the elements alike.
+# order as BFSTable, so both number the elements alike.
 
 
 def matmul(a, b):
@@ -247,7 +339,7 @@ class TestAgainstMatrixReference:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4", "G2"])
     def test_every_element(self, label):
         rs = build_label(label)
-        t, ref = get_table(rs), reference_table(rs)
+        t, ref = bfs_table(rs), reference_table(rs)
         n = rs.rank
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         assert t.order == len(ref.rmats)
@@ -279,7 +371,7 @@ class TestSuccessorColumns:
     @pytest.mark.parametrize("label,mask", list(column_cases()))
     def test_columns_compose_the_generators(self, label, mask):
         rs = build_label(label)
-        t = get_table(rs, mask)
+        t = bfs_table(rs, mask)
         for i, perm in enumerate(rs.simple_reflections()):
             column = t.succ[i]
             if not (t.mask >> i) & 1:
@@ -293,9 +385,9 @@ class TestSuccessorColumns:
     @pytest.mark.parametrize("label", ["A3", "B3", "D4", "F4"])
     def test_affine_walk_reads_the_same_lists(self, label):
         rs = build_label(label)
-        aff, t = get_affine(rs), get_table(rs)
+        aff, t = get_affine(rs), walk_table(get_affine(rs))
         for i in range(rs.rank):
-            assert aff._next[i + 1] is t.succ[i]
+            assert aff._next[i + 1] == t.succ[i]
 
 
 class TestGroupTable:
@@ -305,13 +397,13 @@ class TestGroupTable:
 
     def test_length_is_inversion_count(self, tables):
         for label in ["A3", "B3", "G2"]:
-            t = tables[label]
+            t = bfs_table(tables[label].rs)
             ref = reference_table(t.rs)
             for idx in range(t.order):
                 assert t.lengths[idx] == inversion_count(ref, idx)
 
     def test_group_axioms_sampled(self, tables):
-        t = tables["B3"]
+        t = bfs_table(tables["B3"].rs)
         inv_idx = reference_table(t.rs).inv_idx
         rng = random.Random(7)
         for _ in range(200):
@@ -322,7 +414,7 @@ class TestGroupTable:
 
     def test_longest_element(self, tables):
         for label in ["A3", "B3", "G2"]:
-            t = tables[label]
+            t = bfs_table(tables[label].rs)
             rs = t.rs
             w0 = table_longest(t, rs.full_mask)
             assert t.lengths[w0] == rs.longest_length(rs.full_mask)
@@ -332,7 +424,7 @@ class TestGroupTable:
             assert table_conj(t, w0, rs.full_mask) == rs.full_mask
 
     def test_descents_vs_length(self, tables):
-        t = tables["B2"]
+        t = bfs_table(tables["B2"].rs)
         for idx in range(t.order):
             for i in range(t.rs.rank):
                 longer = t.lengths[t.succ[i][idx]] > t.lengths[idx]
@@ -369,7 +461,7 @@ class TestFlips:
                                    for m in rs.subsets(x)}
         # the table reference agrees on every parabolic table
         for mask in rs.subsets():
-            assert table_flips(get_table(rs, mask)) == {
+            assert table_flips(bfs_table(rs, mask)) == {
                 x: rs.flips(x) for x in rs.subsets(mask)}
 
     # the types where some eps_X is not the identity beyond rank 4: the
@@ -378,7 +470,7 @@ class TestFlips:
     def test_against_table_reference(self, label):
         rs = build_label(label)
         flips = {x: rs.flips(x) for x in rs.subsets()}
-        assert flips == table_flips(get_table(rs))
+        assert flips == table_flips(bfs_table(rs))
         assert any(flips[rs.full_mask][m] != m for m in rs.subsets())
         assert all(flips[x] is rs.flips(x) for x in rs.subsets())
 
@@ -399,7 +491,7 @@ class TestFlips:
     def test_reduction_targets_against_element_products(self, label):
         rs = build_label(label)
         for mask in rs.subsets():
-            t = get_table(rs, mask)
+            t = bfs_table(rs, mask)
             want = []
             for k in rs.subsets(mask):
                 for q in rs.subsets(k):
@@ -421,7 +513,8 @@ class TestBAndC:
         b, c = build_label(f"B{n}"), build_label(f"C{n}")
         assert b.cartan != c.cartan and b.roots != c.roots
         tb, tc = get_table(b), get_table(c)
-        assert tb.perms != tc.perms and tb.order == tc.order
+        assert bfs_table(b).perms != bfs_table(c).perms
+        assert tb.order == tc.order
         subs = b.subsets()
         for j in subs:
             for k in subs:
@@ -465,12 +558,12 @@ class TestCosetSeries:
         # the number of double cosets, counted directly as orbits, equals
         # the number of minimal representatives
         t = tables["B2"]
-        rs = t.rs
+        rs, ref = t.rs, bfs_table(t.rs)
         for j in rs.subsets():
             for k in rs.subsets():
-                wj = parabolic_elements(t, j)
-                wk = parabolic_elements(t, k)
-                orbits = {frozenset(mul(t, mul(t, u, x), v)
+                wj = parabolic_elements(ref, j)
+                wk = parabolic_elements(ref, k)
+                orbits = {frozenset(mul(ref, mul(ref, u, x), v)
                                     for u in wj for v in wk)
                           for x in range(t.order)}
                 total = sum(t.p_poly(q, j, k)(1) for q in rs.subsets(k))
@@ -506,12 +599,12 @@ class TestCosetSeries:
     def test_normalizer_at_one(self, tables):
         # |N_W(W_J)| = |W_J| * p_{J,J,J}(1), checked against a direct count
         t = tables["B3"]
-        rs = t.rs
+        rs, ref = t.rs, bfs_table(t.rs)
         inv_idx = reference_table(rs).inv_idx
         for j in rs.subsets():
-            wj = parabolic_elements(t, j)
+            wj = parabolic_elements(ref, j)
             count = sum(1 for x in range(t.order)
-                        if {mul(t, mul(t, x, u), inv_idx[x])
+                        if {mul(ref, mul(ref, x, u), inv_idx[x])
                             for u in wj} == wj)
             assert count == len(wj) * t.p_poly(j, j, j)(1)
 
@@ -570,8 +663,8 @@ class TestBucketedScan:
             t = get_table(rs, mask)
             for j in rs.subsets(mask):
                 for k in rs.subsets(mask):
-                    assert t._scan(j, k) == reference_scan(t, j, k), (
-                        mask, j, k)
+                    assert t._scan(j, k) == reference_scan(
+                        bfs_table(rs, mask), j, k), (mask, j, k)
             # a J or K outside the table's mask is refused
             outside = rs.full_mask & ~mask
             for j, k in [(outside, 0), (0, outside)] if outside else []:
@@ -580,36 +673,39 @@ class TestBucketedScan:
 
     def test_random_pairs_b5(self):
         t = get_table(build_label("B5"))
-        subs = t.rs.subsets()
+        subs, ref = t.rs.subsets(), bfs_table(t.rs)
         rng = random.Random(14)
         for _ in range(100):
             j, k = rng.choice(subs), rng.choice(subs)
-            assert t._scan(j, k) == reference_scan(t, j, k), (j, k)
+            assert t._scan(j, k) == reference_scan(ref, j, k), (j, k)
 
     @pytest.mark.parametrize("label, images", [("D4", 58), ("F4", 45)])
     def test_image_masks_shared_per_root_system(self, label, images):
         # every table of the root system, sub-tables included, reads one
         # pair of lists per distinct simple-root image cut after its
         # mask's top generator, 2^b entries each for b that bit length;
-        # a table buckets its elements on its first scan
+        # a table buckets its elements as it is built
         rs = RootSystem(label[0], int(label[1:]))
-        tables = [get_table(rs, mask) for mask in rs.subsets()]
-        assert not any("_buckets" in t.__dict__ for t in tables)
         assert not any(key[0] == "images" for key in rs._derived)
-        for t in tables:
-            t.coset_bins(0, 0)
-        assert all("_buckets" in t.__dict__ for t in tables)
+        tables = [get_table(rs, mask) for mask in rs.subsets()]
         keys = {key for key in rs._derived if key[0] == "images"}
         assert keys == {("images", img[:t.mask.bit_length()])
-                        for t in tables for img in t.simple_img}
+                        for t in tables
+                        for img in bfs_table(rs, t.mask).simple_img}
         assert len(keys) == images
         for t in tables:
             cut = t.mask.bit_length()
+            ref = bfs_table(rs, t.mask)
             for idx in range(0, t.order, 7):
-                img = t.simple_img[idx][:cut]
+                img = ref.simple_img[idx][:cut]
                 lists = image_masks(rs, img)
                 assert lists is rs._derived["images", img]
                 assert [len(x) for x in lists] == [1 << cut] * 2
+            # each bucket entry holds the kept lists of its image
+            kept = {id(rs._derived[key][0]) for key in keys}
+            assert all(id(q_of) in kept and len(r_of) == 1 << cut
+                       for _, _, bucket in t._buckets
+                       for q_of, r_of, _ in bucket)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_image_masks_brute_force(self, n):
@@ -717,7 +813,7 @@ class TestPackedMatmul:
             rs = build_label(label)
             table = get_table(rs)
             packed = PackedBins(table)
-            size = max(table.lengths) + 1
+            size = max(bfs_table(rs).lengths) + 1
             cols = rs.subsets()
             # the sign -1 reaches the negative end of the signed range
             a = PolyMatrix([0], cols,
@@ -946,6 +1042,60 @@ _FLIP_SCRIPT = _BREAK_WALK + textwrap.dedent("""
 """)
 
 
+# Gives generator 2 of a fresh A2 root system the root permutation FAULT
+# in place of s_2 and requires the walk of W to raise.  Exit codes: 0
+# raised, 1 did not raise, 3 asserts were not stripped.
+_WALK_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth.finite import walk
+    from coxgrowth.rootsystem import RootSystem
+    if __debug__:
+        sys.exit(3)
+    rs = RootSystem("A", 2)
+    s1, _ = rs.simple_reflections()
+    rs._derived["simple_reflections"] = (s1, FAULT)
+    try:
+        for _ in walk(rs, rs.full_mask):
+            pass
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
+class TestWalk:
+    @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2",
+                                       "E6"])
+    def test_yields_each_reference_element_once(self, label):
+        # every parabolic, and the full group alone for E6
+        rs = build_label(label)
+        for mask in [rs.full_mask] if label == "E6" else rs.subsets():
+            ref = BFSTable(rs, mask)
+            got = list(finite.walk(rs, mask))
+            assert got[0] == (ref.perms[0], 0)
+            assert len(got) == len({p for p, _ in got}) == ref.order
+            assert all(ref.lengths[ref.index[p]] == l for p, l in got)
+
+    def test_overcount_raises_at_the_first_level_over(self):
+        # with s_2 the identity, the identity is its own child at every
+        # level, and the walk never ends; A2 has W(t) = 1 + 2t + 2t^2 + t^3
+        t0 = time.monotonic()
+        out = _run_optimized(_WALK_SCRIPT.replace(
+            "FAULT", "tuple(range(len(rs.roots)))"))
+        assert time.monotonic() - t0 < 10
+        assert out == ("walk level 3 has 2 elements, over the closed form "
+                       "1 + 2*t + 2*t^2 + t^3\n")
+
+    def test_undercount_raises_at_the_end(self):
+        # with s_2 the reflection in the highest root, every child of s_1
+        # has the descent 1 below its last step, and the walk stops at s_1
+        out = _run_optimized(_WALK_SCRIPT.replace("FAULT", (
+            "rs.reflection(rs.highest_root, rs.highest_root_coroot)")))
+        assert out == ("walk length histogram [1, 1] is not the closed form "
+                       "1 + 2*t + 2*t^2 + t^3\n")
+
+
 class TestExplicitChecks:
     def test_inexact_solomon_quotient_fails_the_check(self):
         proc = _run_python(["-O", "-c", _SOLOMON_SCRIPT])
@@ -956,10 +1106,10 @@ class TestExplicitChecks:
 
     def test_checks_raise_under_optimize(self):
         out = _run_optimized(_CHECKS_SCRIPT)
-        assert ("coefficient: BFS length histogram [1, 2, 2, 1] is not the "
+        assert ("coefficient: walk length histogram [1, 2, 2, 1] is not the "
                 "closed form 1 + 2*t + 3*t^2 + t^3" in out)
-        assert ("degree: BFS length histogram [1, 2, 2, 1] is not the "
-                "closed form 1 + 2*t + t^2 + t^3 + t^4" in out)
+        assert ("degree: walk level 2 has 2 elements, over the closed form "
+                "1 + 2*t + t^2 + t^3 + t^4" in out)
         assert "exponents: 1 roots of height 3 but 0 of height 2" in out
         assert "matmul: matrix product: columns and rows differ" in out
         assert ("p-conj: w_X does not send the simple roots of X=[1] onto "

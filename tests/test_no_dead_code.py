@@ -150,5 +150,5 @@ def test_the_scan_sees_the_package():
     assert {"p_poly", "classify", "mul_gen"} <= methods
     assert "poly_gcd" not in methods
     attributes = {name for _, name in self_attributes()}
-    assert {"perms", "succ", "roots", "_refl"} <= attributes
+    assert {"perms", "_buckets", "roots", "_refl"} <= attributes
     assert "MAX_GROUP_ORDER" in {name for _, name in module_constants()}

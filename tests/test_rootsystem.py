@@ -8,12 +8,11 @@ from math import gcd
 import pytest
 
 from coxgrowth import rootsystem
-from coxgrowth.finite import get_table
 from coxgrowth.ratfun import IntPoly
 from coxgrowth.rootsystem import (build_label, cartan_matrix, exponents,
                                   parse_label, mat_det, mat_vec,
                                   InvalidTypeError)
-from test_finite import parabolic_elements
+from test_finite import bfs_table, parabolic_elements
 from test_series import _run_optimized
 
 
@@ -175,7 +174,7 @@ class TestPoincare:
         # W_J counted inside the full table by closure under the
         # generators of J, with lengths from the full table's BFS
         rs = build_label(label)
-        t = get_table(rs)
+        t = bfs_table(rs)
         for mask in rs.subsets():
             members = parabolic_elements(t, mask)
             hist = [0] * (max(t.lengths[x] for x in members) + 1)
