@@ -17,7 +17,7 @@ for label in ["A1", "A2", "B2", "G2"]:
     for j in rs.subsets():
         series = pl.normalizer_series(j)
         got = expand(series, 12)
-        want = aff.normalizer_counts(j, 12)
+        want = aff.oracle_scan(12, [], [j])[1][j]
         tag = "ok" if got == want else "MISMATCH"
         print(f"  J={rs.ids_of(j)!s:8} N(W_J)(t) = {series}   [{tag}]")
     print()

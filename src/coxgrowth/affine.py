@@ -31,18 +31,19 @@ so no product of two finite elements is taken.
 
 The enumeration walk carries each element's pairings P[b] = <beta_b, v>
 with every root: s_i gathers them along its root permutation, s_0 along
-that of s_theta plus the shift -<beta_b, theta^vee>.  (w, P at the
-simple roots) tells elements apart, the closed-form length is a sum over
-P, and the m of each new element, made by `mul_gen`, must pair with the
+that of s_theta plus the shift -<beta_b, theta^vee>.  Sign tests on P
+find the descents, so each element comes once, from its lowest right
+descent, and none is looked up; the closed-form length is a sum over P,
+and the m of each new element, made by `mul_gen`, must pair with the
 simple roots as P does.  `classify` gives the profile of an element: the
 masks of right and left ascents (x . (alpha_i, 0) > 0 and
 x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
 w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
 Minimality in a (W_J, W_K) double coset, Q and normalizing W_J are mask
-tests on it.  One scan, with lengths from the BFS depths, keeps a length
-histogram per distinct profile, each tested once against every (J, K)
-and every normalizer; a long enumeration has far fewer profiles than
-elements.  Root heights give every Poincare series, Bott's
+tests on it.  One scan, with lengths from the walk's depths, keeps a
+length histogram per distinct profile, each tested once against every
+(J, K) and every normalizer; a long enumeration has far fewer profiles
+than elements.  Root heights give every Poincare series, Bott's
 W(t) / prod (1 - t^e) included.
 """
 
@@ -56,11 +57,6 @@ from . import rootsystem
 from .finite import image_masks, walk
 
 MAX_BFS_ELEMENTS = 3 * 10 ** 6
-
-
-def _gather(idx):
-    """p -> tuple(p[i] for i in idx), a tuple also for one index."""
-    return itemgetter(*idx) if len(idx) > 1 else lambda p: (p[idx[0]],)
 
 
 class AffineWeyl:
@@ -91,18 +87,15 @@ class AffineWeyl:
         self._refl = [(self._pair[b], rs.coroots[b], int(g == 0))
                       for g, b in enumerate(roots)]
         # the walk's move by each generator g on P[b] = <beta_b, v>: x s_g
-        # has P[perm[b]], plus _shift[b] = -<beta_b, theta^vee> for g = 0;
-        # a move is (g, _next[g], its map of P, that of P's simple entries)
+        # has P[perm[b]], plus _shift[b] = -<beta_b, theta^vee> for g = 0
         self._shift = tuple(-sum(map(mul, row, rs.highest_root_coroot))
                             for row in self._pair)
-        at_s = _gather([theta[s] for s in rs.simple_idx])
-        at_shift = _gather(rs.simple_idx)(self._shift)
-        self._moves = [(0, self._next[0],
-                        lambda p: tuple(map(add, compose(p), self._shift)),
-                        lambda p: tuple(map(add, at_s(p), at_shift)))]
-        self._moves += [(g, self._next[g], itemgetter(*perm),
-                         _gather([perm[s] for s in rs.simple_idx]))
-                        for g, perm in enumerate(rs.simple_reflections(), 1)]
+        self._moves = [lambda p: tuple(map(add, compose(p), self._shift)),
+                       *(itemgetter(*perm) for perm in rs.simple_reflections())]
+        # the wall (r, c) of each generator: x . a_g = (w beta_r, c - P[r]),
+        # with a_0 = (-theta, 1), the index of -beta_b being b + N
+        self._walls = [(roots[0] + len(rs.positive_roots), 1),
+                       *((s, 0) for s in rs.simple_idx)]
         # by finite index w: [w beta_b < 0] over beta_b > 0, classify's record
         self._chi, self._records = {}, {}
         self._off_walls = (-1,) * n
@@ -129,11 +122,15 @@ class AffineWeyl:
     # -- enumeration ----------------------------------------------------
 
     def bfs_enumerate(self, max_length):
-        """(elements in BFS order, {element: length}) up to max_length;
-        each depth is checked against the closed-form length, each m
-        against the root pairings, each level's size against Bott's
-        series.  First refuses a ball of over MAX_BFS_ELEMENTS elements:
-        one per length, the rest from Bott's series in doubling steps."""
+        """(elements level by level, {element: length}) up to max_length,
+        walked as finite.walk does: y = x s_g is kept when g is an ascent of
+        x and no lower generator is a descent of y, so each element comes
+        once, from its parent by its lowest right descent.  g is a descent of
+        x = (w, v) when x . a_g = (w beta_r, c - P[r]) < 0, (r, c) its wall.
+        Each depth is checked against the closed-form length, each m against
+        the root pairings, each level against Bott's series and for repeats.
+        First refuses a ball of over MAX_BFS_ELEMENTS elements: one per
+        length, the rest from Bott's series in doubling steps."""
         rs = self.rs
         num = rs.poincare(rs.full_mask)
         den = IntPoly.one_minus_t(*rootsystem.exponents(
@@ -148,50 +145,57 @@ class AffineWeyl:
                              f"affine {rs.label} elements, over the "
                              f"enumeration bound {MAX_BFS_ELEMENTS}")
         start = self.identity()
-        seen = {start: 0}
+        depths = {start: 0}
         order = [start]
         frontier = [(start, (0,) * len(rs.roots))]
-        # keys (w, P at the simple roots) of the levels below and at the
-        # frontier: l(x s) = l(x) +- 1, so a new level meets only these
-        below, here, depth = set(), {(0, start[1])}, 0
         chis, perms, n_pos = self._chi, self.perms, len(self._pos_pair)
-        while frontier and depth < max_length:
-            depth += 1
-            nxt, keys = [], set()
+        simple, walls = rs.simple_idx, self._walls
+        # (g, its move of P, its _next column, its wall, the lower walls)
+        gens = [(g, *fields, walls[:g]) for g, fields in enumerate(
+            zip(self._moves, self._next, walls))]
+        for depth in range(1, max_length + 1):
+            nxt = []
             frontier.reverse()  # popped in order, to free each P once used
             while frontier:
                 x, pairs = frontier.pop()
-                for g, after, full, at_s in self._moves:
-                    key = (after[x[0]], at_s(pairs))
-                    if key in below or key in keys:
-                        continue
-                    new, w2 = full(pairs), key[0]
-                    chi = chis.get(w2) or chis.setdefault(w2, tuple(
-                        int(b >= n_pos) for b in perms[w2][:n_pos]))
-                    y = self.mul_gen(x, g)
-                    length = sum(map(abs, map(add, new, chi)))
-                    if length != depth:     # an explicit raise survives -O
-                        raise AssertionError(f"BFS depth {depth} != closed-"
-                                             f"form length {length} of {y}")
-                    got = tuple([sum(map(mul, row, y[1]))
-                                 for row in self._simple_pair])
-                    if (y[0], got) != key:
-                        raise AssertionError(
-                            f"BFS element {y} pairs with the simple roots to "
-                            f"{got}, the walk's root pairings at finite index "
-                            f"{w2} to {key[1]}")
-                    seen[y] = depth
-                    order.append(y)
-                    nxt.append((y, new))
-                    keys.add(key)
-                    if len(seen) > MAX_BFS_ELEMENTS:
-                        raise ValueError("enumeration exceeds element bound")
+                perm = perms[x[0]]
+                for g, move, after, (r, c), lower in gens:
+                    level = c - pairs[r]
+                    if level < 0 or level == 0 and perm[r] >= n_pos:
+                        continue    # g is a descent of x
+                    new, perm2 = move(pairs), perms[after[x[0]]]
+                    for r2, c2 in lower:
+                        level = c2 - new[r2]
+                        if level < 0 or level == 0 and perm2[r2] >= n_pos:
+                            break   # a lower generator is a descent of y
+                    else:
+                        nxt.append((self.mul_gen(x, g), new))
+            for y, new in nxt:
+                w = y[0]
+                chi = chis.get(w) or chis.setdefault(w, tuple(
+                    int(b >= n_pos) for b in perms[w][:n_pos]))
+                length = sum(map(abs, map(add, new, chi)))
+                if length != depth:     # an explicit raise survives -O
+                    raise AssertionError(f"BFS depth {depth} != closed-form "
+                                         f"length {length} of {y}")
+                got = tuple([sum(map(mul, row, y[1]))
+                             for row in self._simple_pair])
+                want = tuple(map(new.__getitem__, simple))
+                if got != want:
+                    raise AssertionError(
+                        f"BFS element {y} pairs with the simple roots to "
+                        f"{got}, the walk's root pairings at finite index "
+                        f"{w} to {want}")
             if len(nxt) != levels[depth]:
                 raise AssertionError(f"BFS level {depth} has {len(nxt)} "
                                      f"elements, Bott's series "
                                      f"{levels[depth]}")
-            frontier, below, here = nxt, here, keys
-        return order, seen
+            order += [y for y, _ in nxt]
+            depths.update((y, depth) for y, _ in nxt)
+            if len(depths) != len(order):
+                raise AssertionError(f"BFS level {depth} repeats an element")
+            frontier = nxt
+        return order, depths
 
     def parabolic_poincare(self, gen_ids):
         """Poincare polynomial of the finite group generated by a proper
@@ -255,8 +259,8 @@ class AffineWeyl:
     # -- truncated ground-truth series ----------------------------------
 
     def oracle_scan(self, max_length, pairs, j_masks, elements=None):
-        """One pass over the elements of length <= max_length (the BFS
-        enumeration by default), classifying each once into a length
+        """One pass over the elements of length <= max_length (the walk of
+        bfs_enumerate by default), classifying each once into a length
         histogram per distinct profile; each profile is then matched once
         against every (J, K) and every J.  Returns
         ({(J, K): (bins, total)}, {J: counts}): for each (J, K) in pairs,
@@ -295,11 +299,6 @@ class AffineWeyl:
         Returns (dict Q -> coefficient list, total list)."""
         pair = (j_mask, k_mask)
         return self.oracle_scan(max_length, [pair], [], elements)[0][pair]
-
-    def normalizer_counts(self, j_mask, max_length, elements=None):
-        """Truncated growth count of the full normalizer of W_J."""
-        return self.oracle_scan(max_length, [], [j_mask],
-                                elements)[1][j_mask]
 
 
 def coset_pattern(rs, profile, j_mask, k_mask):

@@ -180,6 +180,27 @@ def reference_bfs(aff, max_length):
     return order, seen
 
 
+def reference_walk(aff, max_length):
+    """The elements up to max_length in the order of the lowest-descent
+    walk, by mul_gen and the closed-form length alone: level by level, for
+    each x and each generator g from 0 up, y = x s_g is kept when it is
+    longer than x and no lower generator shortens it."""
+    level = [aff.identity()]
+    order = list(level)
+    for depth in range(1, max_length + 1):
+        nxt = []
+        for x in level:
+            for g in range(aff.n + 1):
+                y = aff.mul_gen(x, g)
+                if aff.length(y) == depth and all(
+                        aff.length(aff.mul_gen(y, h)) > depth
+                        for h in range(g)):
+                    nxt.append(y)
+        order += nxt
+        level = nxt
+    return order
+
+
 def random_element(aff, rng, nsteps=12):
     x = aff.identity()
     for _ in range(rng.randrange(nsteps)):
@@ -282,13 +303,13 @@ class TestWalk:
                              [("A1", 40), ("A2", 14), ("B2", 14), ("G2", 20),
                               ("A3", 8), ("C3", 7), ("D4", 5)])
     def test_matches_the_product_walk(self, label, max_length):
-        # the root-pairing walk finds the same elements, in the same
-        # order, at the same depths, with the same dict order
+        # the root-pairing walk finds the elements of the product walk at
+        # the same depths, in the order of the lowest-descent rule applied
+        # through mul_gen and the closed-form length
         aff = get_affine(build_label(label))
         order, seen = aff.bfs_enumerate(max_length)
-        want_order, want_seen = reference_bfs(aff, max_length)
-        assert order == want_order
-        assert list(seen.items()) == list(want_seen.items())
+        assert seen == reference_bfs(aff, max_length)[1]
+        assert order == reference_walk(aff, max_length)
 
 
 class TestClassification:
@@ -457,7 +478,7 @@ class TestOracle:
             # a longer enumeration is cut at max_length
             assert b2.oracle_series(j, k, 9, elements) == cosets[(j, k)]
         for j in subs:
-            assert b2.normalizer_counts(j, 9, elements) == counts[j]
+            assert b2.oracle_scan(9, [], [j], elements)[1][j] == counts[j]
 
 
 def reference_profile(aff, x):
@@ -597,10 +618,10 @@ _ACTION_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Makes generator 1 of A2 act on the root pairings, on the finite part and
-# on m as generator 2 does, so that the walk closes up in the finite
-# subgroup generated by s_0 and s_2 with every depth matching the
-# closed-form length and every translation matching its pairings, then
+# Makes generator 1 of A2 act on the root pairings, on the finite part, on
+# m and in the descent test as generator 2 does, so that the walk closes up
+# in the finite subgroup generated by s_0 and s_2 with every depth matching
+# the closed-form length and every translation matching its pairings, then
 # requires the level-size check to raise.  Exit codes as above, and 4 if
 # the move replaced is not generator 1's.
 _LEVEL_SCRIPT = textwrap.dedent("""
@@ -610,9 +631,11 @@ _LEVEL_SCRIPT = textwrap.dedent("""
     if __debug__:
         sys.exit(3)
     aff = get_affine(build_label("A2"))
-    if aff._moves[1][0] != 1:
+    ids = tuple(range(len(aff.rs.roots)))
+    if aff._moves[1](ids) != aff.rs.simple_reflections()[0]:
         sys.exit(4)
-    aff._moves[1] = aff._moves[2]
+    for field in (aff._moves, aff._next, aff._refl, aff._walls):
+        field[1] = field[2]
     try:
         aff.bfs_enumerate(14)
     except AssertionError as exc:
@@ -647,6 +670,35 @@ _SHIFT_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Breaks one generator's wall (r, c) in the descent test at a time, by
+# setting c to 1 - c or r to another generator's wall root, on A2, B2, G2
+# and A3, and requires a raise for every fault.  Exit codes as above, with
+# 1 when some fault did not raise.
+_DESCENT_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label
+    from coxgrowth.affine import get_affine
+    if __debug__:
+        sys.exit(3)
+    missed = []
+    for label in ("A2", "B2", "G2", "A3"):
+        aff = get_affine(build_label(label))
+        walls = list(aff._walls)
+        for g, (r, c) in enumerate(walls):
+            faults = [(r, 1 - c)] + [(r2, c) for h, (r2, _) in
+                                     enumerate(walls) if h != g]
+            for fault in faults:
+                aff._walls[g] = fault
+                try:
+                    aff.bfs_enumerate(10)
+                    missed.append((label, g, fault))
+                except AssertionError as exc:
+                    print(label, g, fault, exc)
+            aff._walls[g] = walls[g]
+    sys.exit(1 if missed else 0)
+""")
+
+
 class TestParabolicPoincare:
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3",
                                        "D4", "F4"])
@@ -677,6 +729,11 @@ class TestExplicitChecks:
     def test_affine_shift_checked(self):
         out = _run_optimized(_SHIFT_SCRIPT)
         assert len(out.splitlines()) == 6
+
+    def test_descent_walls_checked(self):
+        # 9 faults on each rank-2 type and 16 on A3, each raising
+        out = _run_optimized(_DESCENT_SCRIPT)
+        assert len(out.splitlines()) == 3 * 9 + 16
 
     def test_proper_subsets_only(self, a2):
         with pytest.raises(ValueError, match="proper subsets only"):
