@@ -13,7 +13,8 @@ by its simple-coroot coordinate vector m.  Conventions:
 
 The action convention is the one under which a generator s_a lengthens x
 on the right exactly when x sends the simple affine root a to a positive
-affine root; this duality is asserted in the tests against BFS depths.
+affine root; this duality is asserted in the tests against the
+closed-form length.
 The package itself multiplies only by generators (`mul_gen`); the
 general product, the inverse, the root action, the inversion sets and
 the closure of a parabolic are reference implementations in the tests.
@@ -40,16 +41,18 @@ masks of right and left ascents (x . (alpha_i, 0) > 0 and
 x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
 w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
 Minimality in a (W_J, W_K) double coset, Q and normalizing W_J are mask
-tests on it.  One scan, with lengths from the walk's depths, keeps a
-length histogram per distinct profile, each tested once against every
-(J, K) and every normalizer; a long enumeration has far fewer profiles
-than elements.  Root heights give every Poincare series, Bott's
-W(t) / prod (1 - t^e) included.
+tests on it.  One scan, with each length read off the walk's level
+sizes, keeps a length histogram per distinct profile, each tested once
+against every (J, K) and every normalizer; a long enumeration has far
+fewer profiles than elements.  Root heights give every Poincare series,
+Bott's W(t) / prod (1 - t^e) included, and `parabolic_poincare` reads
+those of the affine parabolics off the root system with no group built.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, repeat, starmap
 from operator import add, itemgetter, mul
 
 from .ratfun import IntPoly, expand
@@ -122,13 +125,15 @@ class AffineWeyl:
     # -- enumeration ----------------------------------------------------
 
     def bfs_enumerate(self, max_length):
-        """(elements level by level, {element: length}) up to max_length,
-        walked as finite.walk does: y = x s_g is kept when g is an ascent of
-        x and no lower generator is a descent of y, so each element comes
-        once, from its parent by its lowest right descent.  g is a descent of
+        """(elements level by level, sizes) up to max_length, sizes[d] the
+        number of elements of length d, Bott's coefficient of t^d.  Walked
+        as finite.walk does: y = x s_g is kept when g is an ascent of x and
+        no lower generator is a descent of y, so each element comes once,
+        from its parent by its lowest right descent.  g is a descent of
         x = (w, v) when x . a_g = (w beta_r, c - P[r]) < 0, (r, c) its wall.
         Each depth is checked against the closed-form length, each m against
-        the root pairings, each level against Bott's series and for repeats.
+        the root pairings, each level against Bott's series and for repeats;
+        as every depth is a length, no element can repeat across levels.
         First refuses a ball of over MAX_BFS_ELEMENTS elements: one per
         length, the rest from Bott's series in doubling steps."""
         rs = self.rs
@@ -145,7 +150,6 @@ class AffineWeyl:
                              f"affine {rs.label} elements, over the "
                              f"enumeration bound {MAX_BFS_ELEMENTS}")
         start = self.identity()
-        depths = {start: 0}
         order = [start]
         frontier = [(start, (0,) * len(rs.roots))]
         chis, perms, n_pos = self._chi, self.perms, len(self._pos_pair)
@@ -190,32 +194,12 @@ class AffineWeyl:
                 raise AssertionError(f"BFS level {depth} has {len(nxt)} "
                                      f"elements, Bott's series "
                                      f"{levels[depth]}")
-            order += [y for y, _ in nxt]
-            depths.update((y, depth) for y, _ in nxt)
-            if len(depths) != len(order):
+            made = [y for y, _ in nxt]
+            if len(set(made)) != len(made):
                 raise AssertionError(f"BFS level {depth} repeats an element")
+            order += made
             frontier = nxt
-        return order, depths
-
-    def parabolic_poincare(self, gen_ids):
-        """Poincare polynomial of the finite group generated by a proper
-        subset I of the n+1 generators, from the heights of its positive
-        roots: (beta, 0) for beta > 0 on F = I - {0}, of height ht beta,
-        and if 0 is in I, (beta, 1) for theta + beta (>= 0, as theta is
-        highest) supported on F, of height 1 + ht(theta + beta); a
-        generator outside I bounds the level by 1."""
-        gen_ids = set(gen_ids)
-        if len(gen_ids) > self.n:
-            raise ValueError("proper subsets only")
-        rs = self.rs
-        f_mask = rs.mask_of(gen_ids - {0})
-        heights = [sum(root) for root, _ in rs.positive_roots_of(f_mask)]
-        if 0 in gen_ids:
-            for beta in rs.roots:
-                up = [a + b for a, b in zip(rs.highest_root, beta)]
-                if all(c == 0 or (f_mask >> i) & 1 for i, c in enumerate(up)):
-                    heights.append(1 + sum(up))
-        return rootsystem.poincare_of(heights)
+        return order, levels
 
     # -- classification -------------------------------------------------
 
@@ -266,18 +250,18 @@ class AffineWeyl:
         ({(J, K): (bins, total)}, {J: counts}): for each (J, K) in pairs,
         the coefficient lists t^l(x) of the minimal double-coset
         representatives binned by Q and in total; for each J in j_masks,
-        those of the elements normalizing W_J."""
+        those of the elements normalizing W_J.  The walk's lengths are read
+        off its level sizes, those of given elements from the closed form."""
         if elements is None:
-            elements, depths = self.bfs_enumerate(max_length)
-            length = depths.__getitem__
+            elements, sizes = self.bfs_enumerate(max_length)
+            lengths = chain.from_iterable(starmap(repeat, enumerate(sizes)))
         else:
-            length = self.length
+            lengths = map(self.length, elements)
         size = max_length + 1
         # one length histogram per distinct profile, in the order of first
         # appearance, so the bins get their keys in the enumeration order
         histograms = defaultdict(lambda: [0] * size)
-        for x in elements:
-            l = length(x)
+        for x, l in zip(elements, lengths):
             if l <= max_length:
                 histograms[self.classify(x)][l] += 1
         cosets = {pair: (defaultdict(lambda: [0] * size), [0] * size)
@@ -318,6 +302,26 @@ def normalizes(profile, j_mask):
     supp = profile[3]
     return all(supp[i] & ~j_mask == 0
                for i in range(len(supp)) if (j_mask >> i) & 1)
+
+
+def parabolic_poincare(rs, gen_ids):
+    """Poincare polynomial of the finite group generated by a proper subset
+    I of the rank + 1 generators of the affine group of rs, from the
+    heights of its positive roots: (beta, 0) for beta > 0 on F = I - {0},
+    of height ht beta, and if 0 is in I, (beta, 1) for theta + beta (>= 0,
+    as theta is highest) supported on F, of height 1 + ht(theta + beta); a
+    generator outside I bounds the level by 1."""
+    gen_ids = set(gen_ids)
+    if len(gen_ids) > rs.rank:
+        raise ValueError("proper subsets only")
+    f_mask = rs.mask_of(gen_ids - {0})
+    heights = [sum(root) for root, _ in rs.positive_roots_of(f_mask)]
+    if 0 in gen_ids:
+        for beta in rs.roots:
+            up = [a + b for a, b in zip(rs.highest_root, beta)]
+            if all(c == 0 or (f_mask >> i) & 1 for i, c in enumerate(up)):
+                heights.append(1 + sum(up))
+    return rootsystem.poincare_of(heights)
 
 
 def get_affine(rs):

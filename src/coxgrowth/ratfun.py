@@ -22,14 +22,14 @@ evaluates every operand at t = 2^B, with the slot width B taken from a
 proven bound on the output coefficients, sums the integer products and
 reads the coefficients back off the one integer (Kronecker substitution).
 The identity suites pack their polynomials once each with `pack`, at a
-width from `pack_bits`, and compare the packed values.
-`IntPoly.__mul__` stays the schoolbook product for single products, and
-`poly_sum` adds into one coefficient list."""
+width from `pack_bits`, and compare the packed values.  A single product,
+`IntPoly.__mul__`, is a `poly_dot` of one pair, and `poly_sum` adds into
+one coefficient list."""
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add
+from operator import add, sub
 
 
 class IntPoly:
@@ -67,13 +67,14 @@ class IntPoly:
 
     @classmethod
     def one_minus_t(cls, *ks):
-        """prod (1 - t^k) over ks, each k >= 1; 1 for none."""
-        out = cls.one()
+        """prod (1 - t^k) over ks, each k >= 1; 1 for none, each factor
+        taken as p (1 - t^k) = p - t^k p."""
+        out = [1]
         for k in ks:
             if k < 1:
                 raise ValueError("need k >= 1")
-            out = out * cls((1,) + (0,) * (k - 1) + (-1,))
-        return out
+            out = list(map(sub, out + [0] * k, [0] * k + out))
+        return cls(out)
 
     # -- basic queries ------------------------------------------------
 
@@ -108,15 +109,7 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
+        return poly_dot(((self, other),))
 
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs

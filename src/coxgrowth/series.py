@@ -37,7 +37,7 @@ from .ratfun import (IntPoly, RatFun, expand, height, pack, pack_bits,
 from . import cones
 from .finite import (ZERO, get_table, PolyMatrix, p_alternating_reduction,
                      run_checks, signed, solomon_sum)
-from .affine import get_affine
+from .affine import get_affine, parabolic_poincare
 
 
 def _memo(method):
@@ -168,9 +168,8 @@ class AffinePipeline:
             full = (1 << (rs.rank + 1)) - 1
             proper = ([g for g in range(rs.rank + 1) if (bits >> g) & 1]
                       for bits in range(full))
-            aff = get_affine(rs)
             return solomon_sum(
-                wt_num, ((ids, aff.parabolic_poincare(ids)) for ids in proper),
+                wt_num, ((ids, parabolic_poincare(rs, ids)) for ids in proper),
                 signed(self.den, full))
 
         def pairs(test):

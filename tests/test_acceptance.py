@@ -13,8 +13,8 @@ from coxgrowth import build_label, get_pipeline
 from coxgrowth.affine import get_affine
 from coxgrowth.cli import _load_fixtures, check_fixture
 from coxgrowth.finite import identity_checks_finite
-from test_affine import (act_affine_root, inversion_set, is_positive,
-                         simple_affine_roots)
+from test_affine import (act_affine_root, depths_of, inversion_set,
+                         is_positive, simple_affine_roots)
 
 
 _cap = None
@@ -134,7 +134,8 @@ def test_criterion_9_length_coherence():
     for label in ["A1", "A2", "B2", "G2", "A3", "B3"]:
         aff = get_affine(build_label(label))
         # bfs_enumerate asserts BFS depth == closed-form length internally
-        elements, depths = aff.bfs_enumerate(8)
+        elements, sizes = aff.bfs_enumerate(8)
+        depths = depths_of(elements, sizes)
         simple = simple_affine_roots(aff)
         for x in elements:
             if len(inversion_set(aff, x)) != depths[x]:

@@ -4,12 +4,14 @@ import functools
 import random
 import textwrap
 from collections import defaultdict
+from itertools import chain, repeat, starmap
 from operator import itemgetter
 
 import pytest
 
 from coxgrowth import build_label, rootsystem
-from coxgrowth.affine import coset_pattern, get_affine, normalizes
+from coxgrowth.affine import (coset_pattern, get_affine, normalizes,
+                              parabolic_poincare)
 from coxgrowth.ratfun import IntPoly
 from test_finite import (_is_unit_col, _root_sign, act_coroot, matcol,
                          mul as table_mul, reference_table, renumbered,
@@ -157,6 +159,13 @@ def closure_poincare(aff, gen_ids):
     return IntPoly(coeffs)
 
 
+def depths_of(order, sizes):
+    """{element: length} of a walk's (order, sizes): the first sizes[0]
+    elements have length 0, the next sizes[1] length 1, and so on."""
+    return dict(zip(order, chain.from_iterable(starmap(repeat,
+                                                       enumerate(sizes)))))
+
+
 def reference_bfs(aff, max_length):
     """bfs_enumerate by generator products: (elements in BFS order,
     {element: depth}), each element found by mul_gen, told apart from
@@ -277,7 +286,8 @@ class TestLengthCoherence:
         aff = get_affine(build_label(label))
         # bfs_enumerate asserts depth == closed formula per element;
         # inversion_set asserts its size == closed formula
-        elements, depths = aff.bfs_enumerate(6)
+        elements, sizes = aff.bfs_enumerate(6)
+        depths = depths_of(elements, sizes)
         for x in elements:
             assert len(inversion_set(aff, x)) == depths[x]
 
@@ -307,7 +317,8 @@ class TestWalk:
         # the same depths, in the order of the lowest-descent rule applied
         # through mul_gen and the closed-form length
         aff = get_affine(build_label(label))
-        order, seen = aff.bfs_enumerate(max_length)
+        order, sizes = aff.bfs_enumerate(max_length)
+        seen = depths_of(order, sizes)
         assert seen == reference_bfs(aff, max_length)[1]
         assert order == reference_walk(aff, max_length)
 
@@ -456,7 +467,7 @@ class TestOracle:
 
     def test_empty_empty_counts_everything(self, a2):
         _, total = a2.oracle_series(0, 0, 8)
-        _, depths = a2.bfs_enumerate(8)
+        depths = depths_of(*a2.bfs_enumerate(8))
         for l in range(9):
             assert total[l] == sum(1 for d in depths.values() if d == l)
 
@@ -550,7 +561,8 @@ class TestBucketedScan:
         aff = get_affine(build_label(label))
         subs = aff.rs.subsets()
         pairs = [(j, k) for j in subs for k in subs]
-        elements, depths = aff.bfs_enumerate(max_length)
+        elements, sizes = aff.bfs_enumerate(max_length)
+        depths = depths_of(elements, sizes)
         want = _ordered(reference_scan(aff, max_length, pairs, subs,
                                        elements, depths.__getitem__))
         assert _ordered(aff.oracle_scan(max_length, pairs, subs)) == want
@@ -699,6 +711,39 @@ _DESCENT_SCRIPT = textwrap.dedent("""
 """)
 
 
+# Empties the lower walls that the walk tests each new element against, so
+# that each element of A2 comes once per right descent, and makes Bott's
+# series return the level sizes of that walk up to length 3, the first
+# level with an element of two right descents, counted by mul_gen and the
+# closed-form length.  Then only the repeat check can raise.  Exit codes
+# as above.
+_REPEAT_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import affine, build_label
+    if __debug__:
+        sys.exit(3)
+
+    class NoLowerWalls(list):
+        def __getitem__(self, i):
+            return [] if isinstance(i, slice) else list.__getitem__(self, i)
+
+    aff = affine.get_affine(build_label("A2"))
+    made = [1, 0, 0, 0]
+    for x in aff.bfs_enumerate(3)[0][1:]:
+        l = aff.length(x)
+        made[l] += sum(aff.length(aff.mul_gen(x, g)) < l
+                       for g in range(aff.n + 1))
+    affine.expand = lambda num, n, den: made[:n + 1]
+    aff._walls = NoLowerWalls(aff._walls)
+    try:
+        aff.bfs_enumerate(3)
+    except AssertionError as exc:
+        print(exc)
+        sys.exit(0)
+    sys.exit(1)
+""")
+
+
 class TestParabolicPoincare:
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3",
                                        "D4", "F4"])
@@ -707,7 +752,7 @@ class TestParabolicPoincare:
         n1 = aff.n + 1
         for bits in range((1 << n1) - 1):
             ids = [g for g in range(n1) if (bits >> g) & 1]
-            assert (aff.parabolic_poincare(ids)
+            assert (parabolic_poincare(aff.rs, ids)
                     == closure_poincare(aff, ids)), ids
 
 
@@ -730,6 +775,10 @@ class TestExplicitChecks:
         out = _run_optimized(_SHIFT_SCRIPT)
         assert len(out.splitlines()) == 6
 
+    def test_repeated_element_raises(self):
+        out = _run_optimized(_REPEAT_SCRIPT)
+        assert "BFS level 3 repeats an element" in out
+
     def test_descent_walls_checked(self):
         # 9 faults on each rank-2 type and 16 on A3, each raising
         out = _run_optimized(_DESCENT_SCRIPT)
@@ -737,4 +786,4 @@ class TestExplicitChecks:
 
     def test_proper_subsets_only(self, a2):
         with pytest.raises(ValueError, match="proper subsets only"):
-            a2.parabolic_poincare([0, 1, 2])
+            parabolic_poincare(a2.rs, [0, 1, 2])

@@ -82,7 +82,7 @@ def test_oracle_assembles_no_series(monkeypatch, capsys):
 
 def test_assembly_builds_no_affine_group():
     # a root system of its own, so that no other test has built its
-    # affine group; only verify and the affine identity suite need it
+    # affine group; only verify needs it
     rs = RootSystem("A", 2)
     pl = get_pipeline(rs)
     pl.matrix_M_affine()
@@ -91,6 +91,13 @@ def test_assembly_builds_no_affine_group():
     assert "affine" not in rs._derived
     pl.verify_against_oracle(4)
     assert "affine" in rs._derived
+
+
+def test_identity_suite_builds_no_affine_group():
+    # the affine parabolics' Poincare polynomials come from root heights
+    rs = RootSystem("A", 2)
+    get_pipeline(rs).affine_identity_checks()
+    assert "affine" not in rs._derived
 
 
 @pytest.mark.parametrize("label, distinct", [("A3", 22), ("B3", 32),
