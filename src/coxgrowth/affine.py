@@ -1,8 +1,9 @@
 """Affine Weyl groups as (finite part, coroot translation) pairs.
 
-An element x = (w, v) is the affine map p -> w(p + v) on coroot space,
+An element x = (w, v) is the affine map u -> w(u + v) on coroot space,
 with w in the finite Weyl group and v in the coroot lattice; v is stored
-by its simple-coroot coordinate vector m.  Conventions:
+by its pairings p = (<alpha_i, v>)_i with the simple roots, so <beta, v>
+is the dot product of beta's root coordinates with p.  Conventions:
 
     product:   (w1, v1)(w2, v2) = (w1 w2, v2 + w2^-1 v1)
     inverse:   (w, v)^-1 = (w^-1, -w v)
@@ -25,7 +26,8 @@ highest root, minus the highest coroot); the reflection is built as a
 root permutation, checked to act alike on roots and coroots.  By the
 reflection formula s_a(v) = v - <a, v> a^vee (Humphreys, Reflection Groups
 and Coxeter Groups, 4.1), x s_g = (w s_g, v - (<a_g, v> + c_g) a_g^vee),
-a_0 = theta with c_0 = 1 and a_g = alpha_g with c_g = 0.  The finite
+a_0 = theta with c_0 = 1 and a_g = alpha_g with c_g = 0; so p falls by
+(<a_g, v> + c_g) times the column (<alpha_i, a_g^vee>)_i.  The finite
 parts are numbered in the order of the finite walk, identity first, and
 the index of w s_g is looked up once per w and g when the group is built,
 so no product of two finite elements is taken.
@@ -35,8 +37,8 @@ with every root: s_i gathers them along its root permutation, s_0 along
 that of s_theta plus the shift -<beta_b, theta^vee>.  Sign tests on P
 find the descents, so each element comes once, from its lowest right
 descent, and none is looked up; the closed-form length is a sum over P,
-and the m of each new element, made by `mul_gen`, must pair with the
-simple roots as P does.  `classify` gives the profile of an element: the
+and the p of each new element, made by `mul_gen`, must equal P at the
+simple roots.  `classify` gives the profile of an element: the
 masks of right and left ascents (x . (alpha_i, 0) > 0 and
 x^-1 . (alpha_i, 0) > 0) and, where <alpha_i, v> = 0, the simple root
 w alpha_i is (for Q) and the support of w alpha_i (for normalizers).
@@ -69,8 +71,7 @@ class AffineWeyl:
 
     def __init__(self, rs):
         self.rs = rs
-        n = rs.rank
-        self.n = n
+        self.n = n = rs.rank
         theta = rs.reflection(rs.highest_root, rs.highest_root_coroot)
         compose = itemgetter(*theta)
         self.perms = [perm for perm, _ in walk(rs, rs.full_mask)]
@@ -80,19 +81,15 @@ class AffineWeyl:
         # support mask of each root, by root index
         self._supp = [sum(1 << p for p, c in enumerate(root) if c)
                       for root in rs.roots]
-        # <beta, v> = _pair[b] . m for the root of index b
-        self._pair = [tuple(sum(b * a for b, a in zip(root, col))
-                            for col in zip(*rs.cartan)) for root in rs.roots]
-        self._pos_pair = self._pair[:len(rs.positive_roots)]
-        self._simple_pair = [self._pair[s] for s in rs.simple_idx]
-        # mul_gen's (pairing row, coroot coords, c_g) of each a_g
+        # mul_gen's (root coords, (<alpha_i, a_g^vee>)_i, c_g) of each a_g
         roots = [rs.root_index[rs.highest_root], *rs.simple_idx]
-        self._refl = [(self._pair[b], rs.coroots[b], int(g == 0))
-                      for g, b in enumerate(roots)]
+        self._refl = [
+            (rs.roots[b], rootsystem.mat_vec(rs.cartan, rs.coroots[b]), c)
+            for c, b in zip([1] + [0] * n, roots)]
         # the walk's move by each generator g on P[b] = <beta_b, v>: x s_g
         # has P[perm[b]], plus _shift[b] = -<beta_b, theta^vee> for g = 0
-        self._shift = tuple(-sum(map(mul, row, rs.highest_root_coroot))
-                            for row in self._pair)
+        self._shift = tuple(-sum(map(mul, root, self._refl[0][1]))
+                            for root in rs.roots)
         self._moves = [lambda p: tuple(map(add, compose(p), self._shift)),
                        *(itemgetter(*perm) for perm in rs.simple_reflections())]
         # the wall (r, c) of each generator: x . a_g = (w beta_r, c - P[r]),
@@ -109,18 +106,19 @@ class AffineWeyl:
         return (0, (0,) * self.n)
 
     def mul_gen(self, x, g):
-        """x * s_g for a generator id (0 = affine)."""
-        w, m = x
-        row, coroot, c = self._refl[g]
-        k = sum(map(mul, row, m)) + c
+        """x * s_g for a generator id (0 = affine): with k = <a_g, v> +
+        c_g, each <alpha_i, v> falls by k <alpha_i, a_g^vee>."""
+        w, p = x
+        root, col, c = self._refl[g]
+        k = sum(map(mul, root, p)) + c
         return (self._next[g][w],
-                tuple([a - k * b for a, b in zip(m, coroot)]))
+                tuple([a - k * b for a, b in zip(p, col)]))
 
     def length(self, x):
-        w, m = x
-        n_pos = len(self._pos_pair)
-        return sum(abs(sum(map(mul, row, m)) + (p >= n_pos))
-                   for row, p in zip(self._pos_pair, self.perms[w]))
+        w, p = x
+        n_pos = len(self.rs.positive_roots)
+        return sum(abs(sum(map(mul, root, p)) + (b >= n_pos)) for (root, _), b
+                   in zip(self.rs.positive_roots, self.perms[w]))
 
     # -- enumeration ----------------------------------------------------
 
@@ -131,9 +129,10 @@ class AffineWeyl:
         no lower generator is a descent of y, so each element comes once,
         from its parent by its lowest right descent.  g is a descent of
         x = (w, v) when x . a_g = (w beta_r, c - P[r]) < 0, (r, c) its wall.
-        Each depth is checked against the closed-form length, each m against
-        the root pairings, each level against Bott's series and for repeats;
-        as every depth is a length, no element can repeat across levels.
+        Each depth is checked against the closed-form length, each p against
+        P at the simple roots, each level against Bott's series and for
+        repeats; as every depth is a length, no element can repeat across
+        levels.
         First refuses a ball of over MAX_BFS_ELEMENTS elements: one per
         length, the rest from Bott's series in doubling steps."""
         rs = self.rs
@@ -152,7 +151,7 @@ class AffineWeyl:
         start = self.identity()
         order = [start]
         frontier = [(start, (0,) * len(rs.roots))]
-        chis, perms, n_pos = self._chi, self.perms, len(self._pos_pair)
+        chis, perms, n_pos = self._chi, self.perms, len(rs.positive_roots)
         simple, walls = rs.simple_idx, self._walls
         # (g, its move of P, its _next column, its wall, the lower walls)
         gens = [(g, *fields, walls[:g]) for g, fields in enumerate(
@@ -182,13 +181,11 @@ class AffineWeyl:
                 if length != depth:     # an explicit raise survives -O
                     raise AssertionError(f"BFS depth {depth} != closed-form "
                                          f"length {length} of {y}")
-                got = tuple([sum(map(mul, row, y[1]))
-                             for row in self._simple_pair])
                 want = tuple(map(new.__getitem__, simple))
-                if got != want:
+                if y[1] != want:
                     raise AssertionError(
                         f"BFS element {y} pairs with the simple roots to "
-                        f"{got}, the walk's root pairings at finite index "
+                        f"{y[1]}, the walk's root pairings at finite index "
                         f"{w} to {want}")
             if len(nxt) != levels[depth]:
                 raise AssertionError(f"BFS level {depth} has {len(nxt)} "
@@ -210,35 +207,34 @@ class AffineWeyl:
         x^-1 . (alpha_i, 0) > 0.  Where <alpha_i, v> = 0, dest[i] is j if
         w alpha_i = alpha_j (else -1) and supp[i] is the support of
         w alpha_i; elsewhere dest[i] = -1 and supp[i] = -1 (every bit)."""
-        w, m = x
+        w, p = x
         record = self._records.get(w)
         if record is None:
             # per alpha_i: [w alpha_i > 0], -[w^-1 alpha_i > 0], the j with
-            # w alpha_i = alpha_j (else -1), the pairing row of w^-1 alpha_i
-            # and the support of w alpha_i
-            perm, simple = self.perms[w], self.rs.simple_idx
-            n_pos = len(self._pos_pair)
+            # w alpha_i = alpha_j (else -1), the root coords of
+            # w^-1 alpha_i and the support of w alpha_i
+            rs, perm = self.rs, self.perms[w]
+            n_pos, simple = len(rs.positive_roots), rs.simple_idx
             img = [perm[s] for s in simple]
             inv = [perm.index(s) for s in simple]
             record = self._records[w] = (
                 [int(b < n_pos) for b in img], [-int(b < n_pos) for b in inv],
                 tuple([simple.index(b) if b in simple else -1 for b in img]),
-                [self._pair[b] for b in inv], [self._supp[b] for b in img])
-        right_cut, left_cut, img, inv_rows, supps = record
-        cm = [sum(map(mul, row, m)) for row in self._simple_pair]
+                [rs.roots[b] for b in inv], [self._supp[b] for b in img])
+        right_cut, left_cut, img, inv_roots, supps = record
         rasc = lasc = 0
-        for i, row in enumerate(inv_rows):
-            # x . (alpha_i, 0) = (w alpha_i, -cm[i]) and x^-1 . (alpha_i, 0)
+        for i, root in enumerate(inv_roots):
+            # x . (alpha_i, 0) = (w alpha_i, -p[i]) and x^-1 . (alpha_i, 0)
             # = (w^-1 alpha_i, k): each > 0 at a level > 0, or 0 on a root > 0
-            k = sum(map(mul, row, m))
-            if cm[i] < right_cut[i]:
+            k = sum(map(mul, root, p))
+            if p[i] < right_cut[i]:
                 rasc |= 1 << i
             if k > left_cut[i]:
                 lasc |= 1 << i
-        if all(cm):     # off every wall: no simple root is sent to (beta, 0)
+        if all(p):      # off every wall: no simple root is sent to (beta, 0)
             return rasc, lasc, self._off_walls, self._off_walls
-        return (rasc, lasc, tuple(-1 if c else d for c, d in zip(cm, img)),
-                tuple(-1 if c else u for c, u in zip(cm, supps)))
+        return (rasc, lasc, tuple(-1 if c else d for c, d in zip(p, img)),
+                tuple(-1 if c else u for c, u in zip(p, supps)))
 
     # -- truncated ground-truth series ----------------------------------
 

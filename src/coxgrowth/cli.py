@@ -218,8 +218,9 @@ def cmd_verify(args):
 
 def cmd_check(args):
     rs = rootsystem.build_label(args.type)
+    pl = get_pipeline(rs)   # refuses an oversized pipeline before the suites
     ok = _print_report(identity_checks_finite(rs), "finite ")
-    report = get_pipeline(rs).affine_identity_checks(args.degree)
+    report = pl.affine_identity_checks(args.degree)
     ok = _print_report(report, "affine ") and ok
     return 0 if ok else 1
 

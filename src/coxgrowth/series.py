@@ -35,8 +35,8 @@ from functools import wraps
 from .ratfun import (IntPoly, RatFun, expand, height, pack, pack_bits,
                      poly_dot, poly_exact_div, poly_sum)
 from . import cones
-from .finite import (ZERO, get_table, PolyMatrix, p_alternating_reduction,
-                     run_checks, signed, solomon_sum)
+from .finite import (ZERO, check_table_size, get_table, PolyMatrix,
+                     p_alternating_reduction, run_checks, signed, solomon_sum)
 from .affine import get_affine, parabolic_poincare
 
 
@@ -54,15 +54,17 @@ class AffinePipeline:
 
     def __init__(self, rs):
         self.rs = rs
-        self.table = get_table(rs)
+        check_table_size(rs, rs.full_mask)
         self.weights = [rs.two_rho_weight(w) for w in rs.cone_gens]
         self.den = IntPoly.one_minus_t(*self.weights)
+        # p_SS(Q) by mask: Q = {}, the largest box, is bounded before the walk
+        self._ss = [self._ss_num(q) for q in rs.subsets()]
+        self.table = get_table(rs)
         # the conjugate of each mask by w_0: eps_S
         self._by_w0 = rs.flips(rs.full_mask)
 
     # -- numerators over D -----------------------------------------------
 
-    @_memo
     def _ss_num(self, q_mask):
         """p_SS(Q): the reciprocity numerator of f_Q times the factors of
         D for i in Q, divided by t^k, k = l(w_0) - l(w_Q)."""
@@ -90,7 +92,7 @@ class AffinePipeline:
         against the K = conjugated Q' column, times p_SS(Q')."""
         return poly_dot(
             (self._column(qp, j_mask).get(self._conj(q_mask, qp), ZERO),
-             self._ss_num(qp))
+             self._ss[qp])
             for qp in self.rs.subsets() if not q_mask & ~qp)
 
     @_memo
@@ -107,7 +109,7 @@ class AffinePipeline:
             col = self._column(qpp, j_mask)
             return poly_dot((fin, col.get(self._conj(qp, qpp), ZERO))
                             for qp, fin in row if not qp & ~qpp)
-        acc2 = poly_dot((gathered(qpp), self._ss_num(qpp)) for qpp in subs)
+        acc2 = poly_dot((gathered(qpp), self._ss[qpp]) for qpp in subs)
         if acc1 != acc2:
             raise AssertionError(
                 f"reduction paths disagree for Q={self.rs.ids_of(q_mask)}, "

@@ -4,6 +4,7 @@ import functools
 import random
 import textwrap
 from collections import defaultdict
+from fractions import Fraction
 from itertools import chain, repeat, starmap
 from operator import itemgetter
 
@@ -29,6 +30,49 @@ def b2():
     return get_affine(build_label("B2"))
 
 
+# -- the element format -----------------------------------------------------
+# The package stores x = (w, v) as (w, p) with p_i = <alpha_i, v>.  The
+# references below work in simple-coroot coordinates m, v = sum_j m_j
+# alpha_j^vee, so that p = C m; elements cross into them through
+# coroot_coords and back through pairings.
+
+
+def pairings(rs, m):
+    """p = C m: the pairings <alpha_i, v> of v with the simple roots."""
+    return rootsystem.mat_vec(rs.cartan, m)
+
+
+def solve_cartan(rs, p):
+    """The rational m with C m = p, by exact Gauss-Jordan elimination."""
+    n = rs.rank
+    rows = [[Fraction(c) for c in row] + [Fraction(b)]
+            for row, b in zip(rs.cartan, p)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [c / rows[col][col] for c in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return tuple(row[n] for row in rows)
+
+
+def coroot_coords(rs, p):
+    """The inverse of pairings: the integral m with C m = p, raising when
+    p is not the pairing vector of a coroot-lattice vector."""
+    m = solve_cartan(rs, p)
+    if any(c.denominator != 1 for c in m):
+        raise AssertionError(f"pairings {p} give m = {m}, not integral")
+    return tuple(map(int, m))
+
+
+def as_coroot(aff, x):
+    """(w, m) of an element (w, p) of aff."""
+    w, p = x
+    return w, coroot_coords(aff.rs, p)
+
+
 # -- reference group operations, affine roots and inversion sets ---------
 
 
@@ -39,17 +83,17 @@ def reference(aff):
 
 
 def mul(aff, x, y):
-    (w1, m1), (w2, m2) = x, y
+    (w1, m1), (w2, m2) = as_coroot(aff, x), as_coroot(aff, y)
     w2i = reference(aff).inv_idx[w2]
     m1r = act_coroot(walk_table(aff), w2i, m1)
     return (table_mul(walk_table(aff), w1, w2),
-            tuple(a + b for a, b in zip(m2, m1r)))
+            pairings(aff.rs, [a + b for a, b in zip(m2, m1r)]))
 
 
 def inv(aff, x):
-    w, m = x
-    return (reference(aff).inv_idx[w],
-            tuple(-c for c in act_coroot(walk_table(aff), w, m)))
+    w, m = as_coroot(aff, x)
+    return (reference(aff).inv_idx[w], pairings(
+        aff.rs, [-c for c in act_coroot(walk_table(aff), w, m)]))
 
 
 def theta_index(aff):
@@ -65,10 +109,11 @@ def theta_index(aff):
 
 
 def generators(aff):
-    """Generator id -> (w, m): s_0 = (s_theta, -theta^vee) and
+    """Generator id -> (w, p): s_0 = (s_theta, -theta^vee) and
     s_i = (s_i, 0), each finite part from the matrix reference."""
     rs, n = aff.rs, aff.n
-    gens = {0: (theta_index(aff), tuple(-c for c in rs.highest_root_coroot))}
+    gens = {0: (theta_index(aff),
+                pairings(rs, [-c for c in rs.highest_root_coroot]))}
     for i in range(n):
         gens[i + 1] = (reference(aff).rmult[0][i], (0,) * n)
     return gens
@@ -79,8 +124,9 @@ def affine_root_positive(root_sign, level):
     return level >= (0 if root_sign > 0 else 1)
 
 
-def translation(m):
-    return (0, tuple(m))
+def translation(rs, m):
+    """t_v for v of simple-coroot coordinates m."""
+    return (0, pairings(rs, m))
 
 
 def simple_affine_roots(aff):
@@ -94,7 +140,7 @@ def simple_affine_roots(aff):
 
 def act_affine_root(aff, x, a):
     """x . (alpha, k) = (w alpha, k - <alpha, v>)."""
-    w, m = x
+    w, m = as_coroot(aff, x)
     root, level = a
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     pairing = sum(p * q for p, q in zip(root, cm))
@@ -112,7 +158,7 @@ def is_positive(a):
 def inversion_set(aff, x):
     """Positive affine roots sent to negative ones by x; its size is
     checked against the closed-form length."""
-    w, m = x
+    w, m = as_coroot(aff, x)
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     out = []
     for r, (root, _) in enumerate(aff.rs.positive_roots):
@@ -263,10 +309,10 @@ class TestGroupStructure:
                 assert aff.length(inv(aff, x)) == aff.length(x)
 
     def test_translation_subgroup(self, a2):
-        t1 = translation((1, 0))
-        t2 = translation((0, 1))
-        assert mul(a2, t1, t2) == translation((1, 1))
-        assert inv(a2, t1) == translation((-1, 0))
+        t1 = translation(a2.rs, (1, 0))
+        t2 = translation(a2.rs, (0, 1))
+        assert mul(a2, t1, t2) == translation(a2.rs, (1, 1))
+        assert inv(a2, t1) == translation(a2.rs, (-1, 0))
 
     def test_dominant_translation_length(self, a2, b2):
         # l(t_v) = <2 rho, v> for dominant v
@@ -277,7 +323,8 @@ class TestGroupStructure:
                       for i in range(2)]
                 if any(c < 0 for c in cm):
                     continue
-                assert aff.length(translation(m)) == rs.two_rho_weight(m)
+                assert (aff.length(translation(rs, m))
+                        == rs.two_rho_weight(m))
 
 
 class TestLengthCoherence:
@@ -306,6 +353,18 @@ class TestLengthCoherence:
                 left_longer = aff.length(mul(aff, s, x)) > lx
                 assert left_longer == is_positive(
                     act_affine_root(aff, xi, a))
+
+
+class TestElementFormat:
+    @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3"])
+    def test_pairings_of_a_coroot_lattice_vector(self, label):
+        # each element carries p = C m for an integral m, and its length
+        # is the closed form computed from that m
+        aff = get_affine(build_label(label))
+        for x in aff.bfs_enumerate(8)[0]:
+            m = solve_cartan(aff.rs, x[1])
+            assert all(c.denominator == 1 for c in m), (x, m)
+            assert aff.length(x) == reference_length(aff, x)
 
 
 class TestWalk:
@@ -397,7 +456,7 @@ def reference_classify(aff, x, j_mask, k_mask):
     """(is_min_rep, Q) for one (J, K), read off x directly: minimal iff
     every listed generator lengthens x on the matching side; Q collects k
     in K with x . (alpha_k, 0) = (alpha_j, 0) for some j in J."""
-    w, m = x
+    w, m = as_coroot(aff, x)
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     wm = act_coroot(walk_table(aff), w, m)
     cwm = rootsystem.mat_vec(aff.rs.cartan, wm)
@@ -424,7 +483,7 @@ def reference_classify(aff, x, j_mask, k_mask):
 def reference_normalizes(aff, x, j_mask):
     """Whether x W_J x^-1 = W_J: each alpha_j must go to (beta, 0) with
     beta (of either sign) supported on J."""
-    w, m = x
+    w, m = as_coroot(aff, x)
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     rmat = reference(aff).rmats[w]
     for i in range(aff.n):
@@ -495,7 +554,7 @@ class TestOracle:
 def reference_profile(aff, x):
     """classify by matrix algebra: <alpha_i, v> and <alpha_i, w v> from
     the Cartan matrix and the coroot action of w."""
-    w, m = x
+    w, m = as_coroot(aff, x)
     table = walk_table(aff)
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     cwm = rootsystem.mat_vec(aff.rs.cartan, act_coroot(table, w, m))
@@ -515,7 +574,7 @@ def reference_profile(aff, x):
 
 def reference_length(aff, x):
     """sum over positive roots beta of |<beta, v> + chi(w beta)|."""
-    w, m = x
+    w, m = as_coroot(aff, x)
     cm = rootsystem.mat_vec(aff.rs.cartan, m)
     n_pos = len(aff.rs.positive_roots)
     return sum(abs(sum(a * b for a, b in zip(root, cm))
@@ -608,10 +667,10 @@ _DEPTH_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Adds 1 to the second entry of the coroot by which generator 1 of A2
-# moves m, so that mul_gen returns wrong translations while the walk's
-# root pairings stay right, then requires the check of the one against
-# the other to raise.  Exit codes as above.
+# Adds 1 to the second entry of the column <alpha_i, a_1^vee> by which
+# generator 1 of A2 moves p, so that mul_gen returns wrong translations
+# while the walk's root pairings stay right, then requires the check of
+# the one against the other to raise.  Exit codes as above.
 _ACTION_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label
@@ -619,8 +678,8 @@ _ACTION_SCRIPT = textwrap.dedent("""
     if __debug__:
         sys.exit(3)
     aff = get_affine(build_label("A2"))
-    row, (a, b), c = aff._refl[1]
-    aff._refl[1] = (row, (a, b + 1), c)
+    root, (a, b), c = aff._refl[1]
+    aff._refl[1] = (root, (a, b + 1), c)
     try:
         aff.bfs_enumerate(6)
     except AssertionError as exc:
@@ -763,8 +822,8 @@ class TestExplicitChecks:
 
     def test_action_rows_checked_against_root_pairings(self):
         out = _run_optimized(_ACTION_SCRIPT)
-        assert ("BFS element (3, (0, 0)) pairs with the simple roots to "
-                "(0, 0), the walk's root pairings at finite index 3 to "
+        assert ("BFS element (3, (1, -1)) pairs with the simple roots to "
+                "(1, -1), the walk's root pairings at finite index 3 to "
                 "(1, -2)") in out
 
     def test_level_sizes_checked_against_bott(self):

@@ -145,6 +145,22 @@ class TestExitCodes:
         assert json.loads(out)["f"]["1,2,3,4,5,6,7"]["parallelepiped"] == [
             [0] * 8]
 
+    @pytest.mark.parametrize("argv", [
+        ["matrix"], ["series", "--J", "1", "--K", "2"],
+        ["verify", "--max-length", "2"], ["check"],
+    ], ids=["matrix", "series", "verify", "check"])
+    def test_huge_pipeline_refused_before_the_finite_walk(self, argv):
+        # A8's finite group (362 880 elements) is under the table bound,
+        # but the box of Q = {} (9^6 * 3^2 points) is refused before the
+        # group is walked or the finite suite is run
+        t0 = time.monotonic()
+        proc = _run_python(["-m", "coxgrowth.cli", *argv, "--type", "A8"],
+                           timeout=10)
+        assert time.monotonic() - t0 < 2
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: A8: residue boxes of 4782969 points, "
+                               f"over the bound {MAX_BOX_POINTS}\n")
+
     def test_box_bound_counts_every_box_scanned(self, capsys, monkeypatch):
         # the 2^3 residue boxes of A3 hold 75 points in all, the box of
         # Q = {2} 4 of them: the bound is on the boxes the command scans
