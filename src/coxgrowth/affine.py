@@ -201,11 +201,11 @@ class AffineWeyl:
     # -- classification -------------------------------------------------
 
     def classify(self, x):
-        """The profile (rasc, lasc, dest, supp) of x = (w, v); bit i of a
+        """The profile (rasc, lasc, dest, supp) of x = (w, p); bit i of a
         mask and entry i of a tuple stand for the finite generator i + 1.
         rasc has bit i when x . (alpha_i, 0) > 0, lasc when
-        x^-1 . (alpha_i, 0) > 0.  Where <alpha_i, v> = 0, dest[i] is j if
-        w alpha_i = alpha_j (else -1) and supp[i] is the support of
+        x^-1 . (alpha_i, 0) > 0.  Where p[i] = <alpha_i, v> = 0, dest[i] is
+        j if w alpha_i = alpha_j (else -1) and supp[i] is the support of
         w alpha_i; elsewhere dest[i] = -1 and supp[i] = -1 (every bit)."""
         w, p = x
         record = self._records.get(w)
