@@ -13,7 +13,7 @@ polynomial of W_J is known in closed form: a group whose order, its
 value at 1, is over the bound is refused before the walk, and each
 level's size is checked against it.  A table stores no elements: their
 ascent sets and simple-root images are read off each permutation as it
-is walked, and sorted into one flat list of (lasc, rasc) buckets.
+is walked, and sorted into buckets by left, then right ascent mask.
 A coset scan of (J, K), both within the table's mask X (else ValueError),
 visits only the buckets of minimal representatives, and reads Q and R
 from lists kept per simple-root image (`image_masks`), cut after X's top
@@ -27,17 +27,17 @@ Series computed here:
         roots of K exactly onto those of R.
 
 Both stratify the same set, so one scan per (J, K) bins every Q and
-every R at once; the bins are cached on the root system.
-
-The matrices M and N are built column by column from the cached bins.
+every R at once; the bins are cached on the root system, and the
+matrices M and N, of IntPoly entries, are built from them.
 
 The identity checks on the bins run in packed integers (Kronecker
-substitution): one suite run evaluates each bin it reads once at
-t = 2^B (`PackedBins`), for one slot width B that bounds every
-coefficient the suite can form from bins that pass its range check.
-Every such identity is then an equation between integer sums, shifts
-(t^l is << B*l) and matrix products, and equal integers mean equal
-polynomials.  The Solomon sum and the parabolic quotient stay on IntPoly.
+substitution): `PackedBins` evaluates each distinct bin, of a scan or of
+a matrix, once per suite run at t = 2^B, for one slot width B that
+bounds every coefficient the suite can form from bins that pass its
+range check.  Every such identity is then an equation between integer
+sums, shifts (t^l is << B*l) and matrix products, and equal integers
+mean equal polynomials.  The Solomon sum and the parabolic quotient stay
+on IntPoly.
 The finite and affine suites share one implementation of each identity:
 `solomon_sum` (the alternating sum of W(t) / W_I(t), by exact division),
 `reduction_targets` (the conjugates Q' of Q by w(K, Q)) and
@@ -114,8 +114,8 @@ def walk(rs, mask):
 
 class GroupTable:
     """The coset buckets of the parabolic W_mask, made from one walk: the
-    elements with right and left ascent masks (lasc, rasc) in one flat list
-    of (lasc, rasc, [(q_of, r_of, length)]).  x alpha_i > 0 when x sends
+    elements grouped by left, then right ascent mask, as a list of
+    (lasc, [(rasc, [(q_of, r_of, length)])]).  x alpha_i > 0 when x sends
     alpha_i to an index below N, and x^-1 alpha_i > 0 when alpha_i is the
     image of a positive root, among the first N entries.  For x in W_X,
     the simple-root image img[i] is i or -1 for i outside X, so the image
@@ -136,10 +136,11 @@ class GroupTable:
                        if perm[s] < n_pos)
             lasc = sum(map(bit, simple_set.intersection(perm[:n_pos])))
             img = tuple([pos.get(perm[s], -1) for s in cut])
-            buckets.setdefault((lasc, rasc), []).append(
+            buckets.setdefault(lasc, {}).setdefault(rasc, []).append(
                 (*image_masks(rs, img), length))
-        self.order = sum(map(len, buckets.values()))
-        self._buckets = [(*key, b) for key, b in buckets.items()]
+        self._buckets = [(lasc, list(by_rasc.items()))
+                         for lasc, by_rasc in buckets.items()]
+        self.order = sum(len(b) for _, g in self._buckets for _, b in g)
 
     # -- coset series ----------------------------------------------------
 
@@ -162,13 +163,15 @@ class GroupTable:
         size = self.rs.longest_length(self.mask) + 1
         p_bins = defaultdict(lambda: [0] * size)
         h_bins = defaultdict(lambda: [0] * size)
-        for lasc, rasc, bucket in self._buckets:
-            if lasc & j_mask == j_mask and rasc & k_mask == k_mask:
-                for q_of, r_of, length in bucket:
-                    p_bins[q_of[j_mask] & k_mask][length] += 1
-                    r = r_of[k_mask]
-                    if r >= 0:
-                        h_bins[r][length] += 1
+        for lasc, group in self._buckets:
+            if lasc & j_mask == j_mask:
+                for rasc, bucket in group:
+                    if rasc & k_mask == k_mask:
+                        for q_of, r_of, length in bucket:
+                            p_bins[q_of[j_mask] & k_mask][length] += 1
+                            r = r_of[k_mask]
+                            if r >= 0:
+                                h_bins[r][length] += 1
         return ({q: IntPoly(c) for q, c in p_bins.items()},
                 {r: IntPoly(c) for r, c in h_bins.items()})
 
@@ -205,14 +208,14 @@ def get_table(rs, mask=None):
 
 class PackedBins:
     """The coset bins that one identity-suite run on W_{S'} reads, each
-    evaluated once at t = 2^bits and kept by (table mask, J, K).
+    distinct polynomial evaluated once at t = 2^bits and kept by value.
 
     A bin of the table of W_X, X within S', counts elements by length, so
     it has at most L = l(w_{S'}) + 1 coefficients, each in [0, |W_{S'}|];
-    every bin is checked for both as it is packed.  An entry of a product
-    of two matrices of such bins, a sum over at most 2^n columns,
-    n = |S'|, then has coefficients of at most 2^n L |W_{S'}|^2, and an
-    alternating sum of at most 3^n bins stays below that bound, as
+    every distinct bin is checked for both as it is packed.  An entry of
+    a product of two matrices of such bins, a sum over at most 2^n
+    columns, n = |S'|, then has coefficients of at most 2^n L |W_{S'}|^2,
+    and an alternating sum of at most 3^n bins stays below that bound, as
     |W_{S'}| >= 2^n.  The slot width holds the bound with a bit to spare,
     so equal packed values are equal polynomials."""
 
@@ -222,28 +225,35 @@ class PackedBins:
         self.size = self.rs.longest_length(table.mask) + 1
         self.bits = pack_bits(len(self.rs.subsets(table.mask)) * self.size
                               * self.order ** 2)
-        self._bins = {}
+        self._packed = {}
 
     def __call__(self, table, j_mask, k_mask):
         """The (p, h) bins of the table's (J, K) scan, packed."""
-        key = (table.mask, j_mask, k_mask)
-        hit = self._bins.get(key)
-        if hit is None:
-            hit = self._bins[key] = tuple(
-                {m: self._pack(poly, key) for m, poly in side.items()}
-                for side in table.coset_bins(j_mask, k_mask))
-        return hit
+        return tuple({m: self._pack(poly, "of the table {}, J={}, K={}",
+                                    table.mask, j_mask, k_mask)
+                      for m, poly in side.items()}
+                     for side in table.coset_bins(j_mask, k_mask))
 
-    def _pack(self, poly, key):
+    def matrix(self, m):
+        """The matrix m of coset bins with every entry packed."""
+        return PolyMatrix(m.rows, m.cols, [
+            [self._pack(poly, "at row {}, column {} of a coset matrix",
+                        row, col) for col, poly in zip(m.cols, entries)]
+            for row, entries in zip(m.rows, m.entries)])
+
+    def _pack(self, poly, place, *masks):
+        """poly packed, range-checked on first sight."""
         c = poly.coeffs
-        if (len(c) > self.size or min(c, default=0) < 0
-                or max(c, default=0) > self.order):
-            mask, j_mask, k_mask = map(self.rs.ids_of, key)
-            raise AssertionError(
-                f"coset bin {poly} of the table {mask}, J={j_mask}, "
-                f"K={k_mask} has a coefficient outside [0, {self.order}] "
-                f"or a term past t^{self.size - 1}")
-        return pack(poly, self.bits)
+        hit = self._packed.get(c)
+        if hit is None:
+            if (len(c) > self.size or min(c, default=0) < 0
+                    or max(c, default=0) > self.order):
+                place = place.format(*map(self.rs.ids_of, masks))
+                raise AssertionError(
+                    f"coset bin {poly} {place} has a coefficient outside "
+                    f"[0, {self.order}] or a term past t^{self.size - 1}")
+            hit = self._packed[c] = pack(poly, self.bits)
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +283,8 @@ class PolyMatrix:
                            for row in self.entries])
 
     def __eq__(self, other):
-        return (isinstance(other, PolyMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and all(a == b for ra, rb in zip(self.entries, other.entries)
-                        for a, b in zip(ra, rb)))
+        return (isinstance(other, PolyMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries)
 
 
 def _check_inside(rs, name, mask, sp_mask):
@@ -285,35 +293,25 @@ def _check_inside(rs, name, mask, sp_mask):
                          f"parabolic {rs.ids_of(sp_mask)}")
 
 
-def _bin_columns(rs, sp_mask, pairs, side, packed):
-    """The p (side 0) or h (side 1) bins of each (J, K) pair on the table
-    of W_{S'}, packed by `packed` if given, and the entry of an empty
-    bin."""
-    table = get_table(rs, sp_mask)
-    if packed is None:
-        return [table.coset_bins(j, k)[side] for j, k in pairs], ZERO
-    return [packed(table, j, k)[side] for j, k in pairs], 0
-
-
-def matrix_M(rs, k_mask, sp_mask, packed=None):
+def matrix_M(rs, k_mask, sp_mask):
     """M_{K,S'}: rows Q within K, columns J within S', entries the
-    p-series of the parabolic W_{S'} (packed, given a PackedBins)."""
+    p-series of the parabolic W_{S'}."""
     _check_inside(rs, "K", k_mask, sp_mask)
+    table = get_table(rs, sp_mask)
     rows, cols = rs.subsets(k_mask), rs.subsets(sp_mask)
-    bins, zero = _bin_columns(rs, sp_mask, [(j, k_mask) for j in cols], 0,
-                              packed)
-    return PolyMatrix(rows, cols, [[col.get(q, zero) for col in bins]
+    bins = [table.coset_bins(j, k_mask)[0] for j in cols]
+    return PolyMatrix(rows, cols, [[col.get(q, ZERO) for col in bins]
                                    for q in rows])
 
 
-def matrix_N(rs, j_mask, sp_mask, packed=None):
-    """N_{J,S'}: rows R within J, columns K within S', entries h-series
-    (packed, given a PackedBins)."""
+def matrix_N(rs, j_mask, sp_mask):
+    """N_{J,S'}: rows R within J, columns K within S', entries the
+    h-series of the parabolic W_{S'}."""
     _check_inside(rs, "J", j_mask, sp_mask)
+    table = get_table(rs, sp_mask)
     rows, cols = rs.subsets(j_mask), rs.subsets(sp_mask)
-    bins, zero = _bin_columns(rs, sp_mask, [(j_mask, k) for k in cols], 1,
-                              packed)
-    return PolyMatrix(rows, cols, [[col.get(r, zero) for col in bins]
+    bins = [table.coset_bins(j_mask, k)[1] for k in cols]
+    return PolyMatrix(rows, cols, [[col.get(r, ZERO) for col in bins]
                                    for r in rows])
 
 
@@ -425,12 +423,12 @@ def identity_checks_finite(rs, sp_mask=None):
 
     def factorization(matrix, detail):
         # factorization of the series matrices along chains K < K' < S'
-        full = {k: matrix(rs, k, sp_mask, packed) for k in subsets}
+        full = {k: packed.matrix(matrix(rs, k, sp_mask)) for k in subsets}
         for k in subsets:
             for kp in subsets:
                 if k & ~kp:
                     continue
-                rhs = matrix(rs, k, kp, packed) @ full[kp]
+                rhs = packed.matrix(matrix(rs, k, kp)) @ full[kp]
                 yield ((lambda: detail.format(rs.ids_of(k), rs.ids_of(kp))),
                        full[k] == rhs)
 

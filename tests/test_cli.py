@@ -200,9 +200,10 @@ class TestExitCodes:
         for t in tables:
             cut = t.mask.bit_length()
             assert cut <= 2
-            for _, _, bucket in t._buckets:
-                for q_of, r_of, _ in bucket:
-                    assert len(q_of) == len(r_of) == 1 << cut
+            for _, group in t._buckets:
+                for _, bucket in group:
+                    for q_of, r_of, _ in bucket:
+                        assert len(q_of) == len(r_of) == 1 << cut
         images = [k[1] for k in rs._derived if k[0] == "images"]
         assert images and all(len(img) <= 2 for img in images)
 

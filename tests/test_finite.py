@@ -614,12 +614,13 @@ class TestCosetSeries:
         packed = PackedBins(get_table(rs))
         k = rs.mask_of([1])
         kp = rs.mask_of([1, 2])
-        assert (matrix_M(rs, k, s, packed)
-                == matrix_M(rs, k, kp, packed) @ matrix_M(rs, kp, s, packed))
+        m = packed.matrix
+        assert (m(matrix_M(rs, k, s))
+                == m(matrix_M(rs, k, kp)) @ m(matrix_M(rs, kp, s)))
         j = rs.mask_of([2])
         jp = rs.mask_of([2, 3])
-        assert (matrix_N(rs, j, s, packed)
-                == matrix_N(rs, j, jp, packed) @ matrix_N(rs, jp, s, packed))
+        assert (m(matrix_N(rs, j, s))
+                == m(matrix_N(rs, j, jp)) @ m(matrix_N(rs, jp, s)))
 
 
 def reference_scan(t, j_mask, k_mask):
@@ -704,7 +705,7 @@ class TestBucketedScan:
             # each bucket entry holds the kept lists of its image
             kept = {id(rs._derived[key][0]) for key in keys}
             assert all(id(q_of) in kept and len(r_of) == 1 << cut
-                       for _, _, bucket in t._buckets
+                       for _, group in t._buckets for _, bucket in group
                        for q_of, r_of, _ in bucket)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -785,7 +786,8 @@ class TestPackedMatmul:
                 for kp in rs.subsets():
                     if k & ~kp:
                         continue
-                    prod = build(rs, k, kp, packed) @ build(rs, kp, s, packed)
+                    prod = (packed.matrix(build(rs, k, kp))
+                            @ packed.matrix(build(rs, kp, s)))
                     want = reference_matmul(build(rs, k, kp),
                                             build(rs, kp, s))
                     assert prod == packed_matrix(want, packed.bits)
@@ -849,13 +851,16 @@ class TestIdentitySuite:
             build_label("D4")))
         ids = [id(poly) for poly in packed]
         assert ids and len(ids) == len(set(ids))
+        # and no two of them are equal polynomials
+        assert len(set(packed)) == len(packed)
 
 
-# Runs `growth finite --type D4 --what check` with one bin of the full
-# table's (J, K) scan corrupted: SIDE is "p" or "h", J, K and BIN are
-# generator ids, and each (position, plain, carry) in DELTAS adds
-# plain + carry * 2^B to a coefficient, B the suite's slot width.  Exit
-# codes: those of the command, or 3 if asserts were not stripped.
+# Runs `growth finite --type D4 --what check` with one bin of a table's
+# (J, K) scan corrupted: SIDE is "p" or "h", J, K, BIN and TABLE, the
+# table's mask, are generator ids, and each (position, plain, carry) in
+# DELTAS adds plain + carry * 2^B to a coefficient, B the suite's slot
+# width.  Exit codes: those of the command, or 3 if asserts were not
+# stripped.
 _BIN_FAULT_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth.cli import main
@@ -864,10 +869,10 @@ _BIN_FAULT_SCRIPT = textwrap.dedent("""
     from coxgrowth.rootsystem import build_label
     if __debug__:
         sys.exit(3)
-    SIDE, J, K, BIN, DELTAS = ARGS
+    SIDE, J, K, BIN, DELTAS, TABLE = ARGS
     rs = build_label("D4")
     bits = PackedBins(get_table(rs)).bits
-    key = (rs.full_mask, rs.mask_of(J), rs.mask_of(K))
+    key = (rs.mask_of(TABLE), rs.mask_of(J), rs.mask_of(K))
     scan = GroupTable._scan
 
     def corrupt(self, j_mask, k_mask):
@@ -885,9 +890,9 @@ _BIN_FAULT_SCRIPT = textwrap.dedent("""
 """)
 
 
-def _run_bin_fault(*args):
+def _run_bin_fault(*args, table=(1, 2, 3, 4)):
     return _run_python(["-O", "-c", _BIN_FAULT_SCRIPT.replace(
-        "ARGS", repr(args))])
+        "ARGS", repr((*args, list(table))))])
 
 
 # one coefficient off by 1 in a p or an h bin: the report of each case,
@@ -947,6 +952,14 @@ class TestPackedSuiteFaults:
         assert proc.stdout == ""
         assert ("of the table [1, 2, 3, 4], J=[1], K=[2] has a coefficient "
                 "outside [0, 192]" in proc.stderr)
+
+    def test_sub_table_bin_past_the_width_raises(self):
+        # the same fault in the table of W_{1,2}, whose bins reach the
+        # suite only through the matrices of the factorization checks
+        proc = _run_bin_fault("p", [1], [2], [2], [(1, 0, 1), (2, -1, 0)],
+                              table=(1, 2))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "has a coefficient outside [0, 192]" in proc.stderr
 
 
 # Breaks each check of the finite tables, of their closed form and of the
