@@ -7,8 +7,9 @@ inverse Cartan matrix.  Since C w_i = d_i e_i with d_i > 0, the residue
 map m -> C m is a bijection from the lattice points of the half-open
 parallelepiped Pi = {sum c_i w_i : 0 <= c_i < 1} onto the vectors y,
 supported on I with 0 <= y_i < d_i, for which m = sum (y_i / d_i) w_i is
-integral.  With wt(m) = <2 rho, v> = 2 * sum(m) for the translation v
-that m encodes, and W = sum_{i in I} w_i, Stanley reciprocity (the open
+integral (found by a meet-in-the-middle join on residues mod lcm(d_i)).
+With wt(m) = <2 rho, v> = 2 * sum(m) for the translation v that m
+encodes, and W = sum_{i in I} w_i, Stanley reciprocity (the open
 parallelepiped is W - Pi) gives
 
     f_Q = sum_{m in Pi} t^(wt(W) - wt(m)) / prod_{i in I} (1 - t^wt(w_i)).
@@ -23,7 +24,7 @@ from .ratfun import IntPoly, RatFun
 from . import rootsystem
 
 
-MAX_BOX_POINTS = 10 ** 6  # A7's boxes hold 492 075 points in all, A8's 16e6
+MAX_BOX_POINTS = 10 ** 6  # A7's boxes hold 492 075 entries in all, A8's 16e6
 
 
 def indices_outside(rs, q_mask):
@@ -33,8 +34,8 @@ def indices_outside(rs, q_mask):
 
 def check_boxes(rs, boxes):
     """Refuse to enumerate the residue boxes of the cones on
-    {w_i : i in I}, for each index list I in `boxes`, when their points,
-    prod_{i in I} d_i each, number over MAX_BOX_POINTS in all."""
+    {w_i : i in I}, for each index list I in `boxes`, when their entries
+    (vectors y), prod_{i in I} d_i each, number over MAX_BOX_POINTS in all."""
     total = sum(prod(rs.cone_depths[i] for i in idx) for idx in boxes)
     if total > MAX_BOX_POINTS:
         raise ValueError(f"{rs.label}: residue boxes of {total} points, "
@@ -43,22 +44,27 @@ def check_boxes(rs, boxes):
 
 def parallelepiped_points(rs, indices):
     """Integer points of the fundamental parallelepiped of the cone on
-    {w_i : i in indices}, in lexicographic order."""
+    {w_i : i in indices}, in lexicographic order.  With L = lcm(d_i), the
+    sums a, b of y_i (L / d_i) w_i over the two halves of the sorted indices
+    meet where b = -a mod L, in the point (a + b) / L: the work is
+    prod_{first} d_i + prod_{second} d_i + #points, not prod d_i."""
     idx = sorted(set(indices))
     check_boxes(rs, [idx])
-    depths = [rs.cone_depths[i] for i in idx]
-    # m = sum (y_i / d_i) w_i, scaled by L = lcm(d_i) to stay in integers
-    big = lcm(*depths)
-    gens = [tuple(big // d * x for x in rs.cone_gens[i])
-            for i, d in zip(idx, depths)]
-    points = []
-    for y in product(*(range(d) for d in depths)):
-        m = [sum(yi * g[j] for yi, g in zip(y, gens))
-             for j in range(rs.rank)]
-        if all(x % big == 0 for x in m):
-            points.append(tuple(x // big for x in m))
-    points.sort()
-    return points
+    big = lcm(*(rs.cone_depths[i] for i in idx))
+    halves = []
+    for part in (idx[:len(idx) // 2], idx[len(idx) // 2:]):
+        sums = [(0,) * rs.rank]
+        for i in part:
+            g = [big // rs.cone_depths[i] * x for x in rs.cone_gens[i]]
+            sums = [tuple(s + y * x for s, x in zip(v, g))
+                    for v in sums for y in range(rs.cone_depths[i])]
+        halves.append(sums)
+    by_residue = {}
+    for b in halves[1]:
+        by_residue.setdefault(tuple(x % big for x in b), []).append(b)
+    return sorted(tuple((x + y) // big for x, y in zip(a, b))
+                  for a in halves[0]
+                  for b in by_residue.get(tuple(-x % big for x in a), ()))
 
 
 def reciprocity_numerator(rs, q_mask, points=None):

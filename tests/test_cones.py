@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -17,7 +18,25 @@ from test_ratfun import rf_add, rf_sub
 LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
 
 
-# -- reference implementations: the box scan and inclusion-exclusion ------
+# -- reference implementations: two box scans and inclusion-exclusion -----
+
+def residue_box_points(rs, indices):
+    """Parallelepiped points by scanning every vector y of the residue box
+    prod_i [0, d_i) and keeping m = sum (y_i / d_i) w_i when it is
+    integral, scaled by L = lcm(d_i) to stay in integers."""
+    idx = sorted(set(indices))
+    depths = [rs.cone_depths[i] for i in idx]
+    big = lcm(*depths)
+    gens = [tuple(big // d * x for x in rs.cone_gens[i])
+            for i, d in zip(idx, depths)]
+    points = []
+    for y in product(*(range(d) for d in depths)):
+        m = [sum(yi * g[j] for yi, g in zip(y, gens))
+             for j in range(rs.rank)]
+        if all(x % big == 0 for x in m):
+            points.append(tuple(x // big for x in m))
+    return sorted(points)
+
 
 @lru_cache(maxsize=None)
 def box_scan_points(label, indices):
@@ -76,11 +95,22 @@ def test_matches_references(label):
 
 
 class TestParallelepiped:
+    @pytest.mark.parametrize("label", [
+        "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+        "C2", "C3", "C4", "D4", "D5", "E6", "F4", "G2"])
+    def test_matches_residue_box_scan(self, label):
+        # the residue join lists exactly the points of the full box scan
+        rs = build_label(label)
+        for q in rs.subsets():
+            idx = indices_outside(rs, q)
+            assert parallelepiped_points(rs, idx) == residue_box_points(
+                rs, idx), f"{label} Q={rs.ids_of(q)}"
+
     @pytest.mark.parametrize("label", LABELS + ["A5", "D5", "E6"])
     def test_point_count_is_lattice_index(self, label):
-        # the full parallelepiped holds index-many points: the volume
-        # det(w_1..w_n) = det(C)^(n-1) * prod d_i / ... ; check against a
-        # direct determinant of the generator matrix
+        # the half-open parallelepiped of the full cone holds as many
+        # lattice points as its volume, |det(w_1..w_n)|, a direct
+        # determinant of the generator matrix
         rs = build_label(label)
         n = rs.rank
         gens = rs.cone_gens

@@ -34,9 +34,13 @@ rank 1 and a two-generator J are the cases a gather of the simple-root
 pairings is easiest to get wrong on.  The F4 text matrix digest was
 recorded at commit 0e8b50f, before the heuristic gcd and the exact
 division over the divisor's nonzero terms; every trial division of the
-denominator factor search runs through that division.  A change that alters any of these bytes
-must say so and re-record the digest.  Every command is also run under
-python -O, in one subprocess, against the same digests."""
+denominator factor search runs through that division.  The A6 and E6
+fq and A7 series digests were recorded at commit f32cfcb, before the
+parallelepiped points were found by a join on residues in place of a
+scan of the whole residue box; A6 and A7 have the largest boxes under
+the bound.  A change that alters any of these bytes must say so and
+re-record the digest.  Every command is also run under python -O, in one
+subprocess, against the same digests."""
 
 import hashlib
 import textwrap
@@ -141,6 +145,12 @@ DIGESTS = [
      "4878fba33d9af67e4680d4dc090295fbd1638cd6f68af48128e6054ec6f7553a"),
     ("matrix --type F4",
      "33c44ccd0d1d0bfcdfd417df0e29074605d1255c21e421e07969cf4fbb96af4a"),
+    ("fq --type A6 --format json",
+     "ca54e7588f19cee5fd9d811ad29c02896f4ce3311d0d906b106b77bfb898389d"),
+    ("fq --type E6 --format json",
+     "a9e5770b5ff35c7e8e5225dac676e2744ebf6be50de42b792e885a1c74074b5b"),
+    ("series --type A7 --J 1 --K 2 --format json",
+     "a26fff9d4f70f2cc5479ff87fbc2bf758ced768a045d50dca8cf2772a4df1166"),
 ]
 
 
