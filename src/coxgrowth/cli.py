@@ -7,6 +7,7 @@ in verify/check/selftest, 2 usage error or an oversized request.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -333,7 +334,10 @@ def _non_negative_int(text):
     return n
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later command in the process."""
     p = argparse.ArgumentParser(
         prog="growth",
         description="Exact growth series of double-coset representatives "

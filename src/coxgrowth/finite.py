@@ -217,22 +217,24 @@ class PackedBins:
     columns, n = |S'|, then has coefficients of at most 2^n L |W_{S'}|^2,
     and an alternating sum of at most 3^n bins stays below that bound, as
     |W_{S'}| >= 2^n.  The slot width holds the bound with a bit to spare,
-    so equal packed values are equal polynomials."""
+    so equal packed values are equal polynomials.  A caller whose sums
+    are wider passes its own width (the affine pipeline)."""
 
-    def __init__(self, table):
+    def __init__(self, table, bits=None):
         self.rs = table.rs
         self.order = table.order
         self.size = self.rs.longest_length(table.mask) + 1
-        self.bits = pack_bits(len(self.rs.subsets(table.mask)) * self.size
-                              * self.order ** 2)
+        self.bits = bits or pack_bits(len(self.rs.subsets(table.mask))
+                                      * self.size * self.order ** 2)
         self._packed = {}
 
-    def __call__(self, table, j_mask, k_mask):
-        """The (p, h) bins of the table's (J, K) scan, packed."""
+    def __call__(self, table, j_mask, k_mask, sides=2):
+        """The (p, h) bins of the table's (J, K) scan, packed; the p bins
+        alone for sides=1."""
         return tuple({m: self._pack(poly, "of the table {}, J={}, K={}",
                                     table.mask, j_mask, k_mask)
                       for m, poly in side.items()}
-                     for side in table.coset_bins(j_mask, k_mask))
+                     for side in table.coset_bins(j_mask, k_mask)[:sides])
 
     def matrix(self, m):
         """The matrix m of coset bins with every entry packed."""
@@ -369,12 +371,27 @@ def p_alternating_reduction(rs, p, subsets, bits):
     = t^{l(w(K,Q))} p(Q', J, K), one case per (Q, J, K) with J and K in
     `subsets`; p[J, K] holds the finite coset series or the affine
     numerators by Q, packed at t = 2^bits for a slot width that holds
-    every such sum, and is read once per (J, H) in a case."""
+    every such sum.  The inner sums over R, for every Q within H, are
+    formed once per (J, H), by a superset-sum pass over the generators
+    of H."""
+    above = {}
+
+    def superset_sums(j, h):
+        sums = above.get((j, h))
+        if sums is None:
+            by_r = p[j, h]
+            sums = above[j, h] = {r: by_r.get(r, 0) for r in rs.subsets(h)}
+            for i in rs.ids_of(h):
+                bit = 1 << i - 1
+                for m in sums:
+                    if not m & bit:
+                        sums[m] += sums[m | bit]
+        return sums
+
     for k, q, qp, shift in reduction_targets(rs, subsets):
         terms = [(h, signed(1, h & ~q)) for h in rs.subsets(k) if not q & ~h]
         for j in subsets:
-            lhs = sum(sign * sum(v for r, v in p[j, h].items() if not q & ~r)
-                      for h, sign in terms)
+            lhs = sum(sign * superset_sums(j, h)[q] for h, sign in terms)
             yield ((lambda: f"Q={rs.ids_of(q)}, J={rs.ids_of(j)}, "
                             f"K={rs.ids_of(k)}"),
                    lhs == p[j, k].get(qp, 0) << bits * shift)

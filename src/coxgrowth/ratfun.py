@@ -21,10 +21,11 @@ Sums of products, the bulk of that IntPoly work, run packed: `poly_dot`
 evaluates every operand at t = 2^B, with the slot width B taken from a
 proven bound on the output coefficients, sums the integer products and
 reads the coefficients back off the one integer (Kronecker substitution).
-The identity suites pack their polynomials once each with `pack`, at a
-width from `pack_bits`, and compare the packed values.  A single product,
-`IntPoly.__mul__`, is a `poly_dot` of one pair, and `poly_sum` adds into
-one coefficient list."""
+The affine pipeline and the identity suites pack their polynomials once
+each with `pack`, at one width from `pack_bits`, sum and compare the
+packed values, and `unpack` only what they report or expand.  A single
+product, `IntPoly.__mul__`, is a `poly_dot` of one pair, and `poly_sum`
+adds into one coefficient list."""
 
 from __future__ import annotations
 
@@ -193,7 +194,7 @@ def poly_gcd(a, b):
 
     Heuristic gcd (Char, Geddes and Gonnet, GCDHEU, J. Symbolic
     Computation 7, 1989): the candidate g is the primitive part of the
-    balanced digits (`_unpack`) of gcd(a(2^B), b(2^B)).  B starts with
+    balanced digits (`unpack`) of gcd(a(2^B), b(2^B)).  B starts with
     2^B > 2 min(|a|, |b|) + 2, |.| the largest absolute coefficient, where
     by the CGG theorem a g that divides both operands is their gcd; else
     B doubles.  The integer gcd is |g(2^B)| times a divisor of
@@ -207,7 +208,7 @@ def poly_gcd(a, b):
     bits = (2 * min(height(a), height(b)) + 2).bit_length()
     while True:
         g = IntPoly(_primitive(
-            _unpack(gcd(pack(a, bits), pack(b, bits)), bits).coeffs))
+            unpack(gcd(pack(a, bits), pack(b, bits)), bits).coeffs))
         if g.degree == 0:
             return g
         try:
@@ -315,7 +316,7 @@ def height(p):
 
 def pack_bits(bound):
     """Slot width B for packed coefficients of absolute value at most
-    `bound`: then |c| < 2^(B-2), inside the signed range of `_unpack`, so
+    `bound`: then |c| < 2^(B-2), inside the signed range of `unpack`, so
     two such polynomials have equal packed values only when they are
     equal."""
     return bound.bit_length() + 2
@@ -329,7 +330,7 @@ def pack(p, bits):
     return acc
 
 
-def _unpack(value, bits):
+def unpack(value, bits):
     """The polynomial with value `value` at 2^bits whose coefficients lie
     in [-2^(bits-1), 2^(bits-1)): take the low bits, less 2^bits when
     they are at least 2^(bits-1), and carry."""
@@ -360,7 +361,7 @@ def poly_dot(pairs):
     bits = pack_bits(sum(height(a) * height(b)
                          * min(len(a.coeffs), len(b.coeffs))
                          for a, b in pairs))
-    return _unpack(sum(pack(a, bits) * pack(b, bits) for a, b in pairs),
+    return unpack(sum(pack(a, bits) * pack(b, bits) for a, b in pairs),
                    bits)
 
 

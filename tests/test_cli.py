@@ -1,12 +1,13 @@
 """Command-line interface: output schema, determinism, exit codes."""
 
+import argparse
 import json
 import textwrap
 import time
 
 import pytest
 
-from coxgrowth import affine, build_label, cones, get_affine
+from coxgrowth import affine, build_label, cli, cones, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
 from coxgrowth.cli import MAX_DEGREE, main, run_selftest
 from coxgrowth.cones import MAX_BOX_POINTS
@@ -329,6 +330,27 @@ class TestJsonOutput:
         args = ["matrix", "--type", "A2", "--format", "json"]
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
+        assert out1 == out2
+        json.loads(out1)
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # the first main call builds the parser, the second reuses it
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            args = ["matrix", "--type", "A2", "--format", "json"]
+            _, out1, _ = run(capsys, *args)
+            _, out2, _ = run(capsys, *args)
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("growth") == 1
         assert out1 == out2
         json.loads(out1)
 

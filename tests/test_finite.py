@@ -19,7 +19,7 @@ from coxgrowth.affine import get_affine
 from coxgrowth.finite import (PackedBins, PolyMatrix, get_table, image_masks,
                               matrix_M, matrix_N, identity_checks_finite,
                               reduction_targets)
-from coxgrowth.ratfun import IntPoly, RatFun, _unpack, pack, pack_bits
+from coxgrowth.ratfun import IntPoly, RatFun, pack, pack_bits, unpack
 from coxgrowth.rootsystem import RootSystem
 from coxgrowth.series import AffinePipeline
 from test_series import _BREAK_WALK, _run_optimized, _run_python
@@ -768,7 +768,7 @@ def packed_matrix(m, bits):
 
 
 def unpacked_matrix(m, bits):
-    return PolyMatrix(m.rows, m.cols, [[_unpack(e, bits) for e in row]
+    return PolyMatrix(m.rows, m.cols, [[unpack(e, bits) for e in row]
                                        for row in m.entries])
 
 

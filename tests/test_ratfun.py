@@ -234,7 +234,7 @@ class TestIntPoly:
         for label in ("A4", "F4"):
             pl = get_pipeline(build_label(label))
             subs = pl.rs.subsets()
-            nums = {pl._affine_num(q, j) for q in subs for j in subs}
+            nums = {pl._poly(v) for j in subs for v in pl._affine(j)}
             for num in nums - {IntPoly.zero()}:
                 widths.clear()
                 g = poly_gcd(num, pl.den)

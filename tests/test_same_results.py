@@ -38,7 +38,10 @@ denominator factor search runs through that division.  The A6 and E6
 fq and A7 series digests were recorded at commit f32cfcb, before the
 parallelepiped points were found by a join on residues in place of a
 scan of the whole residue box; A6 and A7 have the largest boxes under
-the bound.  A change that alters any of these bytes must say so and
+the bound.  The A5 matrix and E6 series digests were recorded at commit
+c9c60cf, before the pipeline packed its numerators once, at one slot
+width per pipeline: rank 5 and the largest |W| give the widest slots.
+A change that alters any of these bytes must say so and
 re-record the digest.  Every command is also run under python -O, in one
 subprocess, against the same digests."""
 
@@ -151,6 +154,10 @@ DIGESTS = [
      "a9e5770b5ff35c7e8e5225dac676e2744ebf6be50de42b792e885a1c74074b5b"),
     ("series --type A7 --J 1 --K 2 --format json",
      "a26fff9d4f70f2cc5479ff87fbc2bf758ced768a045d50dca8cf2772a4df1166"),
+    ("matrix --type A5 --format json",
+     "ade98d1eb98b425b7662e51226cc7dcbce2476243ef55e5493e9d2a05fa3a337"),
+    ("series --type E6 --J 1 --K 2 --format json",
+     "887a4417bf3e13472a36487f5bf7aa64acd9f577b58afed5f9d6bd7f16fad209"),
 ]
 
 

@@ -80,6 +80,14 @@ class ReferenceAssembly:
 
 
 @pytest.fixture(scope="module")
+def rank3_references():
+    # built outside the hypothesis test that draws from them: the first
+    # one imports test_finite, whose tests are themselves @given
+    return [ReferenceAssembly(get_pipeline(build_label(label)))
+            for label in ["A3", "B3", "C3"]]
+
+
+@pytest.fixture(scope="module")
 def pa2():
     return get_pipeline(build_label("A2"))
 
@@ -208,6 +216,20 @@ class TestReferenceAssembly:
                 assert pl.p_affine_S(q, j) == ref.p_affine_S(q, j), (
                     label, q, j)
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_strata_rank_3(self, rank3_references, data):
+        # p_{Q,J,K} of a random (J, K) and Q within K, both paths of the
+        # reference against the packed pipeline
+        ref = data.draw(st.sampled_from(rank3_references))
+        subs = ref.rs.subsets()
+        j = data.draw(st.sampled_from(subs))
+        k = data.draw(st.sampled_from(subs))
+        q = data.draw(st.sampled_from(ref.rs.subsets(k)))
+        pl = get_pipeline(ref.rs)
+        assert pl.p_full(q, j, k) == ref.p_full(q, j, k), (
+            ref.rs.label, q, j, k)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3"])
@@ -217,15 +239,16 @@ class TestNormalization:
         pl = get_pipeline(build_label(label))
         rs = pl.rs
         subs = rs.subsets()
+        num = pl._poly
         reported = (
-            [(pl.p_affine_S(q, j), pl._affine_num(q, j))
+            [(pl.p_affine_S(q, j), num(pl._affine(j)[q]))
              for q in subs for j in subs]
-            + [(pl.p_full(q, j, k), pl._full_num(q, j, k))
+            + [(pl.p_full(q, j, k), num(pl._full(j, k)[q]))
                for j in subs for k in subs for q in rs.subsets(k)]
-            + [(pl.double_coset_series(j, k), pl._double_num(j, k))
+            + [(pl.double_coset_series(j, k), num(pl._double_num(j, k)))
                for j in subs for k in subs]
             + [(pl.normalizer_series(j),
-                rs.poincare(j) * pl._full_num(j, j, j)) for j in subs])
+                rs.poincare(j) * num(pl._full(j, j)[j])) for j in subs])
         assert len(reported) == 4 ** rs.rank * 2 + 6 ** rs.rank + 2 ** rs.rank
         for r, num in reported:
             assert r.num * pl.den == num * r.den, (label, r, num)
@@ -269,14 +292,14 @@ class TestOracleAgreement:
         assert json.loads(series.stdout)["expansion"] == total
 
 
-# Puts a wrong numerator into the cached A2 p_{Q',J,S} entry that path 1
-# of p_full reads, then requires the dual-path comparison to raise.  Exit
-# codes: 0 raised, 1 did not raise, 3 asserts were not stripped, 4 the
-# wrong numerator did not reach the cache.
+# Adds 1 to the cached, packed A2 p_{Q',J,S} entry that path 1 of p_full
+# reads, then requires the dual-path comparison to raise.  Exit codes: 0
+# raised, 1 did not raise, 3 asserts were not stripped, 4 the wrong
+# numerator did not reach the cache.
 _FAULT_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label, get_pipeline
-    from coxgrowth.ratfun import IntPoly
+    from coxgrowth.ratfun import IntPoly, pack
     if __debug__:
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
@@ -284,9 +307,9 @@ _FAULT_SCRIPT = textwrap.dedent("""
     q, j, k = 0, rs.mask_of([1]), rs.full_mask
     qp = next(m for m in rs.subsets()
               if not pl.table.p_poly(q, m, k).is_zero())
-    bad = pl._affine_num(qp, j) + IntPoly.one()
-    rs._derived[("_affine_num", qp, j)] = bad
-    if pl._affine_num(qp, j) != bad:
+    bad = pl._affine(j)[qp] + pack(IntPoly.one(), pl.bits)
+    pl._affine(j)[qp] = bad
+    if pl._affine(j)[qp] != bad:
         sys.exit(4)
     try:
         pl.p_full(q, j, k)
@@ -297,23 +320,22 @@ _FAULT_SCRIPT = textwrap.dedent("""
 """)
 
 
-# Adds t^2 to the cached A2 numerators of p_{Q,J,K} for Q = {}, J = {1},
-# K = {2} and of p_{J,J,J} for J = {2}, then runs `growth verify`, which
-# must report both strata against the enumeration.  Exit codes: those of
-# `growth verify`, or 3 if asserts were not stripped.
+# Adds t^2 to the cached, packed A2 numerators of p_{Q,J,K} for Q = {},
+# J = {1}, K = {2} and of p_{J,J,J} for J = {2}, then runs `growth
+# verify`, which must report both strata against the enumeration.  Exit
+# codes: those of `growth verify`, or 3 if asserts were not stripped.
 _VERIFY_SCRIPT = textwrap.dedent("""
     import sys
     from coxgrowth import build_label, get_pipeline
     from coxgrowth.cli import main
-    from coxgrowth.ratfun import IntPoly
+    from coxgrowth.ratfun import IntPoly, pack
     if __debug__:
         sys.exit(3)
     pl = get_pipeline(build_label("A2"))
     rs = pl.rs
-    for key in [(0, rs.mask_of([1]), rs.mask_of([2])),
-                (rs.mask_of([2]),) * 3]:
-        rs._derived[("_full_num",) + key] = (pl._full_num(*key)
-                                             + IntPoly.t_power(2))
+    for q, j, k in [(0, rs.mask_of([1]), rs.mask_of([2])),
+                    (rs.mask_of([2]),) * 3]:
+        pl._full(j, k)[q] += pack(IntPoly.t_power(2), pl.bits)
     sys.exit(main(["verify", "--type", "A2", "--max-length", "8"]))
 """)
 
@@ -413,6 +435,46 @@ _REDUCTION_SCRIPT = _BREAK_WALK + textwrap.dedent("""
 """)
 
 
+# Builds the A2 pipeline, then corrupts the first p-bin of the full
+# table's (J, K) scan for J = {1}, K = {2} and runs `growth matrix`, which
+# reads that bin: FAULT "carry" adds 2^B to t^1 and takes 1 from t^2, B
+# the pipeline's slot width, which leaves the packed bin unchanged;
+# "term" adds a term past t^l(w_0); "total" raises its constant term to
+# |W| = 6, so that the scan counts more elements than W has.  Exit codes:
+# those of the command, or 3 if asserts were not stripped.
+_PIPELINE_BIN_SCRIPT = textwrap.dedent("""
+    import sys
+    from coxgrowth import build_label, get_pipeline
+    from coxgrowth.cli import main
+    from coxgrowth.finite import GroupTable
+    from coxgrowth.ratfun import IntPoly
+    if __debug__:
+        sys.exit(3)
+    rs = build_label("A2")
+    bits = get_pipeline(rs).bits
+    key = (rs.full_mask, rs.mask_of([1]), rs.mask_of([2]))
+    scan = GroupTable._scan
+
+    def corrupt(self, j_mask, k_mask):
+        bins = scan(self, j_mask, k_mask)
+        if (self.mask, j_mask, k_mask) == key:
+            q, poly = next(iter(bins[0].items()))
+            coeffs = list(poly.coeffs) + [0] * 4
+            if FAULT == "carry":
+                coeffs[1] += 1 << bits
+                coeffs[2] -= 1
+            elif FAULT == "term":
+                coeffs[4] = 1
+            else:
+                coeffs[0] = 6
+            bins[0][q] = IntPoly(coeffs)
+        return bins
+
+    GroupTable._scan = corrupt
+    sys.exit(main(["matrix", "--type", "A2"]))
+""")
+
+
 def _run_python(args, timeout=120):
     """Run the interpreter on args in a subprocess, with src on the path."""
     root = Path(__file__).resolve().parent.parent
@@ -432,6 +494,22 @@ def _run_optimized(script):
 class TestDualPathCheck:
     def test_disagreement_raises_under_optimize(self):
         assert "reduction paths disagree" in _run_optimized(_FAULT_SCRIPT)
+
+
+class TestPipelineWidth:
+    @pytest.mark.parametrize("fault, message", [
+        ("carry", "of the table [1, 2], J=[1], K=[2] has a coefficient "
+                  "outside [0, 6] or a term past t^3"),
+        ("term", "coset bin 1 + t^4 of the table [1, 2], J=[1], K=[2] has "
+                 "a coefficient outside [0, 6]"),
+        ("total", "the coset bins of J=[1], K=[2] count 7 elements, over "
+                  "the group order 6")])
+    def test_bin_outside_the_width_raises(self, fault, message):
+        proc = _run_python(["-O", "-c", _PIPELINE_BIN_SCRIPT.replace(
+            "FAULT", repr(fault))])
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert message in proc.stderr
 
 
 class TestVerifyFaults:
