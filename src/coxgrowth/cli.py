@@ -1,7 +1,13 @@
 """Command-line front end.
 
+JSON output is written by the package's own encoder (`_json_pieces`),
+byte-identical to `json.dumps(obj, sort_keys=True, indent=2)`, in pieces
+of one value two levels down (one f_Q entry, one matrix row), so the
+whole document is never held as one string.
+
 Exit codes: 0 success (and all checks passed), 1 computational mismatch
-in verify/check/selftest, 2 usage error or an oversized request.
+in verify/check/selftest, 2 usage error or an oversized request, 141 the
+reader closed stdout (the status a shell gives a writer ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from importlib import resources
 
@@ -61,9 +68,60 @@ def _matrix_layout(rs, m, fmt):
             "entries": [[_fmt(e, fmt) for e in row] for row in m.entries]}
 
 
+_FLAT = {int: int.__repr__, str: json.encoder.encode_basestring_ascii}
+_str = _FLAT[str]
+
+
+def _json(v, pad=""):
+    """v as json.dumps(v, sort_keys=True, indent=2) writes it, where `pad`
+    is the indent of v's closing bracket.  A flat list of ints or of strs
+    is one str.join; a bool, None, a float or a key that is not a str
+    raises TypeError."""
+    t = type(v)
+    if t in _FLAT:
+        return _FLAT[t](v)
+    if t is not list and t is not dict:
+        raise TypeError(f"{t.__name__} is not written as JSON")
+    pair = "[]" if t is list else "{}"
+    if not v:
+        return pair
+    inner = pad + "  "
+    if t is dict:
+        body = [_str(k) + ": " + _json(v[k], inner) for k in sorted(v)]
+    else:
+        kinds = set(map(type, v))
+        flat = _FLAT.get(kinds.pop()) if len(kinds) == 1 else None
+        body = map(flat, v) if flat else [_json(x, inner) for x in v]
+    return (pair[0] + "\n" + inner + (",\n" + inner).join(body) + "\n"
+            + pad + pair[1])
+
+
+def _json_pieces(v, pad="", depth=2):
+    """_json(v, pad) in pieces: one per value `depth` levels down and one
+    per bracket and key above them, so that the document is never held
+    as one string.  A list whose first entry is no list or dict is one
+    piece."""
+    t = type(v)
+    if not (depth and v and (t is dict or t is list
+                              and type(v[0]) in (list, dict))):
+        yield _json(v, pad)
+        return
+    inner = pad + "  "
+    pair = "[]" if t is list else "{}"
+    items = ([(_str(k) + ": ", v[k]) for k in sorted(v)] if t is dict
+             else [("", x) for x in v])
+    yield pair[0]
+    for i, (head, x) in enumerate(items):
+        yield (",\n" if i else "\n") + inner + head
+        yield from _json_pieces(x, inner, depth - 1)
+    yield "\n" + pad + pair[1]
+
+
 def _emit(obj, fmt):
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        # sys.stdout is read at each call: callers redirect it
+        sys.stdout.writelines(_json_pieces(obj))
+        sys.stdout.write("\n")
     else:
         _emit_text(obj)
 
@@ -417,6 +475,14 @@ def main(argv=None):
                 raise ValueError(f"--{option} {getattr(args, option)} is "
                                  f"over the degree bound {MAX_DEGREE}")
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, which is no mismatch: point stdout at
+        # os.devnull so that the flush at shutdown prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (rootsystem.InvalidTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ import textwrap
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxgrowth import affine, build_label, cli, cones, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
@@ -85,6 +86,15 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert f"group order {order}" in proc.stderr
         assert f"bound {MAX_GROUP_ORDER}" in proc.stderr
+
+    def test_closed_stdout_exits_141(self):
+        # A4's matrix is 153 KB of JSON, more than a pipe buffer holds, so
+        # the writer meets the closed pipe; 141 is what a shell reports
+        # for a writer ended by SIGPIPE, and 1 stays a mismatch
+        proc = _run_python(["-c", _CLOSED_PIPE_SCRIPT, "matrix", "--type",
+                            "A4", "--format", "json"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["141", ""]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--type", "G2", "--max-length", "100000"],
@@ -263,6 +273,21 @@ class TestExitCodes:
         assert code == 0
 
 
+# Runs `growth ARGV`, reads one line of its stdout, closes the pipe and
+# prints the exit code and the stderr of the command.
+_CLOSED_PIPE_SCRIPT = textwrap.dedent("""
+    import subprocess, sys
+    proc = subprocess.Popen([sys.executable, "-m", "coxgrowth.cli",
+                             *sys.argv[1:]], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    print(proc.wait())
+    print(err)
+""")
+
+
 # Runs `growth` with the arguments given in a child of this small
 # interpreter and prints the child's exit code and peak RSS in MB.  A
 # child's peak includes that of the process it was started from, so the
@@ -295,6 +320,13 @@ class TestFootprint:
         assert code == 0
         assert peak < 40
 
+    def test_a6_fq_json_is_written_in_pieces(self):
+        # 4 MB of JSON, written one f_Q entry at a time: this peaked at
+        # 45 MB while json.dumps built the whole document as one string
+        code, peak = _peak_rss_mb("fq", "--type", "A6", "--format", "json")
+        assert code == 0
+        assert peak < 36
+
     def test_series_builds_no_affine_group(self, capsys):
         code, out, _ = run(capsys, "series", "--type", "D4", "--J", "1",
                            "--K", "2")
@@ -304,7 +336,34 @@ class TestFootprint:
         assert "affine" not in rs._derived
 
 
+# strs with quotes, backslashes, control and non-ASCII characters, ints
+# past 2^64 either side, and nested lists and str-keyed dicts, empty ones
+# included
+_json_strs = st.text(st.one_of(st.characters(),
+                               st.sampled_from('"\\/\x00\x1f\x7f\n')))
+_json_values = st.recursive(
+    st.one_of(_json_strs, st.integers(),
+              st.integers(-2 ** 200, 2 ** 200)),
+    lambda inner: st.one_of(st.lists(inner, max_size=6),
+                            st.dictionaries(_json_strs, inner, max_size=6)),
+    max_leaves=40)
+
+
 class TestJsonOutput:
+    @given(_json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_match_json_dumps(self, value):
+        assert "".join(cli._json_pieces(value)) == json.dumps(
+            value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [True, None, 1.5, {1: "a"}],
+                             ids=["bool", "None", "float", "int-key"])
+    def test_encoder_refuses_what_no_payload_holds(self, value):
+        # also inside a flat list and below the streamed levels
+        for wrapped in (value, [1, value], {"a": {"b": [[value]]}}):
+            with pytest.raises(TypeError):
+                "".join(cli._json_pieces(wrapped))
+
     def test_series_schema(self, capsys):
         code, out, _ = run(capsys, "series", "--type", "A2", "--J", "1",
                            "--K", "2", "--expand", "10", "--format", "json")

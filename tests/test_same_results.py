@@ -41,6 +41,10 @@ scan of the whole residue box; A6 and A7 have the largest boxes under
 the bound.  The A5 matrix and E6 series digests were recorded at commit
 c9c60cf, before the pipeline packed its numerators once, at one slot
 width per pipeline: rank 5 and the largest |W| give the widest slots.
+The JSON forms of the D4 finite poincare, B3 pmatrix and hmatrix and A1
+cartan digests were recorded at commit 8e0f882, before the package's
+own encoder replaced json.dumps: the poincare form, the coset matrices
+and one-entry lists were the JSON shapes no digest covered.
 A change that alters any of these bytes must say so and
 re-record the digest.  Every command is also run under python -O, in one
 subprocess, against the same digests."""
@@ -158,6 +162,14 @@ DIGESTS = [
      "ade98d1eb98b425b7662e51226cc7dcbce2476243ef55e5493e9d2a05fa3a337"),
     ("series --type E6 --J 1 --K 2 --format json",
      "887a4417bf3e13472a36487f5bf7aa64acd9f577b58afed5f9d6bd7f16fad209"),
+    ("finite --type D4 --format json",
+     "02246fffed5fbac2e2ac2d4983d3ec30020e1b9fb319517278094b4e4eced104"),
+    ("finite --type B3 --what pmatrix --K 1 --format json",
+     "5f83b1439753f87d42d70adf6bddc702f44a75511501c54163fb087361f64837"),
+    ("finite --type B3 --what hmatrix --J 1 --format json",
+     "b94a8afabced28ce638b67bad9d9f29b7de82f28e795967ae427accafbc15c4d"),
+    ("cartan A1 --format json",
+     "d44d965fdec282e883063d34ee6851bd87e5576568c747d88f346e68162630f3"),
 ]
 
 
