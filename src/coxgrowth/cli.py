@@ -29,8 +29,6 @@ from .series import get_pipeline
 MAX_DEGREE = 1000   # the largest `check --degree` and `series --expand`
 
 def _parse_ids(s):
-    if s is None:
-        return None
     ids = []
     for x in s.replace(",", " ").split():
         try:
@@ -38,6 +36,11 @@ def _parse_ids(s):
         except ValueError:
             raise ValueError(f"generator id {x!r} is not an integer") from None
     return ids
+
+
+def _subset_mask(rs, s):
+    """The mask of the generator ids in an option or a fixture key."""
+    return rs.mask_of(_parse_ids(s))
 
 
 def _subset_key(rs, mask):
@@ -181,8 +184,7 @@ def cmd_cartan(args):
 
 def cmd_finite(args):
     rs = rootsystem.build_label(args.type)
-    sp = rs.full_mask if args.subset is None else rs.mask_of(
-        _parse_ids(args.subset))
+    sp = rs.full_mask if args.subset is None else _subset_mask(rs, args.subset)
     if args.what == "poincare":
         # the closed form gives the order without the table, but a
         # parabolic too large to tabulate is refused all the same
@@ -196,7 +198,7 @@ def cmd_finite(args):
         # M_{K,S'} has rows Q within K, N_{J,S'} rows R within J
         name, build = (("K", matrix_M) if args.what == "pmatrix"
                        else ("J", matrix_N))
-        mask = rs.mask_of(_parse_ids(getattr(args, name) or ""))
+        mask = _subset_mask(rs, getattr(args, name) or "")
         _emit({"type": rs.label, name: rs.ids_of(mask),
                **_matrix_layout(rs, build(rs, mask, sp), args.format)},
               args.format)
@@ -207,8 +209,7 @@ def cmd_finite(args):
 
 def cmd_fq(args):
     rs = rootsystem.build_label(args.type)
-    masks = (rs.subsets() if args.Q is None
-             else [rs.mask_of(_parse_ids(args.Q))])
+    masks = rs.subsets() if args.Q is None else [_subset_mask(rs, args.Q)]
     cones.check_boxes(rs, [cones.indices_outside(rs, q) for q in masks])
     out = {"type": rs.label, "w": [list(w) for w in rs.cone_gens],
            "f": {}}
@@ -226,10 +227,9 @@ def cmd_fq(args):
 def cmd_series(args):
     rs = rootsystem.build_label(args.type)
     pl = get_pipeline(rs)
-    j = rs.mask_of(_parse_ids(args.J))
-    k = rs.mask_of(_parse_ids(args.K))
+    j, k = _subset_mask(rs, args.J), _subset_mask(rs, args.K)
     if args.Q is not None:
-        q = rs.mask_of(_parse_ids(args.Q))
+        q = _subset_mask(rs, args.Q)
         if q & ~k:
             # the Q-strata of (J, K) exist only for Q within K
             raise ValueError(f"Q={rs.ids_of(q)} is not inside "
@@ -258,8 +258,7 @@ def cmd_matrix(args):
 def cmd_oracle(args):
     rs = rootsystem.build_label(args.type)
     aff = get_affine(rs)
-    j = rs.mask_of(_parse_ids(args.J))
-    k = rs.mask_of(_parse_ids(args.K))
+    j, k = _subset_mask(rs, args.J), _subset_mask(rs, args.K)
     bins, total = aff.oracle_series(j, k, args.max_length)
     out = {"type": rs.label, "J": rs.ids_of(j), "K": rs.ids_of(k),
            "max_length": args.max_length,
@@ -297,8 +296,13 @@ def _load_fixtures():
     return out
 
 
-def _mask_from_key(rs, key):
-    return rs.mask_of([int(x) for x in key.split(",")] if key else [])
+def _entries_match(rs, m, entry):
+    """Whether entry(Q, J) is the fixture matrix m's entry in every row Q
+    and column J."""
+    return all(entry(_subset_mask(rs, q), _subset_mask(rs, j))
+               == RatFun.from_json(val)
+               for q, row in zip(m["rows"], m["entries"])
+               for j, val in zip(m["cols"], row))
 
 
 def check_fixture(name, fx):
@@ -314,7 +318,7 @@ def check_fixture(name, fx):
         got = [rs.two_rho_weight(w) for w in rs.cone_gens]
         results.append(("generator-weights", got == fx["weights"]))
     for key, pts in fx.get("pi_points", {}).items():
-        q = _mask_from_key(rs, key)
+        q = _subset_mask(rs, key)
         got = cones.parallelepiped_points(rs, cones.indices_outside(rs, q))
         want = sorted(tuple(p) for p in pts)
         results.append((f"parallelepiped[{key or 'empty'}]", got == want))
@@ -325,37 +329,21 @@ def check_fixture(name, fx):
                  for q in rs.subsets())
         results.append(("closed-form-f", ok))
     for key, val in fx.get("f", {}).items():
-        q = _mask_from_key(rs, key)
+        q = _subset_mask(rs, key)
         want = RatFun.from_json(val)
         results.append((f"f[{key or 'empty'}]",
                         cones.f_q(rs, q) == want))
     if "M_S" in fx:
-        pl = get_pipeline(rs)
-        subs = rs.subsets()
-        ok = True
-        for i, qk in enumerate(fx["M_S"]["rows"]):
-            for jdx, jk in enumerate(fx["M_S"]["cols"]):
-                want = RatFun.from_json(fx["M_S"]["entries"][i][jdx])
-                got = pl.p_affine_S(_mask_from_key(rs, qk),
-                                    _mask_from_key(rs, jk))
-                if got != want:
-                    ok = False
-        if [_mask_from_key(rs, k) for k in fx["M_S"]["rows"]] != subs:
+        m = fx["M_S"]
+        if [_subset_mask(rs, k) for k in m["rows"]] != rs.subsets():
             raise AssertionError(f"{name}: M_S rows are not the subsets "
                                  "in ascending order")
-        results.append(("full-series-matrix", ok))
+        results.append(("full-series-matrix", _entries_match(
+            rs, m, get_pipeline(rs).p_affine_S)))
     for key, data in fx.get("M_K", {}).items():
-        k = _mask_from_key(rs, key)
-        table = get_table(rs)
-        ok = True
-        for i, qk in enumerate(data["rows"]):
-            for jdx, jk in enumerate(data["cols"]):
-                want = RatFun.from_json(data["entries"][i][jdx])
-                got = RatFun(table.p_poly(_mask_from_key(rs, qk),
-                                          _mask_from_key(rs, jk), k))
-                if got != want:
-                    ok = False
-        results.append((f"coset-matrix[{key or 'empty'}]", ok))
+        k, table = _subset_mask(rs, key), get_table(rs)
+        results.append((f"coset-matrix[{key or 'empty'}]", _entries_match(
+            rs, data, lambda q, j: RatFun(table.p_poly(q, j, k)))))
     return results
 
 

@@ -91,9 +91,11 @@ def f_q(rs, q_mask, points=None):
 
 
 def f_q_closed_form(rs, q_mask):
-    """t^(sum of generator weights) over prod (1 - t^weight): equal to
-    f_q when every parallelepiped above Q holds only the origin."""
-    return f_q(rs, q_mask, [(0,) * rs.rank])
+    """t^(sum of wt(w_i)) / prod (1 - t^wt(w_i)) over i not in Q, from the
+    weights alone: f_q when the parallelepiped of Q holds only 0."""
+    wts = [rs.two_rho_weight(rs.cone_gens[i])
+           for i in indices_outside(rs, q_mask)]
+    return RatFun(IntPoly.t_power(sum(wts)), IntPoly.one_minus_t(*wts))
 
 
 def all_parallelepipeds_trivial(rs):

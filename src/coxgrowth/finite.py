@@ -404,8 +404,7 @@ def identity_checks_finite(rs, sp_mask=None):
         sp_mask = rs.full_mask
     table = get_table(rs, sp_mask)
     subsets = rs.subsets(sp_mask)
-    w_poly = {m: rs.poincare(m) for m in subsets}
-    wt = w_poly[sp_mask]
+    wt = rs.poincare(sp_mask)
     packed = PackedBins(table)
     bits = packed.bits
     # the packed (p, h) bins of every (J, K)
@@ -415,7 +414,7 @@ def identity_checks_finite(rs, sp_mask=None):
         # W(t) = W_J(t) times the series of minimal left representatives
         for j in subsets:
             yield ((lambda: f"W_J * W^J != W for J={rs.ids_of(j)}"),
-                   w_poly[j] * table.p_poly(0, j, 0) == wt)
+                   rs.poincare(j) * table.p_poly(0, j, 0) == wt)
 
     def pkjk_partition():
         # partition of p_{K,J,K} by conjugation targets
@@ -451,7 +450,7 @@ def identity_checks_finite(rs, sp_mask=None):
 
     return run_checks([
         ("alternating-sum", solomon_sum(
-            wt, ((rs.ids_of(j), w_poly[j]) for j in subsets),
+            wt, ((rs.ids_of(j), rs.poincare(j)) for j in subsets),
             -IntPoly.t_power(rs.longest_length(sp_mask)))),
         ("parabolic-quotient", parabolic_quotient()),
         ("pKJK-partition", pkjk_partition()),

@@ -347,9 +347,20 @@ class RootSystem:
         return flip
 
     def cached(self, key, make):
-        """The object derived from this root system under `key` (a group
-        table, the affine group, the pipeline), made by make() on first
-        use and kept for the life of the root system."""
+        """The object derived from this root system under `key`, made by
+        make() on first use and kept for the life of the root system.
+        Keys: "simple_reflections", "affine" (the affine group),
+        "pipeline", ("flips", X), ("positive_roots", J), ("poincare", J);
+        from `finite` ("table", X), ("cosets", X, J, K), ("images", img);
+        from the pipeline ("packed_scan", J, K), ("column", J),
+        ("affine_S", J), ("full", J, K), ("reported", value).
+        Two stores stay outside: `AffineWeyl._chi` and `_records`, per
+        element state filled as the enumeration walk meets each element,
+        on its hot path (built eagerly, they cost E6 about as much as its
+        group), and `PackedBins._packed`, a packing memo per slot width
+        hit on every bin read (some 17 000 times in a D4 and F4 `finite
+        --what check`), where a call here would add a key tuple and a
+        closure per hit."""
         hit = self._derived.get(key)
         if hit is None:
             hit = self._derived[key] = make()
@@ -379,8 +390,9 @@ class RootSystem:
         return len(self.positive_roots_of(mask))
 
     def poincare(self, mask):
-        """W_J(t), in closed form from the heights of the roots of J."""
-        return poincare_of(sum(r) for r, _ in self.positive_roots_of(mask))
+        """W_J(t), in closed form from the root heights of J; cached."""
+        return self.cached(("poincare", mask), lambda: poincare_of(
+            sum(r) for r, _ in self.positive_roots_of(mask)))
 
     def subsets(self, mask=None):
         """All subsets of `mask` (default: all generators), ascending."""

@@ -33,12 +33,25 @@ suite.
 
 from __future__ import annotations
 
+import functools
+
 from .ratfun import (IntPoly, RatFun, expand, height, pack, pack_bits,
                      poly_dot, poly_exact_div, unpack)
 from . import cones
 from .finite import (PackedBins, check_table_size, get_table, PolyMatrix,
                      p_alternating_reduction, run_checks, signed, solomon_sum)
 from .affine import get_affine, parabolic_poincare
+
+
+def _kept(kind):
+    """Method decorator: the method's value for its masks, made on first
+    use and kept in the root system's cache under (kind, *masks)."""
+    def decorate(make):
+        @functools.wraps(make)
+        def method(self, *masks):
+            return self.rs.cached((kind, *masks), lambda: make(self, *masks))
+        return method
+    return decorate
 
 
 class AffinePipeline:
@@ -66,9 +79,9 @@ class AffinePipeline:
 
     `pack_bits` holds that with 2 bits to spare, so every value reads
     back unique and equal values are equal polynomials.  Each value is
-    built on first use and kept once, in lists by mask: the bin columns
-    and p_{Q,J,S} by J, the bin rows by K, and the p_{Q,J,K}, a dict by
-    Q, by J * 2^n + K."""
+    built on first use and kept once, in the root system's cache: the
+    packed scans and the p_{Q,J,K}, a dict by Q, by (J, K), the bin
+    columns and p_{Q,J,S} by J."""
 
     def __init__(self, rs):
         self.rs = rs
@@ -84,11 +97,6 @@ class AffinePipeline:
         self._bins = PackedBins(self.table, self.bits)
         # the conjugate of each mask by w_0: eps_S
         self._by_w0 = rs.flips(rs.full_mask)
-        # filled on first use: by J, by K, by J, and by J * 2^n + K
-        n = len(ss)
-        self._columns, self._rows, self._affines = ([None] * n
-                                                    for _ in range(3))
-        self._fulls = [None] * n * n
 
     # -- numerators over D -----------------------------------------------
 
@@ -108,6 +116,7 @@ class AffinePipeline:
         """The numerator packed as `value`."""
         return unpack(value, self.bits)
 
+    @_kept("packed_scan")
     def _packed_scan(self, j_mask, k_mask):
         """The p-bins of the (J, K) scan of W, packed, after checking that
         together they count at most |W| elements."""
@@ -122,70 +131,58 @@ class AffinePipeline:
                 f"group order {self.table.order}")
         return bins
 
+    @_kept("column")
     def _column(self, j_mask):
         """By Q', the packed p-bins of (J, K) for K = eps_S(Q'), the
         conjugate of Q' by w_0, each keyed by the Q within Q' whose
         conjugate by w_0 w_Q', eps_S(eps_Q'(Q)), is the bin's own."""
-        cols = self._columns[j_mask]
-        if cols is None:
-            rs, by_w0 = self.rs, self._by_w0
-            cols = self._columns[j_mask] = []
-            for qp in rs.subsets():
-                flip = rs.flips(qp)
-                col = self._packed_scan(j_mask, by_w0[qp])
-                cols.append({flip[by_w0[m]]: b for m, b in col.items()})
-        return cols
+        rs, by_w0 = self.rs, self._by_w0
+        return [{flip[by_w0[m]]: b
+                 for m, b in self._packed_scan(j_mask, by_w0[qp]).items()}
+                for qp, flip in zip(rs.subsets(), map(rs.flips, rs.subsets()))]
 
     def _row(self, k_mask):
         """By Q', the packed p-bins of (Q', K) by Q: row Q of M_{K,S}."""
-        rows = self._rows[k_mask]
-        if rows is None:
-            rows = self._rows[k_mask] = [self._packed_scan(qp, k_mask)
-                                         for qp in self.rs.subsets()]
-        return rows
+        return [self._packed_scan(qp, k_mask) for qp in self.rs.subsets()]
 
+    @_kept("affine_S")
     def _affine(self, j_mask):
         """p_{Q,J,S} by Q: the sum over Q' containing Q of the bin of Q in
         the column of Q', times p_SS(Q')."""
-        aff = self._affines[j_mask]
-        if aff is None:
-            aff = self._affines[j_mask] = [0] * len(self._ss)
-            for col, ss in zip(self._column(j_mask), self._ss):
-                for q, fin in col.items():
-                    aff[q] += fin * ss
+        aff = [0] * len(self._ss)
+        for col, ss in zip(self._column(j_mask), self._ss):
+            for q, fin in col.items():
+                aff[q] += fin * ss
         return aff
 
+    @_kept("full")
     def _full(self, j_mask, k_mask):
         """p_{Q,J,K} by Q within K, computed along both reduction paths,
         which must agree."""
-        index = j_mask << self.rs.rank | k_mask
-        full = self._fulls[index]
-        if full is None:
-            rows = self._row(k_mask)
-            # path 1: row of M_{K,S} times the assembled S-column
-            acc1 = dict.fromkeys(self.rs.subsets(k_mask), 0)
-            for row, aff in zip(rows, self._affine(j_mask)):
-                for q, fin in row.items():
-                    acc1[q] += fin * aff
-            # path 2: the double sum, gathered by Q'' before its p_SS(Q'')
-            acc2 = dict.fromkeys(acc1, 0)
-            for col, ss in zip(self._column(j_mask), self._ss):
-                gathered = dict.fromkeys(acc1, 0)
-                for qp, b in col.items():
-                    for q, fin in rows[qp].items():
-                        gathered[q] += fin * b
-                for q, g in gathered.items():
-                    acc2[q] += g * ss
-            for q, num in acc1.items():
-                if num != acc2[q]:
-                    rs = self.rs
-                    raise AssertionError(
-                        f"reduction paths disagree for Q={rs.ids_of(q)}, "
-                        f"J={rs.ids_of(j_mask)}, K={rs.ids_of(k_mask)}: "
-                        f"{self._poly(num)} vs {self._poly(acc2[q])} over "
-                        f"{self.den}")
-            full = self._fulls[index] = acc1
-        return full
+        rows = self._row(k_mask)
+        # path 1: row of M_{K,S} times the assembled S-column
+        acc1 = dict.fromkeys(self.rs.subsets(k_mask), 0)
+        for row, aff in zip(rows, self._affine(j_mask)):
+            for q, fin in row.items():
+                acc1[q] += fin * aff
+        # path 2: the double sum, gathered by Q'' before its p_SS(Q'')
+        acc2 = dict.fromkeys(acc1, 0)
+        for col, ss in zip(self._column(j_mask), self._ss):
+            gathered = dict.fromkeys(acc1, 0)
+            for qp, b in col.items():
+                for q, fin in rows[qp].items():
+                    gathered[q] += fin * b
+            for q, g in gathered.items():
+                acc2[q] += g * ss
+        for q, num in acc1.items():
+            if num != acc2[q]:
+                rs = self.rs
+                raise AssertionError(
+                    f"reduction paths disagree for Q={rs.ids_of(q)}, "
+                    f"J={rs.ids_of(j_mask)}, K={rs.ids_of(k_mask)}: "
+                    f"{self._poly(num)} vs {self._poly(acc2[q])} over "
+                    f"{self.den}")
+        return acc1
 
     def _double_num(self, j_mask, k_mask):
         return sum(self._full(j_mask, k_mask).values())
@@ -230,7 +227,6 @@ class AffinePipeline:
         (name, ok, detail) triples."""
         rs = self.rs
         wt_num = self._poly(self._double_num(0, 0))
-        w_poly = {m: rs.poincare(m) for m in rs.subsets()}
 
         def alternating_sum_zero():
             # Solomon's sum for the affine group times D: each proper
@@ -253,8 +249,9 @@ class AffinePipeline:
         def partition(j, k):
             # full-group series recovered from any double-coset partition;
             # W_K / W_Q is a polynomial for Q within K
-            return wt_num == w_poly[j] * poly_dot(
-                (poly_exact_div(w_poly[k], w_poly[q]), self._poly(num))
+            return wt_num == rs.poincare(j) * poly_dot(
+                (poly_exact_div(rs.poincare(k), rs.poincare(q)),
+                 self._poly(num))
                 for q, num in self._full(j, k).items())
 
         def nonnegative(j, k):

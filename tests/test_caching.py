@@ -2,6 +2,7 @@
 pipeline cached on it; one coset scan per (table, J, K)."""
 
 import contextlib
+import copy
 import io
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from coxgrowth import ratfun, rootsystem
 from coxgrowth.affine import get_affine
 from coxgrowth.cli import main, run_selftest
-from coxgrowth.finite import GroupTable, get_table
+from coxgrowth.finite import GroupTable, PackedBins, get_table
 from coxgrowth.ratfun import IntPoly
 from coxgrowth.rootsystem import RootSystem, build_label
 from coxgrowth.series import AffinePipeline, get_pipeline
@@ -58,6 +59,36 @@ def test_positive_roots_of_kept_per_mask():
         assert isinstance(roots, tuple)
         assert rs.positive_roots_of(mask) is roots
     assert len(rs.positive_roots_of(rs.full_mask)) == 24
+
+
+def test_poincare_kept_per_mask():
+    rs = RootSystem("B", 3)
+    for mask in rs.subsets():
+        assert rs.poincare(mask) is rs.poincare(mask)
+
+
+def test_one_packed_scan_per_j_k(monkeypatch):
+    # the identity suite reads every (J, K) scan, as a column and as a
+    # row; the pipeline packs each once, and stores nothing on itself
+    rs = RootSystem("B", 3)
+    pl = get_pipeline(rs)
+    containers = {name: copy.copy(value) for name, value in vars(pl).items()
+                  if isinstance(value, (list, dict))}
+    calls = []
+    orig = PackedBins.__call__
+
+    def call(self, table, j_mask, k_mask, sides=2):
+        if self is pl._bins:
+            calls.append((j_mask, k_mask))
+        return orig(self, table, j_mask, k_mask, sides)
+
+    monkeypatch.setattr(PackedBins, "__call__", call)
+    report = pl.affine_identity_checks()
+    assert all(ok for _, ok, _ in report)
+    subs = rs.subsets()
+    assert sorted(calls) == [(j, k) for j in subs for k in subs]
+    assert containers and all(getattr(pl, name) == value
+                              for name, value in containers.items())
 
 
 def test_selftest_constructions(monkeypatch):

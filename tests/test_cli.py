@@ -1,6 +1,7 @@
 """Command-line interface: output schema, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 import textwrap
 import time
@@ -10,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from coxgrowth import affine, build_label, cli, cones, get_affine
 from coxgrowth.affine import MAX_BFS_ELEMENTS
-from coxgrowth.cli import MAX_DEGREE, main, run_selftest
+from coxgrowth.cli import MAX_DEGREE, check_fixture, main, run_selftest
 from coxgrowth.cones import MAX_BOX_POINTS
 from coxgrowth.finite import MAX_GROUP_ORDER
 from coxgrowth.rootsystem import MAX_RANK
-from coxgrowth.ratfun import RatFun, expand
+from coxgrowth.ratfun import IntPoly, RatFun, expand
 from test_series import _run_optimized, _run_python
 
 
@@ -478,6 +479,96 @@ _FIXTURE_SCRIPT = textwrap.dedent("""
 
 
 class TestFixtureChecks:
+    def test_closed_form_is_independent_of_the_enumeration(self,
+                                                            monkeypatch):
+        # a numerator shifted by t moves f_Q, not its closed form
+        numerator = cones.reciprocity_numerator
+
+        def shifted(rs, q_mask, points=None):
+            num, weights = numerator(rs, q_mask, points)
+            return num * IntPoly.t_power(1), weights
+
+        monkeypatch.setattr(cones, "reciprocity_numerator", shifted)
+        results = dict(check_fixture("c2", cli._load_fixtures()["c2"]))
+        assert results["parallelepipeds-trivial"]
+        assert not results["closed-form-f"]
+
     def test_row_order_check_raises_under_optimize(self):
         out = _run_optimized(_FIXTURE_SCRIPT)
         assert "a2: M_S rows are not the subsets in ascending order" in out
+
+
+class TestParserOutput:
+    """The parser's help and usage text, pinned by the sha256 of what it
+    writes with COLUMNS=80: stdout with exit 0 for `-h`, stderr with
+    exit 2 for a missing required argument.  Recorded at commit 4a9aca2,
+    before the parser was rebuilt; a change that alters these bytes must
+    say so and re-record the digest."""
+
+    HELP = [
+        ("-h",
+         "e7ee5e021de0c276d110f8916adf295378fb1dd4e34eb9c524e8caf197543d94"),
+        ("cartan -h",
+         "a1c2c03f58adcfb5d9623a57669a00019e6493c3407d2f6498c88904f6e62eb9"),
+        ("finite -h",
+         "c1fd584416961ece9987e1f3c9c0d68dfe555fe2d5ef50699f39469ea1a86107"),
+        ("fq -h",
+         "801a03fc91f1052c5cf155764395fc68288198f10fbeb330903c3262db011d34"),
+        ("series -h",
+         "d142276a7923d1b56381a88be6d139d25413e27c1cb763290030c1ba3a919cd8"),
+        ("matrix -h",
+         "6ce4a1b8986ed9690aebac7db7042c638f1c71102534c1f7a67269f4eaa882d2"),
+        ("oracle -h",
+         "d666829ad32526f56d2365432f196d01684b9bb6af177308cad25e50ed4c2ec9"),
+        ("verify -h",
+         "5f664000d873791ec24003ddc0fc959dca02c36731c851ac7f3cd8c5896c9b47"),
+        ("check -h",
+         "f3eb4b4cbf93887d2a8417b7f19597d9c481639351e0fc68e1101acccaf9735c"),
+        ("selftest -h",
+         "4b0b734badb7202447b49ca158f1af3a0d74a25ac9306b31bdd9079d2bf17fd5"),
+    ]
+    # every subcommand but selftest, which has no required argument
+    USAGE = [
+        ("",
+         "5e75465439ec29efa6fecc26389994263798c2c7fe267e81bce292e6b0fd23f1"),
+        ("cartan",
+         "dc81fab97a1685add7000d6ac3d82ab74630e248b22fcc81abaa6b837c25d33f"),
+        ("finite",
+         "b118f3644f638ebb46ace6ca987fa04f9202ee76357d588da22a63fe4ed7a058"),
+        ("fq",
+         "ee9b73bbd0978be5b9b9e80acad2d00aa76ee1cdeb1ff7fa984237b8cfa4c6e2"),
+        ("series",
+         "39d6fa54032f81a595878c81b1d247fd98888179d9e749daf8676ef40f3d5150"),
+        ("matrix",
+         "8fe08902c90cf2a2d4a82574f6d05cf4e6a1c9319f76d26b9af2b05f3f7eda83"),
+        ("oracle",
+         "5132e93b974dffa3501442790e1c29d76f54af6cb57144ca17997c972eaeeb67"),
+        ("verify",
+         "26b10dc168022079cddc612dd9cb65257b5c70fcc0927bbdd0b17aee92e6142c"),
+        ("check",
+         "98ba1fb475437df32e58fedbc00b0e41b48a764e1186ea163b044fc17a967f3b"),
+    ]
+
+    @staticmethod
+    def _exit(capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    @pytest.mark.parametrize("command, digest", HELP,
+                             ids=[c for c, _ in HELP])
+    def test_help_digest(self, capsys, monkeypatch, command, digest):
+        code, out, err = self._exit(capsys, monkeypatch, command)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, digest", USAGE,
+                             ids=[c or "no-command" for c, _ in USAGE])
+    def test_missing_argument_digest(self, capsys, monkeypatch, command,
+                                     digest):
+        code, out, err = self._exit(capsys, monkeypatch, command)
+        assert code == 2 and out == ""
+        assert "the following arguments are required" in err
+        assert hashlib.sha256(err.encode()).hexdigest() == digest

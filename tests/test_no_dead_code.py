@@ -19,6 +19,12 @@ as read when it appears as an attribute outside an assignment target, or
 as an identifier inside such a string constant; assigning it is not a
 read.  A module-level constant counts as read when it is also read as a
 variable.
+
+No hand-rolled memo either: outside `__init__`, no method of the
+package stores into (or deletes from) a subscript of a container held
+on `self`, except the stores that `RootSystem.cached` names as kept
+outside it (`MEMOS`).  A value made on first use goes through
+`RootSystem.cached`.
 """
 
 import ast
@@ -32,6 +38,8 @@ HARNESS = ROOT / "perfbench"
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the cache itself, and the two stores its docstring keeps outside it
+MEMOS = {"RootSystem._derived", "PackedBins._packed", "AffineWeyl._records"}
 
 
 def _parsed(directory):
@@ -106,6 +114,29 @@ def self_attributes():
                 yield f"{path.name}:{node.lineno}", node.attr
 
 
+def self_subscript_stores():
+    """(place, Class.attr) of every `self.<attr>[...] = ...`, augmented
+    assignment or `del` of one, in a method of the package other than
+    `__init__`, nested functions included."""
+    for path, tree in _parsed(PACKAGE):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                        or method.name == "__init__"):
+                    continue
+                for node in ast.walk(method):
+                    if (isinstance(node, ast.Subscript)
+                            and not isinstance(node.ctx, ast.Load)
+                            and isinstance(node.value, ast.Attribute)
+                            and isinstance(node.value.value, ast.Name)
+                            and node.value.value.id == "self"):
+                        yield (f"{path.name}:{node.lineno}",
+                               f"{cls.name}.{node.value.attr}")
+
+
 def module_constants():
     """(place, name) of every non-dunder name the package assigns at
     module level."""
@@ -142,6 +173,14 @@ def test_every_constant_is_read():
     assert not unread, "assigned but never read: " + ", ".join(unread)
 
 
+def test_no_memo_outside_the_cache():
+    stores = [f"{place} {name}" for place, name in self_subscript_stores()
+              if name not in MEMOS]
+    assert not stores, ("a store into a container on self outside "
+                        "__init__ (keep the value with RootSystem.cached): "
+                        + ", ".join(stores))
+
+
 def test_the_scan_sees_the_package():
     # a guard that parsed nothing would pass vacuously
     names = {name for _, name, _ in definitions()}
@@ -152,3 +191,4 @@ def test_the_scan_sees_the_package():
     attributes = {name for _, name in self_attributes()}
     assert {"perms", "_buckets", "roots", "_refl"} <= attributes
     assert "MAX_GROUP_ORDER" in {name for _, name in module_constants()}
+    assert {name for _, name in self_subscript_stores()} == MEMOS
